@@ -11,12 +11,13 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .errors import IBKernelError
 from .experiments import CircleCaseConfig, run_circle_case, validate_moments
-from .ibops import make_grid, support_stencil
+from .ibops import KernelStrategy, make_grid, support_stencil
 from .kernels import (
     BasisDegree,
     KernelSource,
@@ -27,35 +28,16 @@ from .kernels import (
     generating_function_closed_form,
 )
 from .linalg import DEFAULT_TOLERANCES, ToleranceSet
-from .onesided import KernelBounds, SignedDistance, classify_side, restrict_weights
+from .onesided import KernelBounds, SignedDistance
 from .qpsolve import solve_generating_qp, solve_peskin4
 
 DEFAULT_CONFIG_NAME = "ibkernel.json"
 
-_CONFIG_KEYS = {
-    "extents",
-    "mesh_width",
-    "center",
-    "radius",
-    "marker_angles_deg",
-    "case",
-    "bounds",
-    "field_coefficients",
-    "penalty",
-    "formulation",
-    "weight_kernel",
-    "basis_degree",
-    "shift",
-    "tolerances",
+_CASE_KEYS = {f.name for f in fields(CircleCaseConfig)}
+_CONFIG_KEYS = _CASE_KEYS | {
+    "formulation", "weight_kernel", "basis_degree", "shift",
 }
-_TOLERANCE_KEYS = {
-    "spd_pivot",
-    "rank_pivot",
-    "zero_weight",
-    "feasibility",
-    "residual",
-    "complementarity",
-}
+_TOLERANCE_KEYS = {f.name for f in fields(ToleranceSet)}
 _FORMULATIONS = ("standard", "backus-gilbert", "peskin4", "one-sided")
 
 
@@ -63,28 +45,21 @@ class ConfigError(Exception):
     pass
 
 
-class RunConfig:
+class RunConfig(dict):
     """Schema-validated run configuration, keyed exactly as in the file."""
 
     def __init__(self, values=None):
-        values = dict(values or {})
-        unknown = set(values) - _CONFIG_KEYS
+        super().__init__(values or {})
+        unknown = set(self) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        tols = values.get("tolerances")
+        tols = self.get("tolerances")
         if tols is not None:
             if not isinstance(tols, dict):
                 raise ConfigError("tolerances must be an object")
             bad = set(tols) - _TOLERANCE_KEYS
             if bad:
                 raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
-        self.values = values
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def __contains__(self, key):
-        return key in self.values
 
 
 def fmt(x):
@@ -127,30 +102,32 @@ def load_config(path, required=False):
 
 
 def tolerances_from(config):
-    tols = config.get("tolerances")
-    if not tols:
-        return DEFAULT_TOLERANCES
-    base = {k: getattr(DEFAULT_TOLERANCES, k) for k in _TOLERANCE_KEYS}
-    base.update({k: float(v) for k, v in tols.items()})
-    return ToleranceSet(**base)
+    tols = config.get("tolerances") or {}
+    try:
+        values = {k: float(v) for k, v in tols.items()}
+        return replace(DEFAULT_TOLERANCES, **values)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"tolerances must be numbers: {err}") from err
 
 
 def weight_function_from(config):
     kind = config.get("weight_kernel", "psi6")
-    h = float(config.get("mesh_width", 0.075))
-    if kind == "psi6":
-        return WeightFunction.six_point_spline(h)
-    if kind == "psi4":
+    if kind not in ("psi6", "psi4"):
+        raise ConfigError(f"unknown weight_kernel: {kind!r} (use psi6 or psi4)")
+    try:
+        h = float(config.get("mesh_width", 0.075))
+        if kind == "psi6":
+            return WeightFunction.six_point_spline(h)
         return WeightFunction.four_point_peskin(h)
-    raise ConfigError(f"unknown weight_kernel: {kind!r} (use psi6 or psi4)")
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"mesh_width must be a positive number: {err}") from err
 
 
 def basis_degree_from(config):
-    name = config.get("basis_degree", "Linear")
-    for member in BasisDegree:
-        if member.value == name:
-            return member
-    raise ConfigError(f"unknown basis_degree: {name!r}")
+    try:
+        return BasisDegree(config.get("basis_degree", "Linear"))
+    except ValueError as err:
+        raise ConfigError(f"unknown basis_degree: {err}") from err
 
 
 def _bounds_from(config):
@@ -158,10 +135,18 @@ def _bounds_from(config):
     if b is None:
         return None
     try:
-        alpha, beta = float(b[0]), float(b[1])
+        return KernelBounds(float(b[0]), float(b[1]))
     except (TypeError, ValueError, IndexError) as err:
         raise ConfigError(f"bounds must be [alpha, beta]: {err}") from err
-    return KernelBounds(alpha, beta)
+
+
+def _signed_distance_from(config):
+    try:
+        return SignedDistance.circle(
+            config.get("center", (0.0, 0.0)), float(config.get("radius", 0.5))
+        )
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"center/radius: {err}") from err
 
 
 def _circle_table_csv(table):
@@ -186,26 +171,18 @@ def _circle_weights_csv(table):
 
 def cmd_circle(args):
     config = load_config(args.config, required=args.config is not None)
-    case = args.case if args.case is not None else int(config.get("case", 1))
-    overrides = {}
-    for key in ("extents", "center", "marker_angles_deg", "field_coefficients"):
-        if key in config:
-            overrides[key] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in config[key]
-            )
-    if "mesh_width" in config:
-        overrides["mesh_width"] = float(config["mesh_width"])
-    if "radius" in config:
-        overrides["radius"] = float(config["radius"])
-    if "penalty" in config:
-        overrides["penalty"] = float(config["penalty"])
-    bounds = _bounds_from(config)
-    if args.bounds is not None:
-        bounds = KernelBounds(args.bounds[0], args.bounds[1])
+    # case, bounds and tolerances have their own readers below.
+    overrides = {
+        key: config[key]
+        for key in _CASE_KEYS - {"case", "bounds", "tolerances"}
+        if key in config
+    }
+    bounds = args.bounds if args.bounds is not None else _bounds_from(config)
     if bounds is not None:
         overrides["bounds"] = bounds
     overrides["tolerances"] = tolerances_from(config)
     try:
+        case = args.case if args.case is not None else int(config.get("case", 1))
         cfg = CircleCaseConfig.for_case(case, **overrides)
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
@@ -226,19 +203,17 @@ def cmd_circle(args):
     return 0
 
 
-def _kernel_dump(weights, basis, extra=None):
+def _kernel_dump(weights, degree):
     doc = {
         "source": weights.source.value,
         "mode": weights.mode.value,
         "dimension": int(weights.sites.shape[1]),
-        "basis_degree": basis.degree.value if basis is not None else None,
+        "basis_degree": degree.value,
         "eval": [fmt(v) for v in weights.eval],
         "sites": [[fmt(v) for v in s] for s in weights.sites],
         "psi": [fmt(v) for v in weights.psi],
         "eq_residual": fmt(weights.equality_residual),
     }
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -253,7 +228,10 @@ def cmd_kernel(args):
         shift = args.shift if args.shift is not None else config.get("shift")
         if shift is None:
             raise ConfigError("peskin4 requires --shift")
-        result = solve_peskin4(np.asarray(shift, dtype=float))
+        try:
+            result = solve_peskin4(np.asarray(shift, dtype=float))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"shift must be numbers in [0, 1): {err}") from err
         doc = {
             "source": KernelSource.PROBLEM_C.value,
             "dimension": result.dimension,
@@ -271,9 +249,12 @@ def cmd_kernel(args):
         print(f"wrote {out_path}")
         return 0
 
+    wf = weight_function_from(config)
     extents = config.get("extents", ((-1.0, 1.0), (-1.0, 1.0)))
-    h = float(config.get("mesh_width", 0.075))
-    grid = make_grid(extents, h)
+    try:
+        grid = make_grid(extents, wf.mesh_width)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"extents must be [lo, hi] pairs: {err}") from err
     if args.eval is None:
         raise ConfigError("kernel generation requires --eval coordinates")
     eval_point = np.asarray(args.eval, dtype=float)
@@ -281,31 +262,24 @@ def cmd_kernel(args):
         raise ConfigError(
             f"--eval needs {grid.dimension} coordinates for this domain"
         )
-    wf = weight_function_from(config)
     degree = basis_degree_from(config)
-    basis = build_basis(grid.dimension, degree)
     tol = tolerances_from(config)
-    stencil = support_stencil(grid, eval_point, wf.radius_in_cells)
-    system = assemble_system(stencil.sites, eval_point, wf, basis, tol)
 
-    if formulation == "standard":
-        weights = generating_function_closed_form(system, tol)
-    elif formulation == "backus-gilbert":
-        weights = solve_generating_qp(system, tol=tol)
-    else:  # one-sided
-        sd = SignedDistance.circle(
-            config.get("center", (0.0, 0.0)), float(config.get("radius", 0.5))
+    if formulation == "one-sided":
+        strategy = KernelStrategy(
+            wf, degree, _signed_distance_from(config), _bounds_from(config), tol
         )
-        system = restrict_weights(system, classify_side(sd, stencil.sites), tol)
-        weights = solve_generating_qp(
-            system,
-            bounds=_bounds_from(config),
-            tol=tol,
-            penalty=float(config.get("penalty", 1e8)),
-            source=KernelSource.PROBLEM_D,
-        )
+        _, weights = strategy.kernel_for(grid, eval_point)
+    else:
+        basis = build_basis(grid.dimension, degree)
+        stencil = support_stencil(grid, eval_point, wf.radius_in_cells)
+        system = assemble_system(stencil.sites, eval_point, wf, basis, tol)
+        if formulation == "standard":
+            weights = generating_function_closed_form(system, tol)
+        else:  # backus-gilbert
+            weights = solve_generating_qp(system, tol=tol)
 
-    atomic_write(out_path, _kernel_dump(weights, basis))
+    atomic_write(out_path, _kernel_dump(weights, degree))
     print(
         f"{formulation} kernel at {eval_point.tolist()}: "
         f"{len(weights.psi)} sites, eq_residual={weights.equality_residual:.3e}"
@@ -320,13 +294,7 @@ def _validate_moment_file(doc, tolerance):
         sites = sites[:, None]
     psi = np.asarray(doc["psi"], dtype=float)
     eval_point = np.asarray(doc["eval"], dtype=float)
-    degree_name = doc.get("basis_degree") or "Linear"
-    for member in BasisDegree:
-        if member.value == degree_name:
-            degree = member
-            break
-    else:
-        raise ConfigError(f"unknown basis_degree in file: {degree_name!r}")
+    degree = BasisDegree(doc.get("basis_degree") or "Linear")
     basis = build_basis(sites.shape[1], degree)
     try:
         source = KernelSource(doc.get("source", "ClosedForm"))

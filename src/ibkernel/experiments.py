@@ -22,7 +22,6 @@ from .ibops import KernelStrategy, interpolate, make_grid, sample_field
 from .kernels import BasisDegree, WeightFunction
 from .linalg import DEFAULT_TOLERANCES
 from .onesided import KernelBounds, SignedDistance
-from .qpsolve import _DEFAULT_PENALTY
 
 __all__ = [
     "CASE_BOUNDS",
@@ -38,6 +37,13 @@ __all__ = [
 CASE_BOUNDS = {3: (-0.07, 0.5), 4: (0.0, 0.75)}
 
 
+def _floats(value):
+    """A number as a float, a (nested) sequence as (nested) float tuples."""
+    if np.ndim(value) == 0:
+        return float(value)
+    return tuple(_floats(v) for v in value)
+
+
 @dataclass
 class CircleCaseConfig:
     """Full description of one experiment run (defaults reproduce case 1)."""
@@ -50,10 +56,14 @@ class CircleCaseConfig:
     marker_angles_deg: tuple = (40.0, 140.0, 230.0, 310.0)
     bounds: KernelBounds = None
     field_coefficients: tuple = (10.0, 5.0)
-    penalty: float = _DEFAULT_PENALTY
     tolerances: object = DEFAULT_TOLERANCES
 
     def __post_init__(self):
+        # JSON-shaped input (lists, ints) becomes tuples of floats and
+        # floats here, so a malformed value fails when the config is built.
+        for name in ("extents", "mesh_width", "center", "radius",
+                     "marker_angles_deg", "field_coefficients"):
+            setattr(self, name, _floats(getattr(self, name)))
         if self.case not in (1, 2, 3, 4):
             raise ValueError(f"case must be 1..4, got {self.case}")
         if self.bounds is not None and not isinstance(self.bounds, KernelBounds):
@@ -94,7 +104,6 @@ class CircleCaseConfig:
             degree=BasisDegree.LINEAR,
             signed_distance=sd,
             bounds=self.bounds,
-            penalty=self.penalty,
             tolerances=self.tolerances,
         )
 

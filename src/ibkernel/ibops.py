@@ -13,7 +13,6 @@ from .errors import DegenerateDomain, StencilOutsideDomain
 from .kernels import BasisDegree, as_point, as_sites, build_basis
 from .linalg import DEFAULT_TOLERANCES
 from .onesided import generate_one_sided_kernel
-from .qpsolve import _DEFAULT_PENALTY
 
 __all__ = [
     "CartesianGrid",
@@ -208,14 +207,13 @@ class KernelStrategy:
     """Bundle of everything needed to turn a marker into kernel weights.
 
     interpolate/spread stay agnostic to how the weights are produced:
-    side restriction, bounds, penalty and tolerances all live here.
+    side restriction, bounds and tolerances all live here.
     """
 
     weight_function: object
     degree: BasisDegree = BasisDegree.LINEAR
     signed_distance: object = None
     bounds: object = None
-    penalty: float = _DEFAULT_PENALTY
     tolerances: object = DEFAULT_TOLERANCES
 
     def kernel_for(self, grid, marker):
@@ -231,7 +229,6 @@ class KernelStrategy:
             sd=self.signed_distance,
             bounds=self.bounds,
             tol=self.tolerances,
-            penalty=self.penalty,
         )
         return stencil, weights
 

@@ -287,13 +287,9 @@ class KernelSystem:
     def n_basis(self):
         return self.A.shape[0]
 
-    def support_count(self, tol=DEFAULT_TOLERANCES):
-        return int(np.count_nonzero(self.Wdiag > tol.zero_weight))
-
 
 class KernelSource(Enum):
     CLOSED_FORM = "ClosedForm"
-    PROBLEM_A = "ProblemA"
     PROBLEM_B = "ProblemB"
     PROBLEM_C = "ProblemC"
     PROBLEM_D = "ProblemD"

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InsufficientSupport, RankDeficientConstraints
 from .kernels import as_sites, assemble_system
 from .linalg import DEFAULT_TOLERANCES
-from .qpsolve import _DEFAULT_PENALTY, KernelSource, solve_generating_qp
+from .qpsolve import KernelSource, solve_generating_qp
 
 __all__ = [
     "SignedDistance",
@@ -126,8 +126,7 @@ def restrict_weights(system, mask, tol=DEFAULT_TOLERANCES):
 
 
 def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
-                              bounds=None, tol=DEFAULT_TOLERANCES,
-                              penalty=_DEFAULT_PENALTY):
+                              bounds=None, tol=DEFAULT_TOLERANCES):
     """Full pipeline: assemble, restrict to one side, minimize.
 
     With ``sd`` omitted the support is two-sided; with ``bounds`` omitted
@@ -139,6 +138,5 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     if sd is not None:
         system = restrict_weights(system, classify_side(sd, system.sites), tol)
     return solve_generating_qp(
-        system, bounds=bounds, tol=tol, penalty=penalty,
-        source=KernelSource.PROBLEM_D,
+        system, bounds=bounds, tol=tol, source=KernelSource.PROBLEM_D
     )

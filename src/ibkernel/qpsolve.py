@@ -544,7 +544,7 @@ def check_kkt(problem, solution, tol=DEFAULT_TOLERANCES):
 
 
 def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
-                        penalty=_DEFAULT_PENALTY, source=KernelSource.PROBLEM_B):
+                        source=KernelSource.PROBLEM_B):
     """Kernel weights by constrained minimization of ½ ΨᵀW⁻¹Ψ.
 
     Sites whose weight is at or below ``tol.zero_weight`` make W⁻¹
@@ -584,7 +584,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         if report.feasible:
             sol = solve_box_qp(problem, tol, start=report.witness)
         else:
-            sol = solve_soft_qp(problem, penalty, tol)
+            sol = solve_soft_qp(problem, _DEFAULT_PENALTY, tol)
 
     psi = np.zeros(system.n_sites)
     psi[keep] = sol.x

@@ -93,6 +93,41 @@ class TestCircle:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_config_geometry_matches_library(self, in_tmp):
+        cfg = {"mesh_width": 0.1, "radius": 0.45, "marker_angles_deg": [10, 20]}
+        (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["circle", "--case", "2", "--config", "cfg.json"]) == 0
+        _, rows = read_csv(in_tmp / "circle_case2_table.csv")
+        table = run_circle_case(CircleCaseConfig.for_case(
+            2, mesh_width=0.1, radius=0.45, marker_angles_deg=(10.0, 20.0)
+        ))
+        assert len(rows) == len(table.rows) == 2
+        for row, ref in zip(rows, table.rows):
+            assert float(row["marker_deg"]) == ref.marker_deg
+            assert float(row["rel_error"]) == ref.rel_error
+            assert float(row["psi_min"]) == ref.psi_min
+            assert float(row["psi_max"]) == ref.psi_max
+            assert float(row["eq_residual"]) == ref.eq_residual
+            assert row["mode"] == ref.mode
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["circle"], {"tolerances": {"zero_weight": "x"}}),
+    (["circle"], {"case": "x"}),
+    (["circle"], {"penalty": 1e8}),
+    (["kernel", "--eval", "0.31", "-0.17"], {"mesh_width": "abc"}),
+    (["kernel", "--eval", "0.31", "-0.17"], {"extents": [["a", 1], [-1, 1]]}),
+    (["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"],
+     {"radius": "x"}),
+    (["kernel", "--formulation", "peskin4"], {"shift": ["a"]}),
+], ids=["tolerance", "case", "penalty", "mesh_width", "extents", "radius",
+     "shift"])
+def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
+    (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
+
 
 class TestKernel:
     def test_standard_matches_backus_gilbert(self, in_tmp):
@@ -153,6 +188,33 @@ class TestKernel:
         assert doc["source"] == "ProblemD"
         assert np.all(psi >= -0.07 - 1e-10)
         assert np.all(psi <= 0.5 + 1e-10)
+
+    def test_one_sided_psi4_constant_basis(self, in_tmp):
+        cfg = {"weight_kernel": "psi4", "basis_degree": "ConstantOnly",
+               "bounds": [0.0, 0.75]}
+        (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["kernel", "--formulation", "one-sided", "--config",
+                     "cfg.json", "--eval", "0.383", "0.321",
+                     "--out", "os.json"]) == 0
+        doc = json.loads((in_tmp / "os.json").read_text())
+        sites = np.array([[float(v) for v in s] for s in doc["sites"]])
+        psi = np.array([float(v) for v in doc["psi"]])
+        assert doc["source"] == "ProblemD"
+        assert doc["basis_degree"] == "ConstantOnly"
+        assert len(psi) == 16
+        assert abs(psi.sum() - 1.0) <= 1e-10
+        inside = np.linalg.norm(sites, axis=1) <= 0.5
+        assert np.count_nonzero(inside) == 8
+        assert np.all(psi[inside] == 0.0)
+        assert np.all((psi >= 0.0) & (psi <= 0.75))
+        weights = KernelWeights(
+            psi=psi, sites=sites,
+            eval=np.array([float(v) for v in doc["eval"]]),
+            source=KernelSource(doc["source"]),
+            equality_residual=float(doc["eq_residual"]),
+        )
+        basis = build_basis(2, BasisDegree.CONSTANT_ONLY)
+        assert np.max(validate_moments(weights, basis)) <= 1e-10
 
     def test_eval_required(self, in_tmp, capsys):
         assert main(["kernel", "--formulation", "standard"]) == 2

@@ -45,6 +45,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             CircleCaseConfig(radius=0.0)
 
+    def test_json_shaped_input_converted(self):
+        cfg = CircleCaseConfig(
+            marker_angles_deg=[10, 20], center=[0, 0], radius=1,
+            extents=[[-2, 2], [-2, 2]],
+        )
+        assert cfg.marker_angles_deg == (10.0, 20.0)
+        assert all(type(v) is float for v in cfg.marker_angles_deg)
+        assert cfg.center == (0.0, 0.0)
+        assert cfg.extents == ((-2.0, 2.0), (-2.0, 2.0))
+        assert type(cfg.radius) is float
+        with pytest.raises(ValueError):
+            CircleCaseConfig(mesh_width="abc")
+        with pytest.raises(TypeError):
+            CircleCaseConfig(field_coefficients=[10, None])
+
     def test_marker_positions(self):
         cfg = CircleCaseConfig()
         pos = cfg.marker_positions()
