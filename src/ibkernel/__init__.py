@@ -2,7 +2,7 @@
 
 Construct moving-least-squares kernels in closed form or as
 equality-constrained QPs, restrict their support to one side of an
-interface, bound the weights with an active-set box-QP solver, build
+interface, bound the weights with a dual active-set box-QP solver, build
 Peskin-style four-point kernels per axis in closed form, and drive the
 whole machinery through grid interpolation/spreading operators and a
 reproducible circular-interface experiment.
@@ -16,7 +16,6 @@ from .errors import (
     LengthMismatch,
     MaxIterationsExceeded,
     NotSPD,
-    NotSPDOnNullSpace,
     RankDeficientConstraints,
     StencilOutsideDomain,
 )

@@ -18,14 +18,6 @@ class RankDeficientConstraints(IBKernelError):
     """Equality constraint rows are linearly dependent."""
 
 
-class NotSPDOnNullSpace(IBKernelError):
-    """Hessian is indefinite on the null space of the constraints.
-
-    The saddle-point system may still be solvable algebraically, but the
-    solution would not be a minimizer, so we refuse.
-    """
-
-
 class InsufficientSupport(IBKernelError):
     """Too few sites with nonzero weight to satisfy the moment conditions."""
 

@@ -1,11 +1,12 @@
-"""Dense SPD and saddle-point (KKT) solvers.
+"""Dense SPD and equality-constrained QP solvers.
 
 All systems in this package are small (a few dozen unknowns, at most a
 handful of constraints), so dense factorizations from LAPACK are both the
-simplest and the most accurate choice. What this module adds on top is the
-checking: explicit SPD verification with a relative pivot floor, constraint
-rank verification, and reduced-Hessian definiteness on the constraint null
-space, each with its own exception type.
+simplest and the most accurate choice. An equality QP is solved in range
+space: a Cholesky factor of the Hessian, then one of the m×m constraint
+Gram matrix. What this module adds on top is the checking: each Cholesky
+factor is verified against a relative pivot floor, and a failure raises
+NotSPD for the Hessian or RankDeficientConstraints for the Gram matrix.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NotSPD, NotSPDOnNullSpace, RankDeficientConstraints
+from .errors import NotSPD, RankDeficientConstraints
 
 __all__ = [
     "ToleranceSet",
@@ -33,7 +34,8 @@ class ToleranceSet:
     spd_pivot : float
         A Cholesky pivot below ``spd_pivot * max(diag)`` means not SPD.
     rank_pivot : float
-        A QR pivot below ``rank_pivot * max |R|`` means rank deficient.
+        A restricted moment matrix whose smallest singular value is below
+        ``rank_pivot`` times its largest is rank deficient.
     zero_weight : float
         Sites whose weight-function value is at or below this are treated
         as having no support and are eliminated from solves.
@@ -105,13 +107,11 @@ def _cholesky_checked(a, tol, exc):
 
 @dataclass
 class KKTSystem:
-    """Equality-constrained quadratic saddle system.
+    """Validated data of  min ½ xᵀHx + gᵀx  s.t.  Cx = b.
 
-    Represents  min ½ xᵀHx + gᵀx  s.t.  Cx = b,  solved via the first-order
-    conditions  [[H, −Cᵀ], [C, 0]] [x; λ] = [−g; b].
-
-    ``constraints`` may have zero rows, in which case the system is a plain
-    SPD solve.
+    H must be finite and symmetric; C, g and b finite, with at most n rows
+    in C. ``constraints`` may have zero rows, in which case the problem is
+    a plain SPD solve.
     """
 
     hessian: np.ndarray
@@ -183,31 +183,13 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
     return scipy.linalg.cho_solve((chol, True), b)
 
 
-def _constraint_null_basis(constraints, tol):
-    """QR-based rank check; returns an orthonormal null-space basis.
-
-    Raises RankDeficientConstraints when any R pivot falls below
-    ``tol.rank_pivot`` times the largest entry of R.
-    """
-    m, n = constraints.shape
-    q, r = scipy.linalg.qr(constraints.T)  # (n, n), (n, m)
-    r_scale = float(np.max(np.abs(r))) if r.size else 0.0
-    pivots = np.abs(np.diag(r[:m, :m])) if m else np.zeros(0)
-    if m and (r_scale == 0.0 or float(np.min(pivots)) < tol.rank_pivot * r_scale):
-        raise RankDeficientConstraints(
-            f"constraint rows dependent: smallest QR pivot "
-            f"{float(np.min(pivots)) if m else 0.0:.3e} vs scale {r_scale:.3e}"
-        )
-    return q[:, m:]
-
-
 def solve_kkt(system, tol=DEFAULT_TOLERANCES):
-    """Solve an equality-constrained QP via its KKT saddle system.
+    """Solve an equality-constrained QP in range space.
 
-    Checks, in order: constraint row rank (QR with a relative pivot
-    threshold), then positive definiteness of the Hessian projected onto
-    the constraint null space (Cholesky of ZᵀHZ). Only then is the full
-    saddle matrix factored.
+    With H = LLᵀ (Cholesky) the multipliers solve the m×m system
+    (C H⁻¹ Cᵀ) λ = b + C H⁻¹ g, and x = H⁻¹(Cᵀλ − g). The Gram matrix is
+    formed from L⁻¹Cᵀ and factored by Cholesky too, so both factors are
+    checked against ``tol.spd_pivot``.
 
     Parameters
     ----------
@@ -224,26 +206,19 @@ def solve_kkt(system, tol=DEFAULT_TOLERANCES):
 
     Raises
     ------
-    RankDeficientConstraints
-        Dependent constraint rows.
-    NotSPDOnNullSpace
-        Reduced Hessian not positive definite (no unique minimizer).
     NotSPD
-        When m == 0 and the Hessian itself is not SPD.
+        The Hessian is not positive definite.
+    RankDeficientConstraints
+        Dependent constraint rows: a Cholesky pivot of the Gram matrix
+        C H⁻¹ Cᵀ falls below the ``tol.spd_pivot`` floor.
     """
     h, c = system.hessian, system.constraints
     g, b = system.objective_gradient, system.rhs
-    n, m = system.n, system.m
-
-    if m == 0:
-        return solve_spd(h, -g, tol), np.zeros(0)
-
-    null_basis = _constraint_null_basis(c, tol)
-    if null_basis.shape[1] > 0:
-        reduced = null_basis.T @ h @ null_basis
-        reduced = 0.5 * (reduced + reduced.T)
-        _cholesky_checked(reduced, tol, NotSPDOnNullSpace)
-
-    saddle = np.block([[h, -c.T], [c, np.zeros((m, m))]])
-    sol = np.linalg.solve(saddle, np.concatenate([-g, b]))
-    return sol[:n], sol[n:]
+    chol = _cholesky_checked(h, tol, NotSPD)
+    lc = scipy.linalg.solve_triangular(chol, c.T, lower=True)
+    lg = scipy.linalg.solve_triangular(chol, g, lower=True)
+    gram_chol = _cholesky_checked(lc.T @ lc, tol, RankDeficientConstraints)
+    lam = scipy.linalg.cho_solve((gram_chol, True), b + lc.T @ lg)
+    x = scipy.linalg.solve_triangular(chol, lc @ lam - lg, lower=True,
+                                      trans="T")
+    return x, lam

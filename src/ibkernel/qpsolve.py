@@ -2,9 +2,11 @@
 
 Four routes to a minimizer of ½ xᵀHx + gᵀx:
 
-- solve_eq_qp: equality constraints only, one KKT saddle solve.
-- solve_box_qp: equalities plus bound constraints, primal active-set
-  iteration with a lowest-index anti-cycling rule.
+- solve_eq_qp: equality constraints only, one range-space solve
+  (linalg.solve_kkt).
+- solve_box_qp: equalities plus bound constraints, the dual active-set
+  method of Goldfarb & Idnani (Math. Programming 27, 1983), started from
+  the equality-constrained minimizer.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty;
   used when the hard-constrained set is empty.
 - solve_peskin4: the four-point kernel's per-axis system, which is exactly
@@ -19,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 
 from .errors import (
@@ -26,10 +29,19 @@ from .errors import (
     InsufficientSupport,
     LengthMismatch,
     MaxIterationsExceeded,
+    NotSPD,
     RankDeficientConstraints,
 )
 from .kernels import KernelSource, KernelWeights, SolveMode
-from .linalg import DEFAULT_TOLERANCES, KKTSystem, solve_kkt, solve_spd
+# solve_spd is imported for bench/tracing.py, which times it where this
+# module would look it up.
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    KKTSystem,
+    _cholesky_checked,
+    solve_kkt,
+    solve_spd,
+)
 
 __all__ = [
     "QPProblem",
@@ -148,14 +160,14 @@ class KKTReport:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
-def _eq_solve(problem, tol):
-    system = KKTSystem(
+def _kkt_system(problem):
+    """The problem's equality data, checked: finite, symmetric H, m ≤ n."""
+    return KKTSystem(
         hessian=problem.hessian,
         constraints=problem.eq_matrix,
         objective_gradient=problem.gradient(),
         rhs=problem.eq_rhs,
     )
-    return solve_kkt(system, tol)
 
 
 def solve_eq_qp(problem, tol=DEFAULT_TOLERANCES):
@@ -166,7 +178,7 @@ def solve_eq_qp(problem, tol=DEFAULT_TOLERANCES):
     """
     if problem.has_bounds:
         raise ValueError("problem has bounds; use solve_box_qp")
-    x, lam = _eq_solve(problem, tol)
+    x, lam = solve_kkt(_kkt_system(problem), tol)
     eq_res = _eq_residual(problem, x)
     return QPSolution(
         x=x,
@@ -185,191 +197,182 @@ def _eq_residual(problem, x):
     return float(np.max(np.abs(problem.eq_matrix @ x - problem.eq_rhs)))
 
 
-def _reduced_direction(hff, cf, gdir, resid, tol):
-    """EQP direction on the free block, tolerating dependent constraint rows.
+# Rank rule: solve_box_qp refuses an optimum whose free variables F leave
+# the equality Gram matrix C_F H_FF⁻¹ C_Fᵀ with a condition number above
+# this. Past it the kernel puts 0.14 to 0.27 on a site whose weight
+# function is 2e-14 to 1e-11, the multipliers reach 7e11 to 3e14, and no
+# check run apart from the solver can confirm the result (a KKT check
+# weighted by W reads 9e-7 to 3e-4 there). On the case-4 circle sweep
+# every other feasible marker stays below 1.7e12 and the eight refused
+# ones lie above 2.8e13.
+_GRAM_COND_LIMIT = 1e13
 
-    Returns (p_f, lam) where lam has one entry per original constraint row
-    (zero on rows identified as dependent).
+# A bound normal counts as dependent on the working set when its part
+# outside the working set's span, in the L⁻¹ metric, is below this
+# fraction of its length.
+_DEPENDENT = 1e-12
+
+
+def _tri_solve(a, v, lower=False, trans=0):
+    """Triangular solve through LAPACK directly; these solves run per step."""
+    if not a.size:
+        return np.zeros(np.shape(v))
+    x, info = scipy.linalg.lapack.dtrtrs(a, v, lower=lower, trans=trans)
+    if info:
+        raise RankDeficientConstraints("working-set factor is singular")
+    return x
+
+
+def _check_rank(r_eq):
+    """Apply the rank rule to the Gram matrix r_eqᵀ r_eq.
+
+    With the pinned bounds ordered before the equality rows, the trailing
+    m×m block of R in the QR factorization of L⁻¹N is such a factor of
+    C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N).
     """
-    m = cf.shape[0]
-    if m == 0:
-        return solve_spd(hff, -gdir, tol), np.zeros(0)
-
-    q, r, piv = scipy.linalg.qr(cf.T, pivoting=True)
-    r_scale = float(np.max(np.abs(r))) if r.size else 0.0
-    diag = np.abs(np.diag(r[: min(r.shape), : min(r.shape)]))
-    if r_scale == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(diag > tol.rank_pivot * r_scale))
-    kept = np.sort(piv[:rank])
-
-    if rank == 0:
-        p_f = solve_spd(hff, -gdir, tol)
-        lam = np.zeros(m)
-    else:
-        system = KKTSystem(
-            hessian=hff,
-            constraints=cf[kept],
-            objective_gradient=gdir,
-            rhs=resid[kept],
-        )
-        p_f, lam_kept = solve_kkt(system, tol)
-        lam = np.zeros(m)
-        lam[kept] = lam_kept
-
-    # Dependent rows must be consistent with the kept ones.
-    check = float(np.max(np.abs(cf @ p_f - resid))) if m else 0.0
-    scale = 1.0 + (float(np.max(np.abs(resid))) if m else 0.0)
-    if check > max(tol.feasibility, 1e3 * tol.residual) * scale:
+    cond = np.linalg.cond(r_eq) ** 2 if r_eq.size else 1.0
+    if cond > _GRAM_COND_LIMIT:
         raise RankDeficientConstraints(
-            f"dependent constraint rows are inconsistent (residual {check:.3e})"
+            "equality Gram matrix on the free variables has condition "
+            f"number {cond:.3e} > {_GRAM_COND_LIMIT:.0e}"
         )
-    return p_f, lam
 
 
-def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None, start=None):
-    """Primal active-set solver for equality + bound constrained QPs.
+def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
+    """Goldfarb–Idnani dual active-set solver for equality + bound QPs.
 
-    The working set starts from the bounds hit when the plain equality-QP
-    solution is clamped; each iteration solves an equality QP on the free
-    variables, takes the longest in-bounds step along that direction, and
-    adds the blocking bound (lowest index on ties). When the direction
-    vanishes, multipliers decide release of a pinned variable (again lowest
-    index). Pinned variables are re-snapped to their bound every iteration
-    so the returned iterate respects bounds exactly.
+    The iterate starts at the equality-constrained minimizer and stays
+    dual feasible throughout: each pass picks the most violated bound and
+    moves along the direction that keeps every working-set constraint
+    satisfied while raising that bound's multiplier. A full step reaches
+    the bound, which joins the working set; a partial step stops where a
+    working-set bound's multiplier reaches zero, and that bound leaves.
+    A bound whose normal depends on the working set only exchanges
+    multipliers; when no multiplier can fall, the problem is infeasible.
+
+    The working set's normals N (a signed unit vector per pinned bound,
+    then the equality rows) enter through a full QR factorization of
+    L⁻¹N with H = LLᵀ, kept current by ``scipy.linalg.qr_insert`` and
+    ``qr_delete``. After each full step the iterate and the multipliers
+    are recomputed from that factorization, so rounding does not build up
+    over the steps, and pinned variables sit exactly on their bounds.
 
     Parameters
     ----------
     problem : QPProblem with bounds.
     tol : ToleranceSet
     max_iterations : int, optional
-        Defaults to 50·n.
-    start : array_like, optional
-        Bound-feasible starting point (e.g. a phase-1 witness). When
-        omitted, phase-1 runs automatically if the clamped equality
-        solution is not already optimal.
+        Cap on dual active-set steps; defaults to 50·n.
 
     Raises
     ------
+    ValueError
+        Non-finite data, an asymmetric Hessian, or no bounds.
+    NotSPD
+        The Hessian is not positive definite.
     Infeasible
-        Phase-1 certifies the equality set is unreachable within bounds.
+        No point meets the equalities within the bounds; the reported
+        violation is phase-1's.
+    RankDeficientConstraints
+        The equality rows restricted to the free variables at the optimum
+        fail the rank rule (see ``_GRAM_COND_LIMIT``).
     MaxIterationsExceeded
     """
     if not problem.has_bounds:
         raise ValueError("problem has no bounds; use solve_eq_qp")
-    n, m = problem.n, problem.m
-    h, c = problem.hessian, problem.eq_matrix
-    b, g = problem.eq_rhs, problem.gradient()
+    system = _kkt_system(problem)
+    n, m = system.n, system.m
     lo, hi = problem.bounds()
     cap = 50 * n if max_iterations is None else int(max_iterations)
+    chol = _cholesky_checked(system.hessian, tol, NotSPD)
+    y0 = -_tri_solve(chol, system.objective_gradient, lower=True)
 
-    # Fast path: bounds inactive at the equality-QP minimizer.
-    x_eq, lam_eq = _eq_solve(problem, tol)
-    pad = tol.residual * (1.0 + float(np.max(np.abs(x_eq))))
-    if np.all(x_eq >= lo - pad) and np.all(x_eq <= hi + pad):
-        x = np.clip(x_eq, lo, hi)
-        return QPSolution(
-            x=x,
-            multipliers=lam_eq,
-            bound_multipliers=np.zeros(n),
-            active_set=(),
-            eq_residual=_eq_residual(problem, x),
-            iterations=1,
-            mode=SolveMode.EXACT,
-        )
+    # Working set: the pinned bounds (site, +1 at lower / -1 at upper, the
+    # bound) in the order they joined, then the m equality rows.
+    pinned, side, at = [], [], []
+    q_fac, r_fac = scipy.linalg.qr(
+        _tri_solve(chol, system.constraints.T, lower=True)
+    )
+    _check_rank(r_fac[:m])
 
-    if start is None:
-        if m == 0:
-            start = np.clip(x_eq, lo, hi)
-        else:
-            report = phase1_feasible(problem, tol)
-            if not report.feasible:
+    def minimizer():
+        """Minimizer and multipliers with every working-set row active."""
+        q = len(pinned) + m
+        r1, q1, q2 = r_fac[:q], q_fac[:, :q], q_fac[:, q:]
+        rhs = np.concatenate([np.multiply(side, at), system.rhs])
+        a = _tri_solve(r1, rhs, trans=1)
+        x = _tri_solve(chol, q2 @ (q2.T @ y0) + q1 @ a, lower=True, trans=1)
+        x[pinned] = at
+        return x, _tri_solve(r1, a - q1.T @ y0)
+
+    x, u = minimizer()
+    steps = 0
+    while True:
+        viol = np.maximum(lo - x, x - hi)
+        viol[pinned] = 0.0
+        p = int(np.argmax(viol))
+        if not viol[p] > 0.0:
+            break
+        s_p = 1.0 if lo[p] - x[p] >= x[p] - hi[p] else -1.0
+        bound = lo[p] if s_p > 0 else hi[p]
+        normal = np.zeros(n)
+        normal[p] = s_p
+        w = _tri_solve(chol, normal, lower=True)
+        while True:
+            steps += 1
+            if steps > cap:
+                raise MaxIterationsExceeded(
+                    f"dual active-set iteration cap {cap} reached"
+                )
+            k, q = len(pinned), len(pinned) + m
+            d = q_fac.T @ w
+            r = _tri_solve(r_fac[:q], d[:q])
+            dz = d[q:]
+            curvature = float(dz @ dz)
+            t_full = np.inf
+            if curvature > _DEPENDENT**2 * float(w @ w):
+                t_full = s_p * (bound - x[p]) / curvature
+            ratios = np.full(k, np.inf)
+            falling = r[:k] > 0.0
+            ratios[falling] = np.maximum(u[:k][falling], 0.0) / r[:k][falling]
+            t_part = float(np.min(ratios, initial=np.inf))
+            if t_full == np.inf and t_part == np.inf:
+                violation = phase1_feasible(problem, tol).violation
                 raise Infeasible(
                     "equality constraints unreachable within bounds "
-                    f"(best violation {report.violation:.3e})",
-                    violation=report.violation,
+                    f"(best violation {violation:.3e})",
+                    violation=violation,
                 )
-            start = report.witness
-    x = np.clip(np.asarray(start, dtype=float).reshape(-1), lo, hi)
-    if x.shape[0] != n:
-        raise ValueError("start point has wrong length")
-
-    # active[i]: 0 free, -1 pinned at lower, +1 pinned at upper.
-    active = np.zeros(n, dtype=int)
-    bound_scale = np.maximum(
-        np.where(np.isfinite(lo), np.abs(lo), 0.0),
-        np.where(np.isfinite(hi), np.abs(hi), 0.0),
-    )
-    snap = 1e-9 * (1.0 + bound_scale)
-    clamped = np.clip(x_eq, lo, hi)
-    at_lo = np.isfinite(lo) & (np.abs(clamped - lo) <= snap) & (np.abs(x - lo) <= snap)
-    at_hi = np.isfinite(hi) & (np.abs(clamped - hi) <= snap) & (np.abs(x - hi) <= snap)
-    active[at_hi] = 1
-    active[at_lo] = -1
-    x[active == -1] = lo[active == -1]
-    x[active == 1] = hi[active == 1]
-
-    lam = np.zeros(m)
-    iterations = 0
-    while iterations < cap:
-        iterations += 1
-        free = active == 0
-        p = np.zeros(n)
-        if np.any(free):
-            gdir = (h @ x + g)[free]
-            resid = b - c @ x if m else np.zeros(0)
-            p_f, lam = _reduced_direction(
-                h[np.ix_(free, free)], c[:, free], gdir, resid, tol
+            if t_full <= t_part:
+                q_fac, r_fac = scipy.linalg.qr_insert(
+                    q_fac, r_fac, w, k, which="col", check_finite=False
+                )
+                pinned.append(p)
+                side.append(s_p)
+                at.append(bound)
+                x, u = minimizer()
+                break
+            if t_full < np.inf:
+                z = _tri_solve(chol, q_fac[:, q:] @ dz, lower=True, trans=1)
+                x = x + t_part * z
+            drop = int(np.argmin(ratios))
+            u = np.delete(u - t_part * r, drop)
+            q_fac, r_fac = scipy.linalg.qr_delete(
+                q_fac, r_fac, drop, which="col", check_finite=False
             )
-            p[free] = p_f
-        elif m:
-            # Everything pinned: best multipliers in least-squares sense.
-            lam = np.linalg.lstsq(c.T, h @ x + g, rcond=None)[0]
+            del pinned[drop], side[drop], at[drop]
 
-        step_scale = 1.0 + float(np.max(np.abs(x)))
-        if float(np.max(np.abs(p))) <= 1e-12 * step_scale:
-            mu = h @ x + g - (c.T @ lam if m else 0.0)
-            viol = np.where(
-                active == -1, -mu, np.where(active == 1, mu, 0.0)
-            )
-            if float(np.max(viol, initial=0.0)) <= tol.complementarity:
-                return _finish_box(problem, x, lam, mu, active, iterations)
-            active[int(np.argmax(viol))] = 0
-            continue
-
-        # Ratio test toward the nearest blocking bound.
-        alpha, block, side = 1.0, -1, 0
-        eps_dir = 1e-13 * (1.0 + float(np.max(np.abs(p))))
-        for i in np.where(free)[0]:
-            pi = p[i]
-            if pi > eps_dir and np.isfinite(hi[i]):
-                t, s = (hi[i] - x[i]) / pi, 1
-            elif pi < -eps_dir and np.isfinite(lo[i]):
-                t, s = (lo[i] - x[i]) / pi, -1
-            else:
-                continue
-            t = max(t, 0.0)
-            if t < alpha - 1e-15:
-                alpha, block, side = t, int(i), s
-        x = x + alpha * p
-        if block >= 0:
-            active[block] = side
-        x[active == -1] = lo[active == -1]
-        x[active == 1] = hi[active == 1]
-
-    raise MaxIterationsExceeded(f"active-set iteration cap {cap} reached")
-
-
-def _finish_box(problem, x, lam, mu, active, iterations):
-    bound_mult = np.where(active != 0, mu, 0.0)
+    k = len(pinned)
+    _check_rank(r_fac[k:k + m, k:k + m])
+    bound_mult = np.zeros(n)
+    bound_mult[pinned] = np.multiply(side, u[:k])
     return QPSolution(
         x=x,
-        multipliers=lam,
+        multipliers=u[k:],
         bound_multipliers=bound_mult,
-        active_set=tuple(int(i) for i in np.where(active != 0)[0]),
+        active_set=tuple(sorted(pinned)),
         eq_residual=_eq_residual(problem, x),
-        iterations=iterations,
+        iterations=1 + steps,
         mode=SolveMode.EXACT,
     )
 
@@ -582,7 +585,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta)
         report = phase1_feasible(problem, tol)
         if report.feasible:
-            sol = solve_box_qp(problem, tol, start=report.witness)
+            sol = solve_box_qp(problem, tol)
         else:
             sol = solve_soft_qp(problem, _DEFAULT_PENALTY, tol)
 

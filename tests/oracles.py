@@ -84,3 +84,38 @@ def random_box_problem(n):
     c = npr.randn(m, n)
     b = c @ x_feas
     return QPProblem(h, c, b, lower=lo, upper=hi, linear=g)
+
+
+def saddle_solve(h, c, g, b):
+    """Minimizer and multipliers of ½ xᵀHx + gᵀx s.t. Cx = b, one dense solve.
+
+    Factors the whole (n+m) saddle matrix [[H, −Cᵀ], [C, 0]] at once, so
+    it shares no arithmetic with a range-space solve; λ follows the
+    convention Hx + g = Cᵀλ.
+    """
+    n, m = c.shape[1], c.shape[0]
+    saddle = np.block([[h, -c.T], [c, np.zeros((m, m))]])
+    sol = np.linalg.solve(saddle, np.concatenate([-g, b]))
+    return sol[:n], sol[n:]
+
+
+def kernel_kkt_residuals(psi, w, a, alpha, beta, box_tol=1e-12):
+    """(stationarity, sign) residuals of a bounded kernel, scaled by W.
+
+    ``psi`` and ``w`` hold the kernel and the weights of the supported
+    sites, ``a`` the (m, n) moment rows on them. Optimality of
+    min ½ ΨᵀW⁻¹Ψ s.t. AΨ = p, α ≤ Ψ ≤ β means Ψ − W Aᵀλ = W μ with μ = 0
+    on free sites, μ ≥ 0 on sites at α and μ ≤ 0 on sites at β. λ is the
+    least-squares fit on the free sites; the sign test covers the pinned
+    ones.
+    """
+    lower = psi <= alpha + box_tol
+    upper = psi >= beta - box_tol
+    free = ~(lower | upper)
+    basis = w[:, None] * a.T
+    lam = np.linalg.lstsq(basis[free], psi[free], rcond=None)[0]
+    r = psi - basis @ lam
+    stationarity = float(np.max(np.abs(r[free]), initial=0.0))
+    sign = max(float(np.max(-r[lower], initial=0.0)),
+               float(np.max(r[upper], initial=0.0)))
+    return stationarity, sign

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import kernel_kkt_residuals
 
-from ibkernel.errors import LengthMismatch
+from ibkernel.errors import LengthMismatch, RankDeficientConstraints
 from ibkernel.experiments import (
     CASE_BOUNDS,
     CircleCaseConfig,
@@ -12,8 +13,14 @@ from ibkernel.experiments import (
     run_circle_case,
     validate_moments,
 )
-from ibkernel.kernels import BasisDegree, build_basis, tensor_weight
+from ibkernel.kernels import (
+    BasisDegree,
+    assemble_system,
+    build_basis,
+    tensor_weight,
+)
 from ibkernel.onesided import KernelBounds
+from ibkernel.qpsolve import QPProblem, phase1_feasible
 
 
 class TestConfig:
@@ -177,6 +184,62 @@ class TestCase4:
         assert table4.modes == ["Exact"] * 4
         for row in table4.rows:
             assert row.eq_residual <= 1e-10
+
+
+# Case-4 angles of the 0.5-degree sweep whose optimum leaves the moment
+# Gram matrix of the free sites with condition number above 1e13 (2.8e13
+# to 9.4e15 measured; every other feasible angle stays below 1.7e12), so
+# the bounded solver raises RankDeficientConstraints there.
+CASE4_RANK_DEFICIENT_DEG = (
+    115.0, 115.5, 125.0, 125.5, 324.5, 325.0, 334.5, 335.0,
+)
+
+
+def _supported_system(cfg, row):
+    """Moment rows, weights and moments of the solve behind one table row."""
+    strategy = cfg.strategy()
+    system = assemble_system(
+        row.stencil.sites, row.position, strategy.weight_function,
+        build_basis(2, strategy.degree), cfg.tolerances,
+    )
+    keep = row.weights.support
+    return system.A[:, keep], system.Wdiag[keep], system.p
+
+
+class TestSweeps:
+    def test_case4_every_half_degree(self):
+        for deg in CASE4_RANK_DEFICIENT_DEG:
+            with pytest.raises(RankDeficientConstraints):
+                run_circle_case(
+                    CircleCaseConfig.for_case(4, marker_angles_deg=(deg,))
+                )
+        angles = [d for d in np.arange(720) * 0.5
+                  if d not in CASE4_RANK_DEFICIENT_DEG]
+        cfg = CircleCaseConfig.for_case(4, marker_angles_deg=angles)
+        # Any other raise, MaxIterationsExceeded included, fails here.
+        table = run_circle_case(cfg)
+        for row in table.rows:
+            a, w, p = _supported_system(cfg, row)
+            problem = QPProblem(np.eye(w.size), a, p, lower=0.0, upper=0.75)
+            feasible = phase1_feasible(problem, cfg.tolerances).feasible
+            want = "Exact" if feasible else "SoftConstraint"
+            assert row.mode == want, row.marker_deg
+            if feasible:
+                assert row.eq_residual <= 1e-10, row.marker_deg
+            assert np.min(row.weights.psi) >= 0.0, row.marker_deg
+            assert np.max(row.weights.psi) <= 0.75, row.marker_deg
+
+    def test_case3_every_2_5_degrees_is_kkt_optimal(self):
+        cfg = CircleCaseConfig.for_case(
+            3, marker_angles_deg=np.arange(144) * 2.5
+        )
+        for row in run_circle_case(cfg).rows:
+            assert row.mode == "Exact", row.marker_deg
+            a, w, _ = _supported_system(cfg, row)
+            stationarity, sign = kernel_kkt_residuals(
+                row.weights.supported_psi(), w, a, -0.07, 0.5
+            )
+            assert max(stationarity, sign) <= 1e-9, row.marker_deg
 
 
 def test_case_ordering_invariant():

@@ -2,8 +2,16 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
+from oracles import saddle_solve
 
-from ibkernel.errors import NotSPD, NotSPDOnNullSpace, RankDeficientConstraints
+from ibkernel.errors import NotSPD, RankDeficientConstraints
+from ibkernel.ibops import make_grid, support_stencil
+from ibkernel.kernels import (
+    BasisDegree,
+    WeightFunction,
+    assemble_system,
+    build_basis,
+)
 from ibkernel.linalg import (
     DEFAULT_TOLERANCES,
     KKTSystem,
@@ -11,6 +19,7 @@ from ibkernel.linalg import (
     solve_kkt,
     solve_spd,
 )
+from ibkernel.onesided import SignedDistance, classify_side, restrict_weights
 
 
 def test_solve_spd_identity():
@@ -114,10 +123,49 @@ def test_solve_kkt_rank_deficient_rows():
 
 
 def test_solve_kkt_indefinite_on_null_space():
-    # null space of [1, 0] is e2; H restricted there is -1
+    # null space of [1, 0] is e2; H restricted there is -1. The range-space
+    # solve factors H itself, so it refuses any indefinite H.
     system = KKTSystem(np.diag([1.0, -1.0]), [[1.0, 0.0]], np.zeros(2), [1.0])
-    with pytest.raises(NotSPDOnNullSpace):
+    with pytest.raises(NotSPD):
         solve_kkt(system)
+
+
+def _assert_matches_saddle_solve(h, c, g, b):
+    x, lam = solve_kkt(KKTSystem(h, c, g, b))
+    x_ref, lam_ref = saddle_solve(h, c, g, b)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
+
+
+def test_solve_kkt_matches_saddle_solve_on_random_problems():
+    npr.seed(13)
+    for _ in range(50):
+        n = npr.randint(2, 12)
+        m = npr.randint(1, n + 1)
+        q = npr.randn(n, n)
+        h = q.T @ q + n * np.eye(n)
+        _assert_matches_saddle_solve(h, npr.randn(m, n), npr.randn(n), npr.randn(m))
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
+    npr.seed(17 + dimension)
+    h = 0.075
+    grid = make_grid([(-1.0, 1.0)] * dimension, h)
+    wf = WeightFunction.six_point_spline(h)
+    basis = build_basis(dimension, BasisDegree.LINEAR)
+    sd = SignedDistance.circle(np.zeros(dimension), 0.5)
+    for _ in range(10):
+        direction = npr.randn(dimension)
+        marker = 0.5 * direction / np.linalg.norm(direction)
+        stencil = support_stencil(grid, marker, wf.radius_in_cells)
+        system = assemble_system(stencil.sites, marker, wf, basis)
+        system = restrict_weights(system, classify_side(sd, stencil.sites))
+        keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+        _assert_matches_saddle_solve(
+            np.diag(1.0 / system.Wdiag[keep]), system.A[:, keep],
+            np.zeros(int(keep.sum())), system.p,
+        )
 
 
 def test_kkt_system_validation():

@@ -9,6 +9,7 @@ from ibkernel.errors import (
     InsufficientSupport,
     LengthMismatch,
     MaxIterationsExceeded,
+    NotSPD,
 )
 from ibkernel.kernels import (
     BasisDegree,
@@ -145,16 +146,6 @@ class TestBoxQP:
         with pytest.raises(MaxIterationsExceeded):
             solve_box_qp(p, max_iterations=0)
 
-    def test_start_point_agrees(self):
-        p = QPProblem(
-            np.eye(3), np.ones((1, 3)), [1.0], lower=0.0, upper=[0.2, 0.5, 1.0]
-        )
-        report = phase1_feasible(p)
-        assert report.feasible
-        a = solve_box_qp(p)
-        b = solve_box_qp(p, start=report.witness)
-        assert_allclose(a.x, b.x, atol=1e-12)
-
     def test_matches_enumeration(self):
         npr.seed(31)
         for k in range(15):
@@ -171,6 +162,28 @@ class TestBoxQP:
     def test_requires_bounds(self):
         p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
+            solve_box_qp(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hessian", [[1.0, np.nan], [np.nan, 1.0]]),
+        ("hessian", [[1.0, 0.5], [0.0, 1.0]]),
+        ("eq_matrix", [[1.0, np.inf]]),
+        ("eq_rhs", [np.nan]),
+        ("linear", [0.0, np.nan]),
+    ])
+    def test_rejects_non_finite_or_asymmetric_input(self, field, value):
+        data = dict(hessian=np.eye(2), eq_matrix=np.ones((1, 2)), eq_rhs=[1.0],
+                    linear=np.zeros(2))
+        data[field] = value
+        p = QPProblem(**data, lower=0.0, upper=[0.3, 1.0])
+        with pytest.raises(ValueError):
+            solve_box_qp(p)
+
+    def test_indefinite_hessian_raises_not_spd(self):
+        p = QPProblem(
+            np.diag([1.0, -1.0]), np.ones((1, 2)), [1.0], lower=0.0, upper=1.0
+        )
+        with pytest.raises(NotSPD):
             solve_box_qp(p)
 
 
