@@ -3,16 +3,19 @@
 All systems in this package are small (a few dozen unknowns, at most a
 handful of constraints), so dense factorizations from LAPACK are both the
 simplest and the most accurate choice. An equality QP is solved in range
-space: a Cholesky factor of the Hessian, then one of the m×m constraint
-Gram matrix. What this module adds on top is the checking: each Cholesky
-factor is verified against a relative pivot floor, and a failure raises
-NotSPD for the Hessian or RankDeficientConstraints for the Gram matrix.
+space: a Cholesky factor L of the Hessian, then the m×m Cholesky factor
+of the constraint Gram matrix, taken as the R of a QR factorization of
+L⁻¹Cᵀ so that its condition number is not squared. What this module adds
+on top is the checking: the Hessian's Cholesky pivots are verified against
+a relative floor (NotSPD), and the pivots of R against a relative rank
+threshold (RankDeficientConstraints).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NotSPD, RankDeficientConstraints
 
@@ -34,31 +37,28 @@ class ToleranceSet:
     spd_pivot : float
         A Cholesky pivot below ``spd_pivot * max(diag)`` means not SPD.
     rank_pivot : float
-        A restricted moment matrix whose smallest singular value is below
-        ``rank_pivot`` times its largest is rank deficient.
+        Constraint rows are rank deficient when a constraint matrix's
+        smallest singular value (a restricted moment matrix), or the
+        smallest pivot of its R factor (L⁻¹Cᵀ in ``solve_kkt``), is below
+        ``rank_pivot`` times its largest.
     zero_weight : float
         Sites whose weight-function value is at or below this are treated
         as having no support and are eliminated from solves.
     feasibility : float
         Phase-1 max constraint violation at or below this counts as feasible.
-    residual : float
-        Generic acceptance level for equality/KKT residual checks.
-    complementarity : float
-        Active-set multiplier sign tolerance.
     """
 
     spd_pivot: float = 1e-14
     rank_pivot: float = 1e-12
     zero_weight: float = 1e-14
     feasibility: float = 1e-9
-    residual: float = 1e-10
-    complementarity: float = 1e-10
 
 
 DEFAULT_TOLERANCES = ToleranceSet()
 
 # Relative symmetry slack accepted on Hessian inputs.
 _SYMMETRY_RTOL = 1e-12
+
 
 
 def _as_matrix(a, name):
@@ -83,6 +83,21 @@ def _check_symmetric(a, name):
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     if a.size and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric")
+
+
+def _solve_tri(a, v, lower=False, trans=0):
+    """Triangular solve through LAPACK directly, on inputs already checked.
+
+    At these sizes ``scipy.linalg.solve_triangular`` spends about four
+    times as long on argument handling as on the solve, and the dual
+    active-set loop makes several triangular solves per step.
+    """
+    if not a.size:
+        return np.zeros(np.shape(v))
+    x, info = scipy.linalg.lapack.dtrtrs(a, v, lower=lower, trans=trans)
+    if info:
+        raise RankDeficientConstraints("triangular factor is singular")
+    return x
 
 
 def _cholesky_checked(a, tol, exc):
@@ -186,10 +201,9 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
 def solve_kkt(system, tol=DEFAULT_TOLERANCES):
     """Solve an equality-constrained QP in range space.
 
-    With H = LLᵀ (Cholesky) the multipliers solve the m×m system
-    (C H⁻¹ Cᵀ) λ = b + C H⁻¹ g, and x = H⁻¹(Cᵀλ − g). The Gram matrix is
-    formed from L⁻¹Cᵀ and factored by Cholesky too, so both factors are
-    checked against ``tol.spd_pivot``.
+    With H = LLᵀ (Cholesky) and L⁻¹Cᵀ = QR, R is the Cholesky factor of the
+    Gram matrix C H⁻¹ Cᵀ. The multipliers solve RᵀR λ = b + C H⁻¹ g, and
+    x = H⁻¹(Cᵀλ − g), computed as L⁻ᵀ(Q(R⁻ᵀb + QᵀL⁻¹g) − L⁻¹g).
 
     Parameters
     ----------
@@ -209,16 +223,22 @@ def solve_kkt(system, tol=DEFAULT_TOLERANCES):
     NotSPD
         The Hessian is not positive definite.
     RankDeficientConstraints
-        Dependent constraint rows: a Cholesky pivot of the Gram matrix
-        C H⁻¹ Cᵀ falls below the ``tol.spd_pivot`` floor.
+        Dependent constraint rows: a pivot of R is below ``tol.rank_pivot``
+        times the largest entry of R.
     """
-    h, c = system.hessian, system.constraints
-    g, b = system.objective_gradient, system.rhs
-    chol = _cholesky_checked(h, tol, NotSPD)
-    lc = scipy.linalg.solve_triangular(chol, c.T, lower=True)
-    lg = scipy.linalg.solve_triangular(chol, g, lower=True)
-    gram_chol = _cholesky_checked(lc.T @ lc, tol, RankDeficientConstraints)
-    lam = scipy.linalg.cho_solve((gram_chol, True), b + lc.T @ lg)
-    x = scipy.linalg.solve_triangular(chol, lc @ lam - lg, lower=True,
-                                      trans="T")
-    return x, lam
+    c, b = system.constraints, system.rhs
+    chol = _cholesky_checked(system.hessian, tol, NotSPD)
+    lc = _solve_tri(chol, c.T, lower=True)
+    lg = _solve_tri(chol, system.objective_gradient, lower=True)
+    q, r = scipy.linalg.qr(lc, mode="economic")
+    if system.m:
+        smallest = float(np.min(np.abs(np.diag(r))))
+        r_scale = float(np.max(np.abs(r)))
+        if r_scale == 0.0 or smallest < tol.rank_pivot * r_scale:
+            raise RankDeficientConstraints(
+                f"constraint rows dependent: smallest R pivot "
+                f"{smallest:.3e} vs scale {r_scale:.3e}"
+            )
+    a = _solve_tri(r, b, trans=1) + q.T @ lg
+    x = _solve_tri(chol, q @ a - lg, lower=True, trans=1)
+    return x, _solve_tri(r, a)

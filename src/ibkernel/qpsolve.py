@@ -21,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.optimize
 
 from .errors import (
@@ -33,12 +32,13 @@ from .errors import (
     RankDeficientConstraints,
 )
 from .kernels import KernelSource, KernelWeights, SolveMode
-# solve_spd is imported for bench/tracing.py, which times it where this
-# module would look it up.
+# solve_spd is not called here; it is imported only because bench/tracing.py
+# wraps it where this module would look it up.
 from .linalg import (
     DEFAULT_TOLERANCES,
     KKTSystem,
     _cholesky_checked,
+    _solve_tri,
     solve_kkt,
     solve_spd,
 )
@@ -213,16 +213,6 @@ _GRAM_COND_LIMIT = 1e13
 _DEPENDENT = 1e-12
 
 
-def _tri_solve(a, v, lower=False, trans=0):
-    """Triangular solve through LAPACK directly; these solves run per step."""
-    if not a.size:
-        return np.zeros(np.shape(v))
-    x, info = scipy.linalg.lapack.dtrtrs(a, v, lower=lower, trans=trans)
-    if info:
-        raise RankDeficientConstraints("working-set factor is singular")
-    return x
-
-
 def _check_rank(r_eq):
     """Apply the rank rule to the Gram matrix r_eqᵀ r_eq.
 
@@ -285,13 +275,13 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     lo, hi = problem.bounds()
     cap = 50 * n if max_iterations is None else int(max_iterations)
     chol = _cholesky_checked(system.hessian, tol, NotSPD)
-    y0 = -_tri_solve(chol, system.objective_gradient, lower=True)
+    y0 = -_solve_tri(chol, system.objective_gradient, lower=True)
 
     # Working set: the pinned bounds (site, +1 at lower / -1 at upper, the
     # bound) in the order they joined, then the m equality rows.
     pinned, side, at = [], [], []
     q_fac, r_fac = scipy.linalg.qr(
-        _tri_solve(chol, system.constraints.T, lower=True)
+        _solve_tri(chol, system.constraints.T, lower=True)
     )
     _check_rank(r_fac[:m])
 
@@ -300,10 +290,10 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         q = len(pinned) + m
         r1, q1, q2 = r_fac[:q], q_fac[:, :q], q_fac[:, q:]
         rhs = np.concatenate([np.multiply(side, at), system.rhs])
-        a = _tri_solve(r1, rhs, trans=1)
-        x = _tri_solve(chol, q2 @ (q2.T @ y0) + q1 @ a, lower=True, trans=1)
+        a = _solve_tri(r1, rhs, trans=1)
+        x = _solve_tri(chol, q2 @ (q2.T @ y0) + q1 @ a, lower=True, trans=1)
         x[pinned] = at
-        return x, _tri_solve(r1, a - q1.T @ y0)
+        return x, _solve_tri(r1, a - q1.T @ y0)
 
     x, u = minimizer()
     steps = 0
@@ -317,7 +307,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         bound = lo[p] if s_p > 0 else hi[p]
         normal = np.zeros(n)
         normal[p] = s_p
-        w = _tri_solve(chol, normal, lower=True)
+        w = _solve_tri(chol, normal, lower=True)
         while True:
             steps += 1
             if steps > cap:
@@ -326,7 +316,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                 )
             k, q = len(pinned), len(pinned) + m
             d = q_fac.T @ w
-            r = _tri_solve(r_fac[:q], d[:q])
+            r = _solve_tri(r_fac[:q], d[:q])
             dz = d[q:]
             curvature = float(dz @ dz)
             t_full = np.inf
@@ -353,7 +343,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                 x, u = minimizer()
                 break
             if t_full < np.inf:
-                z = _tri_solve(chol, q_fac[:, q:] @ dz, lower=True, trans=1)
+                z = _solve_tri(chol, q_fac[:, q:] @ dz, lower=True, trans=1)
                 x = x + t_part * z
             drop = int(np.argmin(ratios))
             u = np.delete(u - t_part * r, drop)

@@ -115,13 +115,15 @@ class TestCircle:
     (["circle"], {"tolerances": {"zero_weight": "x"}}),
     (["circle"], {"case": "x"}),
     (["circle"], {"penalty": 1e8}),
+    (["circle"], {"tolerances": {"residual": 1e-10}}),
+    (["circle"], {"tolerances": {"complementarity": 1e-10}}),
     (["kernel", "--eval", "0.31", "-0.17"], {"mesh_width": "abc"}),
     (["kernel", "--eval", "0.31", "-0.17"], {"extents": [["a", 1], [-1, 1]]}),
     (["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"],
      {"radius": "x"}),
     (["kernel", "--formulation", "peskin4"], {"shift": ["a"]}),
-], ids=["tolerance", "case", "penalty", "mesh_width", "extents", "radius",
-     "shift"])
+], ids=["tolerance", "case", "penalty", "residual", "complementarity",
+     "mesh_width", "extents", "radius", "shift"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     (in_tmp / "cfg.json").write_text(json.dumps(cfg))
     assert main([*argv, "--config", "cfg.json"]) == 2

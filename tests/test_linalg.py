@@ -122,6 +122,19 @@ def test_solve_kkt_rank_deficient_rows():
         solve_kkt(system)
 
 
+def test_solve_kkt_solves_ill_conditioned_weighted_rows():
+    # Only the last site, with weight 2e-14, carries the second moment row,
+    # so W^(1/2)Cᵀ has singular values about 1.7 and 1.4e-7: far from
+    # dependent by rank_pivot, though its Gram matrix has condition 1e14.
+    # The moments hold to rounding; the weights lose about cond(W^(1/2)Cᵀ)
+    # times machine epsilon.
+    w = np.array([1.0, 1.0, 1.0, 2e-14])
+    c = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    x, _ = solve_kkt(KKTSystem(np.diag(1.0 / w), c, np.zeros(4), [1.0, 0.25]))
+    assert np.max(np.abs(c @ x - [1.0, 0.25])) <= 1e-14
+    assert_allclose(x, [0.25, 0.25, 0.25, 0.25], rtol=1e-8)
+
+
 def test_solve_kkt_indefinite_on_null_space():
     # null space of [1, 0] is e2; H restricted there is -1. The range-space
     # solve factors H itself, so it refuses any indefinite H.
@@ -183,4 +196,6 @@ def test_tolerance_set_defaults():
     assert tol.rank_pivot == 1e-12
     assert tol.zero_weight == 1e-14
     assert tol.feasibility == 1e-9
+    assert not hasattr(tol, "residual")
+    assert not hasattr(tol, "complementarity")
     assert tol == DEFAULT_TOLERANCES
