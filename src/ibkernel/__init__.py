@@ -19,7 +19,7 @@ from .errors import (
     RankDeficientConstraints,
     StencilOutsideDomain,
 )
-from .linalg import DEFAULT_TOLERANCES, KKTSystem, ToleranceSet, solve_kkt, solve_spd
+from .linalg import DEFAULT_TOLERANCES, ToleranceSet, solve_kkt, solve_spd
 from .kernels import (
     BasisDegree,
     KernelSource,

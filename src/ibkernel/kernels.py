@@ -348,7 +348,8 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
         raise InsufficientSupport(
             f"{n} sites cannot support a basis of size {basis.size}"
         )
-    if np.unique(sites, axis=0).shape[0] != n:
+    ordered = sites[np.lexsort(sites.T)]
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         raise ValueError("sites must be pairwise distinct")
 
     wdiag = _tensor_weights(sites, eval_point, wf)

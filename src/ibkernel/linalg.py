@@ -1,14 +1,18 @@
-"""Dense SPD and equality-constrained QP solvers.
+"""The QP problem type and its dense SPD and equality-constrained solvers.
 
-All systems in this package are small (a few dozen unknowns, at most a
-handful of constraints), so dense factorizations from LAPACK are both the
-simplest and the most accurate choice. An equality QP is solved in range
-space: a Cholesky factor L of the Hessian, then the m×m Cholesky factor
-of the constraint Gram matrix, taken as the R of a QR factorization of
-L⁻¹Cᵀ so that its condition number is not squared. What this module adds
-on top is the checking: the Hessian's Cholesky pivots are verified against
-a relative floor (NotSPD), and the pivots of R against a relative rank
-threshold (RankDeficientConstraints).
+Every quadratic program in this package, min ½ xᵀHx + gᵀx subject to
+Cx = b and optional bounds, is a ``QPProblem``, and its data are checked
+once, when it is built: shapes, finite H, C, b and g, a symmetric H, at
+most n constraint rows, and bounds that are not NaN and not crossed.
+
+All systems are small (a few dozen unknowns, at most a handful of
+constraints), so dense factorizations from LAPACK are both the simplest
+and the most accurate choice. An equality QP is solved in range space: a
+Cholesky factor L of the Hessian, then the m×m Cholesky factor of the
+constraint Gram matrix, taken as the R of a QR factorization of L⁻¹Cᵀ so
+that its condition number is not squared. The Hessian's Cholesky pivots
+are verified against a relative floor (NotSPD), and the pivots of R
+against a relative rank threshold (RankDeficientConstraints).
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from .errors import NotSPD, RankDeficientConstraints
 __all__ = [
     "ToleranceSet",
     "DEFAULT_TOLERANCES",
-    "KKTSystem",
+    "QPProblem",
     "solve_spd",
     "solve_kkt",
 ]
@@ -58,7 +62,6 @@ DEFAULT_TOLERANCES = ToleranceSet()
 
 # Relative symmetry slack accepted on Hessian inputs.
 _SYMMETRY_RTOL = 1e-12
-
 
 
 def _as_matrix(a, name):
@@ -121,18 +124,23 @@ def _cholesky_checked(a, tol, exc):
 
 
 @dataclass
-class KKTSystem:
-    """Validated data of  min ½ xᵀHx + gᵀx  s.t.  Cx = b.
+class QPProblem:
+    """min ½ xᵀHx + gᵀx  s.t.  eq_matrix·x = eq_rhs,  lower ≤ x ≤ upper.
 
-    H must be finite and symmetric; C, g and b finite, with at most n rows
-    in C. ``constraints`` may have zero rows, in which case the problem is
-    a plain SPD solve.
+    ``lower``/``upper`` are optional (scalars broadcast) and may be ±inf;
+    ``linear`` is the gradient term g, zero when omitted. H must be finite
+    and symmetric; eq_matrix, eq_rhs and g finite, with at most n rows in
+    eq_matrix, which may have none. Any violation raises ValueError here,
+    so the solvers take the data as checked; they raise NotSPD when H is
+    not positive definite.
     """
 
     hessian: np.ndarray
-    constraints: np.ndarray
-    objective_gradient: np.ndarray
-    rhs: np.ndarray
+    eq_matrix: np.ndarray
+    eq_rhs: np.ndarray
+    lower: object = None
+    upper: object = None
+    linear: object = None
 
     def __post_init__(self):
         self.hessian = _as_matrix(self.hessian, "hessian")
@@ -140,21 +148,30 @@ class KKTSystem:
         if self.hessian.shape[1] != n:
             raise ValueError("hessian must be square")
         _check_symmetric(self.hessian, "hessian")
-        self.constraints = np.asarray(self.constraints, dtype=float)
-        if self.constraints.size == 0:
-            self.constraints = self.constraints.reshape(0, n)
-        self.constraints = _as_matrix(self.constraints, "constraints")
-        if self.constraints.shape[1] != n:
+        self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
+        if self.eq_matrix.size == 0:
+            self.eq_matrix = self.eq_matrix.reshape(0, n)
+        self.eq_matrix = _as_matrix(self.eq_matrix, "eq_matrix")
+        if self.eq_matrix.shape[1] != n:
             raise ValueError(
-                f"constraints have {self.constraints.shape[1]} columns, "
-                f"expected {n}"
+                f"eq_matrix has {self.eq_matrix.shape[1]} columns, expected {n}"
             )
-        if self.constraints.shape[0] > n:
+        if self.eq_matrix.shape[0] > n:
             raise ValueError("more constraints than unknowns")
-        self.objective_gradient = _as_vector(
-            self.objective_gradient, n, "objective_gradient"
+        self.eq_rhs = _as_vector(self.eq_rhs, self.eq_matrix.shape[0], "eq_rhs")
+        self.linear = _as_vector(
+            np.zeros(n) if self.linear is None else self.linear, n, "linear"
         )
-        self.rhs = _as_vector(self.rhs, self.constraints.shape[0], "rhs")
+        for name in ("lower", "upper"):
+            v = getattr(self, name)
+            if v is not None:
+                v = np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
+                if np.any(np.isnan(v)):
+                    raise ValueError(f"{name} contains NaN")
+                setattr(self, name, v)
+        lo, hi = self.bounds()
+        if np.any(lo > hi):
+            raise ValueError("lower bound exceeds upper bound")
 
     @property
     def n(self):
@@ -162,7 +179,20 @@ class KKTSystem:
 
     @property
     def m(self):
-        return self.constraints.shape[0]
+        return self.eq_matrix.shape[0]
+
+    @property
+    def has_bounds(self):
+        return self.lower is not None or self.upper is not None
+
+    def bounds(self):
+        lo = self.lower if self.lower is not None else np.full(self.n, -np.inf)
+        hi = self.upper if self.upper is not None else np.full(self.n, np.inf)
+        return lo, hi
+
+    def objective(self, x):
+        x = np.asarray(x, dtype=float)
+        return float(0.5 * x @ self.hessian @ x + self.linear @ x)
 
 
 def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
@@ -198,7 +228,7 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
     return scipy.linalg.cho_solve((chol, True), b)
 
 
-def solve_kkt(system, tol=DEFAULT_TOLERANCES):
+def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     """Solve an equality-constrained QP in range space.
 
     With H = LLᵀ (Cholesky) and L⁻¹Cᵀ = QR, R is the Cholesky factor of the
@@ -207,7 +237,7 @@ def solve_kkt(system, tol=DEFAULT_TOLERANCES):
 
     Parameters
     ----------
-    system : KKTSystem
+    problem : QPProblem without bounds.
     tol : ToleranceSet
 
     Returns
@@ -220,18 +250,22 @@ def solve_kkt(system, tol=DEFAULT_TOLERANCES):
 
     Raises
     ------
+    ValueError
+        The problem has bounds.
     NotSPD
         The Hessian is not positive definite.
     RankDeficientConstraints
         Dependent constraint rows: a pivot of R is below ``tol.rank_pivot``
         times the largest entry of R.
     """
-    c, b = system.constraints, system.rhs
-    chol = _cholesky_checked(system.hessian, tol, NotSPD)
+    if problem.has_bounds:
+        raise ValueError("problem has bounds; use solve_box_qp")
+    c, b = problem.eq_matrix, problem.eq_rhs
+    chol = _cholesky_checked(problem.hessian, tol, NotSPD)
     lc = _solve_tri(chol, c.T, lower=True)
-    lg = _solve_tri(chol, system.objective_gradient, lower=True)
+    lg = _solve_tri(chol, problem.linear, lower=True)
     q, r = scipy.linalg.qr(lc, mode="economic")
-    if system.m:
+    if problem.m:
         smallest = float(np.min(np.abs(np.diag(r))))
         r_scale = float(np.max(np.abs(r)))
         if r_scale == 0.0 or smallest < tol.rank_pivot * r_scale:

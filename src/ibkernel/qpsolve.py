@@ -1,14 +1,16 @@
 """Constrained quadratic minimization engines.
 
-Four routes to a minimizer of ½ xᵀHx + gᵀx:
+Four routes to a minimizer of ½ xᵀHx + gᵀx; the first three take a
+``QPProblem`` (defined and validated in linalg, re-exported here):
 
 - solve_eq_qp: equality constraints only, one range-space solve
   (linalg.solve_kkt).
 - solve_box_qp: equalities plus bound constraints, the dual active-set
   method of Goldfarb & Idnani (Math. Programming 27, 1983), started from
   the equality-constrained minimizer.
-- solve_soft_qp: bounds only, equalities folded into a quadratic penalty;
-  used when the hard-constrained set is empty.
+- solve_soft_qp: bounds only, equalities folded into a quadratic penalty
+  with the fixed weight ρ = 1e8; used when the hard-constrained set is
+  empty.
 - solve_peskin4: the four-point kernel's per-axis system, which is exactly
   determined up to one quadratic root and needs no iteration at all.
 
@@ -17,7 +19,6 @@ check_kkt (residual audit of any solution against any problem).
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +37,7 @@ from .kernels import KernelSource, KernelWeights, SolveMode
 # wraps it where this module would look it up.
 from .linalg import (
     DEFAULT_TOLERANCES,
-    KKTSystem,
+    QPProblem,
     _cholesky_checked,
     _solve_tri,
     solve_kkt,
@@ -59,76 +60,8 @@ __all__ = [
     "SolveMode",
 ]
 
-_DEFAULT_PENALTY = 1e8
-
-
-@dataclass
-class QPProblem:
-    """min ½ xᵀHx + gᵀx  s.t.  eq_matrix·x = eq_rhs,  lower ≤ x ≤ upper.
-
-    ``lower``/``upper`` are optional (scalars broadcast); ``linear`` is the
-    optional gradient term g, zero when omitted. The Hessian must be
-    symmetric and positive definite on the feasible set.
-    """
-
-    hessian: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    lower: object = None
-    upper: object = None
-    linear: object = None
-
-    def __post_init__(self):
-        self.hessian = np.asarray(self.hessian, dtype=float)
-        if self.hessian.ndim != 2 or self.hessian.shape[0] != self.hessian.shape[1]:
-            raise ValueError("hessian must be square")
-        n = self.hessian.shape[0]
-        self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
-        if self.eq_matrix.size == 0:
-            self.eq_matrix = self.eq_matrix.reshape(0, n)
-        if self.eq_matrix.ndim != 2 or self.eq_matrix.shape[1] != n:
-            raise ValueError("eq_matrix must be (m, n)")
-        self.eq_rhs = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
-        if self.eq_rhs.shape[0] != self.eq_matrix.shape[0]:
-            raise ValueError("eq_rhs length must match eq_matrix rows")
-        if self.linear is not None:
-            self.linear = np.asarray(self.linear, dtype=float).reshape(-1)
-            if self.linear.shape[0] != n:
-                raise ValueError("linear term must have length n")
-        for name in ("lower", "upper"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
-                if np.any(np.isnan(v)):
-                    raise ValueError(f"{name} contains NaN")
-                setattr(self, name, v)
-        lo, hi = self.bounds()
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
-
-    @property
-    def n(self):
-        return self.hessian.shape[0]
-
-    @property
-    def m(self):
-        return self.eq_matrix.shape[0]
-
-    @property
-    def has_bounds(self):
-        return self.lower is not None or self.upper is not None
-
-    def bounds(self):
-        lo = self.lower if self.lower is not None else np.full(self.n, -np.inf)
-        hi = self.upper if self.upper is not None else np.full(self.n, np.inf)
-        return lo, hi
-
-    def gradient(self):
-        return self.linear if self.linear is not None else np.zeros(self.n)
-
-    def objective(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.hessian @ x + self.gradient() @ x)
+# Weight ρ of the soft fallback's penalty on the equality residual.
+_PENALTY = 1e8
 
 
 @dataclass
@@ -160,25 +93,13 @@ class KKTReport:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
-def _kkt_system(problem):
-    """The problem's equality data, checked: finite, symmetric H, m ≤ n."""
-    return KKTSystem(
-        hessian=problem.hessian,
-        constraints=problem.eq_matrix,
-        objective_gradient=problem.gradient(),
-        rhs=problem.eq_rhs,
-    )
-
-
 def solve_eq_qp(problem, tol=DEFAULT_TOLERANCES):
     """Solve an equality-constrained QP (no bounds allowed).
 
     Returns a QPSolution whose KKT residuals are at the direct-solve level
     (≤ 1e-10 for well-scaled inputs).
     """
-    if problem.has_bounds:
-        raise ValueError("problem has bounds; use solve_box_qp")
-    x, lam = solve_kkt(_kkt_system(problem), tol)
+    x, lam = solve_kkt(problem, tol)
     eq_res = _eq_residual(problem, x)
     return QPSolution(
         x=x,
@@ -257,7 +178,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     Raises
     ------
     ValueError
-        Non-finite data, an asymmetric Hessian, or no bounds.
+        The problem has no bounds.
     NotSPD
         The Hessian is not positive definite.
     Infeasible
@@ -270,18 +191,17 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     """
     if not problem.has_bounds:
         raise ValueError("problem has no bounds; use solve_eq_qp")
-    system = _kkt_system(problem)
-    n, m = system.n, system.m
+    n, m = problem.n, problem.m
     lo, hi = problem.bounds()
     cap = 50 * n if max_iterations is None else int(max_iterations)
-    chol = _cholesky_checked(system.hessian, tol, NotSPD)
-    y0 = -_solve_tri(chol, system.objective_gradient, lower=True)
+    chol = _cholesky_checked(problem.hessian, tol, NotSPD)
+    y0 = -_solve_tri(chol, problem.linear, lower=True)
 
     # Working set: the pinned bounds (site, +1 at lower / -1 at upper, the
     # bound) in the order they joined, then the m equality rows.
     pinned, side, at = [], [], []
     q_fac, r_fac = scipy.linalg.qr(
-        _solve_tri(chol, system.constraints.T, lower=True)
+        _solve_tri(chol, problem.eq_matrix.T, lower=True)
     )
     _check_rank(r_fac[:m])
 
@@ -289,7 +209,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         """Minimizer and multipliers with every working-set row active."""
         q = len(pinned) + m
         r1, q1, q2 = r_fac[:q], q_fac[:, :q], q_fac[:, q:]
-        rhs = np.concatenate([np.multiply(side, at), system.rhs])
+        rhs = np.concatenate([np.multiply(side, at), problem.eq_rhs])
         a = _solve_tri(r1, rhs, trans=1)
         x = _solve_tri(chol, q2 @ (q2.T @ y0) + q1 @ a, lower=True, trans=1)
         x[pinned] = at
@@ -372,42 +292,46 @@ def phase1_feasible(problem, tol=DEFAULT_TOLERANCES):
 
     Solves min ‖eq_matrix·x − eq_rhs‖ over the box (bounded-variable
     least squares) and reports the max-norm violation of the minimizer.
-    Feasible iff that violation is at most ``tol.feasibility``.
+    Feasible iff that violation is at most ``tol.feasibility``. Entries
+    with lower == upper are constants: they move to the right-hand side
+    and the least-squares solve runs on the free entries only.
 
     Always returns a FeasibilityReport; never raises on infeasibility.
     """
     if not problem.has_bounds:
         raise ValueError("phase-1 requires bounds")
     lo, hi = problem.bounds()
+    c, b = problem.eq_matrix, problem.eq_rhs
     if problem.m == 0:
         witness = np.clip(np.zeros(problem.n), lo, hi)
         return FeasibilityReport(True, witness, 0.0)
-    result = scipy.optimize.lsq_linear(
-        problem.eq_matrix, problem.eq_rhs, bounds=(lo, hi), method="bvls",
-        tol=1e-14,
-    )
-    witness = np.clip(result.x, lo, hi)
-    violation = float(np.max(np.abs(problem.eq_matrix @ witness - problem.eq_rhs)))
+    free = lo < hi
+    witness = lo.copy()
+    if np.any(free):
+        result = scipy.optimize.lsq_linear(
+            c[:, free], b - c[:, ~free] @ lo[~free],
+            bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
+        )
+        witness[free] = np.clip(result.x, lo[free], hi[free])
+    violation = float(np.max(np.abs(c @ witness - b)))
     return FeasibilityReport(violation <= tol.feasibility, witness, violation)
 
 
-def solve_soft_qp(problem, penalty=_DEFAULT_PENALTY, tol=DEFAULT_TOLERANCES,
-                  max_iterations=None):
+def solve_soft_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     """Penalty fallback: fold equalities into the objective, keep bounds hard.
 
-    Minimizes ½ xᵀHx + gᵀx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box.
-    The returned multipliers are the penalty estimates ρ(b − Cx), the
+    Minimizes ½ xᵀHx + gᵀx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box,
+    with the fixed ρ = 1e8. The returned multipliers are the penalty
+    estimates ρ(b − Cx), the
     equality residual is reported honestly, and the mode is SoftConstraint
     so callers cannot mistake the result for an exact solve.
     """
     if not problem.has_bounds:
         raise ValueError("soft solve requires bounds")
-    if not (penalty > 0.0):
-        raise ValueError("penalty must be positive")
     c, b = problem.eq_matrix, problem.eq_rhs
-    soft_h = problem.hessian + penalty * (c.T @ c)
+    soft_h = problem.hessian + _PENALTY * (c.T @ c)
     soft_h = 0.5 * (soft_h + soft_h.T)
-    soft_g = problem.gradient() - penalty * (c.T @ b)
+    soft_g = problem.linear - _PENALTY * (c.T @ b)
     inner = QPProblem(
         hessian=soft_h,
         eq_matrix=np.zeros((0, problem.n)),
@@ -417,7 +341,7 @@ def solve_soft_qp(problem, penalty=_DEFAULT_PENALTY, tol=DEFAULT_TOLERANCES,
         linear=soft_g,
     )
     sol = solve_box_qp(inner, tol, max_iterations)
-    lam = penalty * (b - c @ sol.x) if problem.m else np.zeros(0)
+    lam = _PENALTY * (b - c @ sol.x) if problem.m else np.zeros(0)
     return QPSolution(
         x=sol.x,
         multipliers=lam,
@@ -485,7 +409,7 @@ def solve_peskin4(shift, dimension=None):
     return Peskin4Weights(shift=s, weights=weights, dimension=int(dimension))
 
 
-def check_kkt(problem, solution, tol=DEFAULT_TOLERANCES):
+def check_kkt(problem, solution):
     """Audit a solution against a problem; returns the four KKT residuals.
 
     stationarity  ‖Hx + g − Cᵀλ − μ‖∞
@@ -507,7 +431,7 @@ def check_kkt(problem, solution, tol=DEFAULT_TOLERANCES):
         raise LengthMismatch(
             f"bound multipliers have length {mu.shape[0]}, expected {problem.n}"
         )
-    h, g = problem.hessian, problem.gradient()
+    h, g = problem.hessian, problem.linear
     lo, hi = problem.bounds()
 
     grad = h @ x + g - (problem.eq_matrix.T @ lam if problem.m else 0.0) - mu
@@ -577,7 +501,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         if report.feasible:
             sol = solve_box_qp(problem, tol)
         else:
-            sol = solve_soft_qp(problem, _DEFAULT_PENALTY, tol)
+            sol = solve_soft_qp(problem, tol)
 
     psi = np.zeros(system.n_sites)
     psi[keep] = sol.x

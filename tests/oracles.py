@@ -19,7 +19,7 @@ def brute_force_box_qp(problem):
     """
     n = problem.n
     lo, hi = problem.bounds()
-    h, g = problem.hessian, problem.gradient()
+    h, g = problem.hessian, problem.linear
     c, b = problem.eq_matrix, problem.eq_rhs
     best_x, best_obj = None, np.inf
     for pattern in itertools.product((0, -1, 1), repeat=n):

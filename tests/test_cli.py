@@ -64,6 +64,16 @@ class TestCircle:
         for r in rows:
             assert float(r["psi_max"]) <= 0.9 + 1e-10
 
+    def test_zero_width_bounds(self, in_tmp):
+        # alpha == beta: no marker can meet the moments, so every row is
+        # the soft fallback, with every weight at the bound.
+        assert main(["circle", "--case", "4", "--bounds", "0", "0"]) == 0
+        _, rows = read_csv(in_tmp / "circle_case4_table.csv")
+        assert len(rows) == 4
+        for r in rows:
+            assert r["mode"] == "SoftConstraint"
+            assert float(r["psi_min"]) == float(r["psi_max"]) == 0.0
+
     def test_bounds_on_unbounded_case_rejected(self, in_tmp, capsys):
         code = main(["circle", "--case", "1", "--bounds", "0.0", "0.5"])
         assert code == 2

@@ -193,6 +193,14 @@ class TestAssemble:
     def test_distinct_sites_required(self):
         with pytest.raises(ValueError):
             assemble_system([[0.0], [0.0], [1.0]], [0.0], self.wf, self.basis)
+        # The repeated site is neither first nor adjacent to its twin, and
+        # other sites share each of its coordinates.
+        h = self.h
+        sites = [[0.0, 0.0], [h, 0.0], [0.0, h], [h, h], [0.0, 0.0]]
+        basis2 = build_basis(2, BasisDegree.LINEAR)
+        with pytest.raises(ValueError):
+            assemble_system(sites, [0.01, 0.01], self.wf, basis2)
+        assemble_system(sites[:-1], [0.01, 0.01], self.wf, basis2)
 
     def test_insufficient_support(self):
         far = np.array([[10.0], [11.0], [12.0]])

@@ -14,7 +14,7 @@ from ibkernel.kernels import (
 )
 from ibkernel.linalg import (
     DEFAULT_TOLERANCES,
-    KKTSystem,
+    QPProblem,
     ToleranceSet,
     solve_kkt,
     solve_spd,
@@ -66,23 +66,23 @@ def test_solve_spd_random_residuals():
 
 
 def test_solve_kkt_symmetric_split():
-    system = KKTSystem(np.eye(2), [[1.0, 1.0]], np.zeros(2), [1.0])
-    x, lam = solve_kkt(system)
+    problem = QPProblem(np.eye(2), [[1.0, 1.0]], [1.0])
+    x, lam = solve_kkt(problem)
     assert_allclose(x, [0.5, 0.5], atol=1e-14)
     assert_allclose(lam, [0.5], atol=1e-14)
 
 
 def test_solve_kkt_inactive_constraint():
-    system = KKTSystem(np.eye(2), [[1.0, 0.0]], np.zeros(2), [0.0])
-    x, lam = solve_kkt(system)
+    problem = QPProblem(np.eye(2), [[1.0, 0.0]], [0.0])
+    x, lam = solve_kkt(problem)
     assert_allclose(x, [0.0, 0.0], atol=1e-15)
     assert_allclose(lam, [0.0], atol=1e-15)
 
 
 def test_solve_kkt_weighted_diagonal():
     # minimize x1^2/2 + 2 x2^2 with x1 + x2 = 5: x1 = lam, 4 x2 = lam
-    system = KKTSystem(np.diag([1.0, 4.0]), [[1.0, 1.0]], np.zeros(2), [5.0])
-    x, lam = solve_kkt(system)
+    problem = QPProblem(np.diag([1.0, 4.0]), [[1.0, 1.0]], [5.0])
+    x, lam = solve_kkt(problem)
     assert_allclose(x, [4.0, 1.0], atol=1e-13)
     assert_allclose(lam, [4.0], atol=1e-13)
 
@@ -92,8 +92,8 @@ def test_solve_kkt_no_constraints_matches_spd():
     m = npr.randn(4, 4)
     h = m.T @ m + 4.0 * np.eye(4)
     g = npr.randn(4)
-    system = KKTSystem(h, np.zeros((0, 4)), g, np.zeros(0))
-    x, lam = solve_kkt(system)
+    problem = QPProblem(h, np.zeros((0, 4)), np.zeros(0), linear=g)
+    x, lam = solve_kkt(problem)
     assert lam.shape == (0,)
     assert_allclose(x, solve_spd(h, -g), atol=1e-13)
 
@@ -108,7 +108,7 @@ def test_solve_kkt_random_residuals():
         c = npr.randn(m, n)
         g = npr.randn(n)
         b = npr.randn(m)
-        x, lam = solve_kkt(KKTSystem(h, c, g, b))
+        x, lam = solve_kkt(QPProblem(h, c, b, linear=g))
         stat = np.max(np.abs(h @ x - c.T @ lam + g))
         feas = np.max(np.abs(c @ x - b))
         assert stat <= 1e-10 * (1.0 + np.max(np.abs(g)))
@@ -117,9 +117,9 @@ def test_solve_kkt_random_residuals():
 
 def test_solve_kkt_rank_deficient_rows():
     c = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-    system = KKTSystem(np.eye(3), c, np.zeros(3), [1.0, 2.0])
+    problem = QPProblem(np.eye(3), c, [1.0, 2.0])
     with pytest.raises(RankDeficientConstraints):
-        solve_kkt(system)
+        solve_kkt(problem)
 
 
 def test_solve_kkt_solves_ill_conditioned_weighted_rows():
@@ -130,7 +130,7 @@ def test_solve_kkt_solves_ill_conditioned_weighted_rows():
     # times machine epsilon.
     w = np.array([1.0, 1.0, 1.0, 2e-14])
     c = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
-    x, _ = solve_kkt(KKTSystem(np.diag(1.0 / w), c, np.zeros(4), [1.0, 0.25]))
+    x, _ = solve_kkt(QPProblem(np.diag(1.0 / w), c, [1.0, 0.25]))
     assert np.max(np.abs(c @ x - [1.0, 0.25])) <= 1e-14
     assert_allclose(x, [0.25, 0.25, 0.25, 0.25], rtol=1e-8)
 
@@ -138,13 +138,13 @@ def test_solve_kkt_solves_ill_conditioned_weighted_rows():
 def test_solve_kkt_indefinite_on_null_space():
     # null space of [1, 0] is e2; H restricted there is -1. The range-space
     # solve factors H itself, so it refuses any indefinite H.
-    system = KKTSystem(np.diag([1.0, -1.0]), [[1.0, 0.0]], np.zeros(2), [1.0])
+    problem = QPProblem(np.diag([1.0, -1.0]), [[1.0, 0.0]], [1.0])
     with pytest.raises(NotSPD):
-        solve_kkt(system)
+        solve_kkt(problem)
 
 
 def _assert_matches_saddle_solve(h, c, g, b):
-    x, lam = solve_kkt(KKTSystem(h, c, g, b))
+    x, lam = solve_kkt(QPProblem(h, c, b, linear=g))
     x_ref, lam_ref = saddle_solve(h, c, g, b)
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
     assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
@@ -179,15 +179,6 @@ def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
             np.diag(1.0 / system.Wdiag[keep]), system.A[:, keep],
             np.zeros(int(keep.sum())), system.p,
         )
-
-
-def test_kkt_system_validation():
-    with pytest.raises(ValueError):
-        KKTSystem(np.eye(2), np.ones((3, 2)), np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        KKTSystem([[1.0, 0.5], [0.0, 1.0]], np.ones((1, 2)), np.zeros(2), [1.0])
-    with pytest.raises(ValueError):
-        KKTSystem(np.eye(2), np.ones((1, 3)), np.zeros(2), [1.0])
 
 
 def test_tolerance_set_defaults():

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
+from oracles import kernel_kkt_residuals
 
 from ibkernel.errors import InsufficientSupport, RankDeficientConstraints
 from ibkernel.kernels import (
@@ -12,6 +13,8 @@ from ibkernel.kernels import (
     assemble_system,
     build_basis,
 )
+from ibkernel.ibops import make_grid, support_stencil
+from ibkernel.qpsolve import solve_generating_qp
 from ibkernel.onesided import (
     KernelBounds,
     SideMask,
@@ -206,3 +209,34 @@ class TestGenerate:
             )
             assert np.max(np.abs(system.A @ kw.psi - system.p)) <= 1e-9
             assert np.all(kw.psi[~mask.plus] == 0.0)
+
+
+def test_sphere_boxes():
+    # 20 markers of a Fibonacci lattice on the sphere r = 0.5, each kernel
+    # restricted to the outside (as generate_one_sided_kernel does) and
+    # solved in both boxes.
+    h, n = 0.075, 20
+    grid = make_grid([(-0.9, 0.9)] * 3, h)
+    wf = WeightFunction.six_point_spline(h)
+    basis = build_basis(3, BasisDegree.LINEAR)
+    sd = SignedDistance.circle(np.zeros(3), 0.5)
+    z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)
+    ring = np.sqrt(1.0 - z * z)
+    markers = 0.5 * np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=1)
+    for marker in markers:
+        sites = support_stencil(grid, marker, wf.radius_in_cells).sites
+        mask = classify_side(sd, sites)
+        system = restrict_weights(assemble_system(sites, marker, wf, basis), mask)
+        keep = system.Wdiag > 1e-14
+        for alpha, beta in ((-0.07, 0.5), (0.0, 0.75)):
+            kw = solve_generating_qp(system, bounds=KernelBounds(alpha, beta))
+            psi = kw.psi
+            assert kw.mode is SolveMode.EXACT
+            assert np.max(np.abs(system.A @ psi - system.p)) <= 1e-10
+            assert np.all(psi >= alpha) and np.all(psi <= beta)
+            assert np.all(psi[~mask.plus] == 0.0)
+            residuals = kernel_kkt_residuals(
+                psi[keep], system.Wdiag[keep], system.A[:, keep], alpha, beta
+            )
+            assert max(residuals) <= 1e-9

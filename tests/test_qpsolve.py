@@ -22,6 +22,7 @@ from ibkernel.kernels import (
     eval_psi4,
     generating_function_closed_form,
 )
+from ibkernel.linalg import solve_kkt
 from ibkernel.qpsolve import (
     Peskin4Weights,
     QPProblem,
@@ -65,6 +66,10 @@ class TestQPProblem:
             QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=1.0, upper=0.0)
         with pytest.raises(ValueError):
             QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=np.nan)
+        with pytest.raises(ValueError):
+            QPProblem(np.eye(2), np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            QPProblem([[1.0, 0.5], [0.0, 1.0]], np.ones((1, 2)), [1.0])
 
 
 class TestEqQP:
@@ -81,6 +86,8 @@ class TestEqQP:
         p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0)
         with pytest.raises(ValueError):
             solve_eq_qp(p)
+        with pytest.raises(ValueError):
+            solve_kkt(p)
 
     def test_matches_closed_form_on_stencils(self):
         npr.seed(23)
@@ -175,9 +182,8 @@ class TestBoxQP:
         data = dict(hessian=np.eye(2), eq_matrix=np.ones((1, 2)), eq_rhs=[1.0],
                     linear=np.zeros(2))
         data[field] = value
-        p = QPProblem(**data, lower=0.0, upper=[0.3, 1.0])
         with pytest.raises(ValueError):
-            solve_box_qp(p)
+            QPProblem(**data, lower=0.0, upper=[0.3, 1.0])
 
     def test_indefinite_hessian_raises_not_spd(self):
         p = QPProblem(
@@ -207,6 +213,30 @@ class TestPhase1:
         with pytest.raises(ValueError):
             phase1_feasible(p)
 
+    def test_all_fixed_box(self):
+        c = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
+        fixed = np.array([0.5, 0.3, 0.2])
+        for b, feasible in (([1.0, 0.3], True), ([1.0, 0.2], False)):
+            p = QPProblem(np.eye(3), c, b, lower=fixed, upper=fixed)
+            report = phase1_feasible(p)
+            assert_allclose(report.witness, fixed, rtol=0, atol=0)
+            assert report.violation == np.max(np.abs(c @ fixed - b))
+            assert report.feasible is feasible
+
+    def test_partly_fixed_box(self):
+        c = np.ones((1, 3))
+        lo, hi = [0.0, 0.5, 0.0], [1.0, 0.5, 1.0]
+        for b, feasible in (([1.0], True), ([3.0], False)):
+            p = QPProblem(np.eye(3), c, b, lower=lo, upper=hi)
+            report = phase1_feasible(p)
+            w = report.witness
+            assert w[1] == 0.5
+            assert np.all(w >= lo) and np.all(w <= hi)
+            assert report.violation == np.max(np.abs(c @ w - b))
+            assert report.feasible is feasible
+        # the free entries reach at most 2, so the sum falls 0.5 short of 3
+        assert report.violation == pytest.approx(0.5, abs=1e-12)
+
 
 class TestSoftQP:
     def test_saturates_toward_constraint(self):
@@ -218,21 +248,12 @@ class TestSoftQP:
         # multipliers are the penalty estimate rho (b - Cx)
         assert sol.multipliers[0] == pytest.approx(1e8 * sol.eq_residual, rel=1e-6)
 
-    def test_residual_decreases_with_penalty(self):
+    def test_penalty_validation(self):
         p = QPProblem(
             np.eye(3), np.ones((1, 3)), [1.0], lower=0.0, upper=[0.1, 0.1, 0.4]
         )
-        resids = [
-            solve_soft_qp(p, penalty=rho).eq_residual for rho in (1e2, 1e5, 1e8)
-        ]
-        assert resids[0] >= resids[1] >= resids[2]
         # the box caps the sum at 0.6, so the violation floor is 0.4
-        assert resids[2] == pytest.approx(0.4, abs=1e-6)
-
-    def test_penalty_validation(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.4)
-        with pytest.raises(ValueError):
-            solve_soft_qp(p, penalty=0.0)
+        assert solve_soft_qp(p).eq_residual == pytest.approx(0.4, abs=1e-6)
         q = QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
             solve_soft_qp(q)
