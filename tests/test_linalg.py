@@ -181,6 +181,18 @@ def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
         )
 
 
+def test_kkt_system_validation():
+    # solve_kkt's input is a QPProblem, which rejects bad data at construction
+    with pytest.raises(ValueError):
+        QPProblem(np.eye(2), np.ones((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError):
+        QPProblem([[1.0, 0.5], [0.0, 1.0]], np.ones((1, 2)), [1.0])
+    with pytest.raises(ValueError):
+        QPProblem(np.eye(2), np.ones((1, 3)), [1.0])
+    with pytest.raises(ValueError):
+        solve_kkt(QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0))
+
+
 def test_tolerance_set_defaults():
     tol = ToleranceSet()
     assert tol.spd_pivot == 1e-14
