@@ -5,6 +5,7 @@ another by construction: both use the identical kernel weights for a given
 marker, produced by whatever generation strategy the caller bundles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,31 +176,35 @@ def support_stencil(grid, eval_point, radius_in_cells):
     ------
     StencilOutsideDomain
     """
-    eval_point = as_point(eval_point, grid.dimension)
+    d = grid.dimension
+    eval_point = as_point(eval_point, d)
     right = grid.right_edge
+    # Only this many cells per axis can lie within reach of the point.
+    window = math.ceil(2 * radius_in_cells) + 2
     per_axis = []
-    for ax in range(grid.dimension):
-        h = grid.spacing[ax]
+    for ax in range(d):
+        o, h, x = grid.origin[ax], grid.spacing[ax], eval_point[ax]
         reach = radius_in_cells * h
         fuzz = 1e-12 * h
-        if (eval_point[ax] - reach < grid.origin[ax] - fuzz
-                or eval_point[ax] + reach > right[ax] + fuzz):
+        if x - reach < o - fuzz or x + reach > right[ax] + fuzz:
             raise StencilOutsideDomain(
                 f"evaluation point {eval_point.tolist()} within "
                 f"{radius_in_cells} cells of a domain edge on axis {ax}"
             )
-        centers = grid.axis_centers(ax)
-        idx = np.where(np.abs(centers - eval_point[ax]) < reach)[0]
-        per_axis.append(idx)
+        first = max(math.floor((x - o) / h - 0.5 - radius_in_cells), 0)
+        idx = np.arange(first, min(first + window, grid.counts[ax]))
+        centers = o + (idx + 0.5) * h  # the arithmetic of axis_centers
+        inside = np.abs(centers - x) < reach
+        per_axis.append((idx[inside], centers[inside]))
 
-    mesh = np.meshgrid(*per_axis, indexing="ij")
-    axis_idx = np.stack([m.ravel() for m in mesh], axis=1)
-    flat = np.ravel_multi_index(tuple(axis_idx.T), grid.counts)
-    sites = np.stack(
-        [grid.axis_centers(ax)[axis_idx[:, ax]] for ax in range(grid.dimension)],
-        axis=1,
-    )
-    return Stencil(sites=sites, indices=flat.astype(int))
+    # C order over the axis indices, as np.ravel_multi_index would give.
+    sites = np.empty(tuple(len(idx) for idx, _ in per_axis) + (d,))
+    flat = 0
+    for ax, (idx, centers) in enumerate(per_axis):
+        shape = (1,) * ax + (-1,) + (1,) * (d - ax - 1)
+        sites[..., ax] = centers.reshape(shape)
+        flat = flat * grid.counts[ax] + idx.reshape(shape)
+    return Stencil(sites=sites.reshape(-1, d), indices=flat.reshape(-1))
 
 
 @dataclass

@@ -248,7 +248,7 @@ def as_sites(sites, dimension=None):
         raise ValueError(
             f"sites have dimension {sites.shape[1]}, expected {dimension}"
         )
-    if not np.all(np.isfinite(sites)):
+    if not np.isfinite(sites).all():
         raise ValueError("sites contain non-finite coordinates")
     return sites
 
@@ -259,7 +259,7 @@ def as_point(point, dimension=None):
         raise ValueError(
             f"point has dimension {point.shape[0]}, expected {dimension}"
         )
-    if not np.all(np.isfinite(point)):
+    if not np.isfinite(point).all():
         raise ValueError("point has non-finite coordinates")
     return point
 
@@ -349,7 +349,7 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
             f"{n} sites cannot support a basis of size {basis.size}"
         )
     ordered = sites[np.lexsort(sites.T)]
-    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("sites must be pairwise distinct")
 
     wdiag = _tensor_weights(sites, eval_point, wf)

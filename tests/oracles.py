@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import numpy.random as npr
 
+from ibkernel.errors import StencilOutsideDomain
+from ibkernel.ibops import Stencil
+from ibkernel.kernels import as_point
 from ibkernel.qpsolve import QPProblem
 
 
@@ -119,3 +122,37 @@ def kernel_kkt_residuals(psi, w, a, alpha, beta, box_tol=1e-12):
     sign = max(float(np.max(-r[lower], initial=0.0)),
                float(np.max(r[upper], initial=0.0)))
     return stationarity, sign
+
+
+def full_scan_stencil(grid, eval_point, radius_in_cells):
+    """Support stencil found by testing every cell center on each axis.
+
+    The same selection rule and edge check as ``ibops.support_stencil``,
+    but it scans each axis's full ``axis_centers`` array and builds the
+    C-order product with ``np.meshgrid`` and ``np.ravel_multi_index``.
+    """
+    eval_point = as_point(eval_point, grid.dimension)
+    right = grid.right_edge
+    per_axis = []
+    for ax in range(grid.dimension):
+        h = grid.spacing[ax]
+        reach = radius_in_cells * h
+        fuzz = 1e-12 * h
+        if (eval_point[ax] - reach < grid.origin[ax] - fuzz
+                or eval_point[ax] + reach > right[ax] + fuzz):
+            raise StencilOutsideDomain(
+                f"evaluation point {eval_point.tolist()} within "
+                f"{radius_in_cells} cells of a domain edge on axis {ax}"
+            )
+        centers = grid.axis_centers(ax)
+        idx = np.where(np.abs(centers - eval_point[ax]) < reach)[0]
+        per_axis.append(idx)
+
+    mesh = np.meshgrid(*per_axis, indexing="ij")
+    axis_idx = np.stack([m.ravel() for m in mesh], axis=1)
+    flat = np.ravel_multi_index(tuple(axis_idx.T), grid.counts)
+    sites = np.stack(
+        [grid.axis_centers(ax)[axis_idx[:, ax]] for ax in range(grid.dimension)],
+        axis=1,
+    )
+    return Stencil(sites=sites, indices=flat.astype(int))

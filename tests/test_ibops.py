@@ -2,6 +2,7 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
+from oracles import full_scan_stencil
 
 from ibkernel.errors import DegenerateDomain, StencilOutsideDomain
 from ibkernel.ibops import (
@@ -134,6 +135,51 @@ class TestSupportStencil:
             n0 = len(np.unique(st.sites[:, 0]))
             n1 = len(np.unique(st.sites[:, 1]))
             assert len(st) == n0 * n1
+
+
+# 1D, 2D and 3D grids with per-axis spacings and non-zero origins.
+_STENCIL_GRIDS = {
+    "1d": make_grid([(-0.3, 1.1)], 0.07),
+    "2d": make_grid([(-1.0, 1.0), (0.25, 1.45)], (0.075, 0.05)),
+    "3d": make_grid([(-0.3, 1.1), (0.25, 1.45), (-2.0, -0.65)], (0.07, 0.05, 0.09)),
+}
+
+
+@pytest.mark.parametrize("radius", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("name", sorted(_STENCIL_GRIDS))
+def test_stencil_matches_full_scan(name, radius):
+    grid = _STENCIL_GRIDS[name]
+    rng = npr.default_rng([int(2 * radius), grid.dimension])
+    h = np.array(grid.spacing)
+    # The closest a point may come to each edge, on every axis at once.
+    lo = np.array(grid.origin) + radius * h
+    hi = np.array(grid.right_edge) - radius * h
+    points = [lo, hi, np.where(rng.random(grid.dimension) < 0.5, lo, hi)]
+    points += list(rng.uniform(lo, hi, (40, grid.dimension)))
+    for _ in range(20):
+        center = []
+        for ax in range(grid.dimension):
+            c = grid.axis_centers(ax)
+            center.append(rng.choice(c[(c >= lo[ax]) & (c + 0.5 * h[ax] <= hi[ax])]))
+        points += [np.array(center), np.array(center) + 0.5 * h]
+    for point in points:
+        st = support_stencil(grid, point, radius)
+        ref = full_scan_stencil(grid, point, radius)
+        assert st.indices.dtype == ref.indices.dtype
+        assert st.indices.tobytes() == ref.indices.tobytes()
+        assert st.sites.shape == ref.sites.shape
+        assert st.sites.tobytes() == ref.sites.tobytes()
+
+    # A millionth of a cell closer to an edge than the margin is refused.
+    middle = 0.5 * (lo + hi)
+    for ax in range(grid.dimension):
+        for edge, step in ((lo, -1e-6), (hi, 1e-6)):
+            point = middle.copy()
+            point[ax] = edge[ax] + step * h[ax]
+            with pytest.raises(StencilOutsideDomain):
+                support_stencil(grid, point, radius)
+            with pytest.raises(StencilOutsideDomain):
+                full_scan_stencil(grid, point, radius)
 
 
 class TestMarkerSet:

@@ -160,6 +160,19 @@ def test_solve_kkt_matches_saddle_solve_on_random_problems():
         _assert_matches_saddle_solve(h, npr.randn(m, n), npr.randn(n), npr.randn(m))
 
 
+def test_solve_kkt_square_constraints_fix_x():
+    # m = n: C alone fixes x = C⁻¹b, and the QR factor of L⁻¹Cᵀ is square.
+    npr.seed(19)
+    for n in (1, 2, 4, 9):
+        q = npr.randn(n, n)
+        h = q.T @ q + n * np.eye(n)
+        c = npr.randn(n, n) + n * np.eye(n)
+        g, b = npr.randn(n), npr.randn(n)
+        x, lam = solve_kkt(QPProblem(h, c, b, linear=g))
+        assert_allclose(x, np.linalg.solve(c, b), rtol=1e-12, atol=1e-14)
+        assert_allclose(lam, np.linalg.solve(c.T, h @ x + g), rtol=1e-12, atol=1e-14)
+        _assert_matches_saddle_solve(h, c, g, b)
+
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
     npr.seed(17 + dimension)
