@@ -1,8 +1,10 @@
 """Cartesian grids, field sampling, support stencils, interpolate/spread.
 
 The interpolation and spreading operators are exact adjoints of one
-another by construction: both use the identical kernel weights for a given
-marker, produced by whatever generation strategy the caller bundles.
+another by construction: both apply the same kernel weights for a given
+marker, produced by whatever generation strategy the caller bundles. An
+interpolate and a spread at the same markers share one build of those
+weights (see ``KernelStrategy``).
 """
 
 import math
@@ -207,12 +209,14 @@ def support_stencil(grid, eval_point, radius_in_cells):
     return Stencil(sites=sites.reshape(-1, d), indices=flat.reshape(-1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelStrategy:
     """Bundle of everything needed to turn a marker into kernel weights.
 
     interpolate/spread stay agnostic to how the weights are produced:
-    side restriction, bounds and tolerances all live here.
+    side restriction, bounds and tolerances all live here. Frozen, so the
+    weights cannot change between an interpolate and a spread that share
+    one build of them (16 B per stencil site, at most one batch held).
     """
 
     weight_function: object
@@ -237,23 +241,48 @@ class KernelStrategy:
         )
         return stencil, weights
 
+    def _batch(self, operator, grid, markers):
+        """Flat stencil indices and weights of ``markers``, and their counts.
+
+        Takes the batch the other operator left in ``_pending`` for an
+        equal grid and the same marker shape and bytes; otherwise drops
+        it, builds one and leaves that. A build that raises leaves none.
+        """
+        key = (grid, markers.shape, markers.tobytes())
+        pending = self.__dict__.pop("_pending", None)
+        if pending and pending[0] != operator and pending[1] == key:
+            return pending[2]
+        indices, psi = [np.empty(0, np.intp)], [np.empty(0)]
+        for marker in markers:
+            stencil, weights = self.kernel_for(grid, marker)
+            indices.append(stencil.indices)
+            psi.append(weights.psi)
+        counts = np.array([len(p) for p in psi[1:]], dtype=np.intp)
+        batch = (np.concatenate(indices), np.concatenate(psi), counts)
+        self.__dict__["_pending"] = (operator, key, batch)
+        return batch
+
 
 def interpolate(field, markers, strategy):
-    """Kernel-weighted field values at each marker, in marker order."""
+    """Kernel-weighted field values at each marker, in marker order.
+
+    Takes the kernels a preceding ``spread`` at the same markers left on
+    the strategy, or builds them and leaves them for the next ``spread``.
+    """
     markers = _marker_array(markers, field.grid.dimension)
-    out = np.empty(markers.shape[0])
-    for k, marker in enumerate(markers):
-        stencil, weights = strategy.kernel_for(field.grid, marker)
-        out[k] = float(weights.psi @ field.values[stencil.indices])
-    return out
+    indices, psi, counts = strategy._batch("interpolate", field.grid, markers)
+    vals = field.values[indices]
+    ends = np.cumsum(counts).tolist()
+    return np.array([psi[a:b] @ vals[a:b] for a, b in zip([0] + ends, ends)])
 
 
 def spread(values, markers, grid, strategy):
     """Scatter marker values onto the grid with the same kernels.
 
-    Accumulation runs in marker order so results are bitwise reproducible;
-    uses the identical weights interpolate would use for each marker,
-    which is what makes the operator pair adjoint.
+    Applies the very weights of the ``interpolate`` at the same markers
+    (taking its batch, or building one and leaving it for the next
+    interpolate), which makes the pair adjoint. Accumulation runs in
+    marker order so results are bitwise reproducible.
     """
     markers = _marker_array(markers, grid.dimension)
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -261,8 +290,7 @@ def spread(values, markers, grid, strategy):
         raise ValueError(
             f"{values.shape[0]} values for {markers.shape[0]} markers"
         )
-    field = np.zeros(grid.total_cells)
-    for k, marker in enumerate(markers):
-        stencil, weights = strategy.kernel_for(grid, marker)
-        np.add.at(field, stencil.indices, values[k] * weights.psi)
+    indices, psi, counts = strategy._batch("spread", grid, markers)
+    weighted = np.repeat(values, counts) * psi
+    field = np.bincount(indices, weighted, minlength=grid.total_cells)
     return GridField(field, grid)

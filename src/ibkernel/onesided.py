@@ -33,7 +33,7 @@ class SignedDistance:
 
     ``evaluator`` maps a d-vector to a signed real. For circles use the
     ``circle`` constructor, whose evaluator is the exact distance
-    |x - center| - radius.
+    |x - center| - radius, computed for all sites at once by ``evaluate``.
     """
 
     evaluator: object
@@ -48,11 +48,22 @@ class SignedDistance:
             point = np.asarray(point, dtype=float)
             return float(np.linalg.norm(point - center)) - radius
 
-        return cls(evaluator)
+        return _Circle(evaluator, tuple(center.tolist()), radius)
 
     def evaluate(self, sites):
         sites = as_sites(sites)
         return np.array([float(self.evaluator(s)) for s in sites])
+
+
+@dataclass(frozen=True)
+class _Circle(SignedDistance):
+    """|x - center| - radius over all sites at once (last bits may differ)."""
+
+    center: tuple
+    radius: float
+
+    def evaluate(self, sites):
+        return np.linalg.norm(as_sites(sites) - self.center, axis=1) - self.radius
 
 
 @dataclass

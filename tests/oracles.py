@@ -7,7 +7,7 @@ import numpy.random as npr
 
 from ibkernel.errors import StencilOutsideDomain
 from ibkernel.ibops import Stencil
-from ibkernel.kernels import as_point
+from ibkernel.kernels import as_point, as_sites
 from ibkernel.qpsolve import QPProblem
 
 
@@ -156,3 +156,28 @@ def full_scan_stencil(grid, eval_point, radius_in_cells):
         axis=1,
     )
     return Stencil(sites=sites, indices=flat.astype(int))
+
+
+def per_marker_interpolate(field, markers, strategy):
+    """Interpolation with one ``kernel_for`` call per marker.
+
+    The loop ``ibops.interpolate`` ran before interpolate and spread
+    shared one build of the kernels.
+    """
+    markers = as_sites(markers, field.grid.dimension)
+    out = np.empty(markers.shape[0])
+    for k, marker in enumerate(markers):
+        stencil, weights = strategy.kernel_for(field.grid, marker)
+        out[k] = float(weights.psi @ field.values[stencil.indices])
+    return out
+
+
+def per_marker_spread(values, markers, grid, strategy):
+    """Spreading with one ``kernel_for`` call and one ``np.add.at`` per marker."""
+    markers = as_sites(markers, grid.dimension)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    field = np.zeros(grid.total_cells)
+    for k, marker in enumerate(markers):
+        stencil, weights = strategy.kernel_for(grid, marker)
+        np.add.at(field, stencil.indices, values[k] * weights.psi)
+    return field

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
-from oracles import full_scan_stencil
+from oracles import full_scan_stencil, per_marker_interpolate, per_marker_spread
 
 from ibkernel.errors import DegenerateDomain, StencilOutsideDomain
 from ibkernel.ibops import (
@@ -281,3 +283,176 @@ class TestSpread:
         lhs = float(spread(f, markers, grid, strategy).values @ u)
         rhs = float(f @ interpolate(GridField(u, grid), markers, strategy))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+# Paired kernels: an interpolate and a spread at the same markers share one
+# build of the kernels. Every output is compared bitwise with the
+# per-marker reference loops in oracles.py.
+
+
+def _paired_case(dim, kind):
+    """Grid, strategy, markers and a random field and spread values."""
+    h = 0.075
+    # The 2D grid is the paper's; the 3D one is that of the sphere bench.
+    grid = make_grid([(-1.0, 1.0)] * 2 if dim == 2 else [(-0.9, 0.9)] * 3, h)
+    sd = None if kind == "two-sided" else SignedDistance.circle([0.0] * dim, 0.5)
+    bounds = KernelBounds(0.0, 0.75) if kind == "boxed" else None
+    strategy = KernelStrategy(
+        WeightFunction.six_point_spline(h), signed_distance=sd, bounds=bounds
+    )
+    rng = npr.default_rng(dim)
+    # Three neighbouring markers share stencil sites, so the order in which
+    # spread accumulates shows in the bits (two addends commute).
+    if dim == 2:
+        # 0 deg is a soft (box-infeasible) marker when boxed.
+        ang = np.deg2rad([0.0, 40.0, 40.5, 41.0, 140.0, 230.0, 310.0])
+        markers = 0.5 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        d = rng.standard_normal((3, 3))
+        d = np.vstack([d, d[0] + 0.02, d[0] - 0.02])
+        markers = 0.5 * d / np.linalg.norm(d, axis=1, keepdims=True)
+    field = GridField(rng.standard_normal(grid.total_cells), grid)
+    values = rng.uniform(0.5, 2.0, len(markers))
+    return grid, strategy, markers, field, values
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count kernel builds by wrapping ``KernelStrategy.kernel_for``."""
+    calls = []
+    original = KernelStrategy.kernel_for
+
+    def counted(self, grid, marker):
+        calls.append(self)
+        return original(self, grid, marker)
+
+    monkeypatch.setattr(KernelStrategy, "kernel_for", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["interpolate-first", "spread-first"])
+@pytest.mark.parametrize("kind", ["two-sided", "one-sided", "boxed"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_paired_operators_match_per_marker_reference(dim, kind, order, builds):
+    grid, strategy, markers, field, values = _paired_case(dim, kind)
+    want_values = per_marker_interpolate(field, markers, strategy)
+    want_field = per_marker_spread(values, markers, grid, strategy)
+    builds.clear()
+    if order == "interpolate-first":
+        got_values = interpolate(field, markers, strategy)
+        got_field = spread(values, markers, grid, strategy).values
+    else:
+        got_field = spread(values, markers, grid, strategy).values
+        got_values = interpolate(field, markers, strategy)
+    assert len(builds) == len(markers)
+    assert got_values.tobytes() == want_values.tobytes()
+    assert got_field.tobytes() == want_field.tobytes()
+
+
+def _call(op, grid, strategy, markers, field, values):
+    if op == "I":
+        return interpolate(field, markers, strategy)
+    return spread(values, markers, grid, strategy).values
+
+
+@pytest.mark.parametrize(
+    "calls, n_builds",
+    [("IS", 1), ("SI", 1), ("ISI", 2), ("IIS", 2), ("SSI", 2), ("ISS", 2),
+     ("II", 2), ("SS", 2), ("ISIS", 2)],
+)
+def test_each_build_serves_one_interpolate_and_one_spread(
+    calls, n_builds, builds
+):
+    grid, strategy, markers, field, values = _paired_case(2, "one-sided")
+    want = {
+        "I": per_marker_interpolate(field, markers, strategy),
+        "S": per_marker_spread(values, markers, grid, strategy),
+    }
+    builds.clear()
+    for op in calls:
+        got = _call(op, grid, strategy, markers, field, values)
+        assert got.tobytes() == want[op].tobytes()
+    assert len(builds) == n_builds * len(markers)
+
+
+def _moved_by_one_ulp(markers):
+    moved = markers.copy()
+    moved[-1, 1] = np.nextafter(moved[-1, 1], np.inf)
+    return moved
+
+
+def _changed_in_place(markers):
+    markers[0, 0] += 0.01
+    return markers
+
+
+@pytest.mark.parametrize("change", [_moved_by_one_ulp, _changed_in_place])
+def test_no_reuse_at_other_marker_bytes(change, builds):
+    grid, strategy, markers, field, values = _paired_case(2, "boxed")
+    interpolate(field, markers, strategy)
+    markers = change(markers)
+    want = per_marker_spread(values, markers, grid, strategy)
+    builds.clear()
+    got = spread(values, markers, grid, strategy).values
+    assert len(builds) == len(markers)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_no_reuse_on_a_shifted_grid(builds):
+    grid, strategy, markers, field, values = _paired_case(2, "one-sided")
+    shifted = dataclasses.replace(grid, origin=(-0.99, -1.0))
+    interpolate(field, markers, strategy)
+    want = per_marker_spread(values, markers, shifted, strategy)
+    builds.clear()
+    got = spread(values, markers, shifted, strategy).values
+    assert len(builds) == len(markers)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_no_reuse_across_strategies(builds):
+    grid, strategy, markers, field, values = _paired_case(2, "one-sided")
+    twin = dataclasses.replace(strategy)
+    assert twin == strategy
+    interpolate(field, markers, strategy)
+    builds.clear()
+    spread(values, markers, grid, twin)
+    assert builds == [twin] * len(markers)
+    # The twin's build left the first strategy's batch untouched.
+    builds.clear()
+    spread(values, markers, grid, strategy)
+    assert builds == []
+
+
+def test_raising_build_leaves_no_batch(builds):
+    grid, strategy, markers, field, values = _paired_case(2, "two-sided")
+    markers = np.vstack([markers, [[0.99, 0.0]]])
+    values = np.append(values, 1.0)
+    with pytest.raises(StencilOutsideDomain):
+        interpolate(field, markers, strategy)
+    assert "_pending" not in vars(strategy)
+    builds.clear()
+    with pytest.raises(StencilOutsideDomain):
+        spread(values, markers, grid, strategy)
+    assert len(builds) == len(markers)
+
+
+def test_zero_markers():
+    grid, strategy, _, field, _ = _paired_case(2, "two-sided")
+    none = np.empty((0, 2))
+    out = interpolate(field, none, strategy)
+    assert out.shape == (0,)
+    scattered = spread(np.empty(0), none, grid, strategy).values
+    assert scattered.tobytes() == np.zeros(grid.total_cells).tobytes()
+
+
+def test_strategy_is_frozen_and_its_batch_private():
+    grid, strategy, markers, field, _ = _paired_case(2, "one-sided")
+    fresh = dataclasses.replace(strategy)
+    interpolate(field, markers, strategy)
+    assert "_pending" in vars(strategy)
+    assert strategy == fresh
+    assert hash(strategy) == hash(fresh)
+    assert repr(strategy) == repr(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strategy.bounds = KernelBounds(0.0, 1.0)
+    assert "_pending" not in vars(dataclasses.replace(strategy))

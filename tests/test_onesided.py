@@ -49,6 +49,57 @@ class TestSignedDistance:
         assert mask.plus[1]
 
 
+def _bench_one_sided_stencils():
+    """Support sites of the benchmark's one-sided markers.
+
+    The circle sweep's cases 2-4 share the paper's 720 half-degree markers
+    on r = 0.5, h = 0.075; the sphere workload puts 150 markers of a
+    rotated Fibonacci lattice on r = 0.5 in [-0.9, 0.9]^3 for seeds 1-3.
+    """
+    grid = make_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.075)
+    rad = np.deg2rad(np.arange(720) * 0.5)
+    for x in 0.5 * np.stack([np.cos(rad), np.sin(rad)], axis=1):
+        yield support_stencil(grid, x, 3.0).sites
+    grid = make_grid([(-0.9, 0.9)] * 3, 0.075)
+    n = 150
+    z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)
+    ring = np.sqrt(1.0 - z * z)
+    lattice = np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=1)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng([seed, sum(map(ord, "sphere_3d"))])
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        for x in 0.5 * lattice @ (q * np.sign(np.diag(r))).T:
+            yield support_stencil(grid, x, 3.0).sites
+
+
+def _per_point_mask(sd, sites):
+    """The side mask from one ``evaluator`` call per site."""
+    return classify_side(SignedDistance(sd.evaluator), sites).plus
+
+
+def test_vectorised_circle_gives_the_per_point_masks():
+    circle, sphere = (
+        SignedDistance.circle([0.0] * d, 0.5) for d in (2, 3)
+    )
+    n = 0
+    for sites in _bench_one_sided_stencils():
+        sd = circle if sites.shape[1] == 2 else sphere
+        mask = classify_side(sd, sites).plus
+        assert mask.tobytes() == _per_point_mask(sd, sites).tobytes()
+        n += 1
+    assert n == 720 + 3 * 150
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.3, 0.1])
+def test_sites_on_the_circle_go_minus_in_both_paths(radius):
+    for d in (2, 3):
+        sd = SignedDistance.circle([0.0] * d, radius)
+        on = np.vstack([radius * np.eye(d), -radius * np.eye(d)])
+        assert not classify_side(sd, on).plus.any()
+        assert not _per_point_mask(sd, on).any()
+
+
 class TestClassify:
     def test_ties_to_minus(self):
         sd = SignedDistance.circle([0.0, 0.0], 0.5)
