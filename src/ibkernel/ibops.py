@@ -247,18 +247,24 @@ class KernelStrategy:
         Takes the batch the other operator left in ``_pending`` for an
         equal grid and the same marker shape and bytes; otherwise drops
         it, builds one and leaves that. A build that raises leaves none.
+        A one-marker batch is that marker's own stencil indices and
+        weights, with counts None.
         """
         key = (grid, markers.shape, markers.tobytes())
         pending = self.__dict__.pop("_pending", None)
         if pending and pending[0] != operator and pending[1] == key:
             return pending[2]
-        indices, psi = [np.empty(0, np.intp)], [np.empty(0)]
-        for marker in markers:
-            stencil, weights = self.kernel_for(grid, marker)
-            indices.append(stencil.indices)
-            psi.append(weights.psi)
-        counts = np.array([len(p) for p in psi[1:]], dtype=np.intp)
-        batch = (np.concatenate(indices), np.concatenate(psi), counts)
+        if len(markers) == 1:
+            stencil, weights = self.kernel_for(grid, markers[0])
+            batch = (stencil.indices, weights.psi, None)
+        else:
+            indices, psi = [np.empty(0, np.intp)], [np.empty(0)]
+            for marker in markers:
+                stencil, weights = self.kernel_for(grid, marker)
+                indices.append(stencil.indices)
+                psi.append(weights.psi)
+            counts = np.array([len(p) for p in psi[1:]], dtype=np.intp)
+            batch = (np.concatenate(indices), np.concatenate(psi), counts)
         self.__dict__["_pending"] = (operator, key, batch)
         return batch
 
@@ -272,6 +278,8 @@ def interpolate(field, markers, strategy):
     markers = _marker_array(markers, field.grid.dimension)
     indices, psi, counts = strategy._batch("interpolate", field.grid, markers)
     vals = field.values[indices]
+    if counts is None:
+        return np.array([psi @ vals])
     ends = np.cumsum(counts).tolist()
     return np.array([psi[a:b] @ vals[a:b] for a, b in zip([0] + ends, ends)])
 
@@ -291,6 +299,9 @@ def spread(values, markers, grid, strategy):
             f"{values.shape[0]} values for {markers.shape[0]} markers"
         )
     indices, psi, counts = strategy._batch("spread", grid, markers)
-    weighted = np.repeat(values, counts) * psi
+    if counts is None:
+        weighted = psi * values[0]
+    else:
+        weighted = np.repeat(values, counts) * psi
     field = np.bincount(indices, weighted, minlength=grid.total_cells)
     return GridField(field, grid)

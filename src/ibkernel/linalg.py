@@ -1,18 +1,23 @@
-"""The QP problem type and its dense SPD and equality-constrained solvers.
+"""The QP problem type and its SPD and equality-constrained solvers.
 
 Every quadratic program in this package, min ½ xᵀHx + gᵀx subject to
 Cx = b and optional bounds, is a ``QPProblem``, and its data are checked
 once, when it is built: shapes, finite H, C, b and g, a symmetric H, at
 most n constraint rows, and bounds that are not NaN and not crossed.
 
-All systems are small (a few dozen unknowns, at most a handful of
-constraints), so dense factorizations from LAPACK are both the simplest
-and the most accurate choice. An equality QP is solved in range space: a
-Cholesky factor L of the Hessian, then the m×m Cholesky factor of the
-constraint Gram matrix, taken as the R of a QR factorization of L⁻¹Cᵀ so
-that its condition number is not squared. The Hessian's Cholesky pivots
-are verified against a relative floor (NotSPD), and the pivots of R
-against a relative rank threshold (RankDeficientConstraints).
+H is either a dense matrix or a vector holding the diagonal of H, as it
+is for every kernel (W⁻¹ with a diagonal weight matrix W). One helper,
+``_HessianFactor``, holds a factor L with H = LLᵀ and applies L⁻¹ and
+L⁻ᵀ: a checked Cholesky factor of a dense H, or diag(√h) for a diagonal,
+which costs O(n) to set up and to apply. All systems are small (a few
+dozen unknowns, at most a handful of constraints), so dense
+factorizations from LAPACK are both the simplest and the most accurate
+choice. An equality QP is solved in range space: the m×m Cholesky factor
+of the constraint Gram matrix is taken as the R of a QR factorization of
+L⁻¹Cᵀ, so that its condition number is not squared. A dense Hessian's
+Cholesky pivots are verified against a relative floor, a diagonal's
+entries against zero (NotSPD), and the pivots of R against a relative
+rank threshold (RankDeficientConstraints).
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,9 @@ class ToleranceSet:
     ----------
     spd_pivot : float
         A Cholesky pivot below ``spd_pivot * max(diag)`` means not SPD.
+        Dense Hessians only: a diagonal Hessian is SPD when every entry is
+        > 0, with no relative floor, because a diagonal has no
+        factorization error (scaling W leaves the kernel unchanged).
     rank_pivot : float
         Constraint rows are rank deficient when a constraint matrix's
         smallest singular value (a restricted moment matrix), or the
@@ -123,16 +131,56 @@ def _cholesky_checked(a, tol, exc):
     return chol
 
 
+class _HessianFactor:
+    """A factor L with H = LLᵀ, applying L⁻¹ and L⁻ᵀ.
+
+    A 2-D Hessian gets its Cholesky factor, whose pivots must clear
+    ``tol.spd_pivot`` times the largest diagonal entry. A 1-D one is the
+    diagonal h of H: L = diag(√h), nothing is factored, and H is SPD when
+    every entry is > 0. ``root`` holds √h, or is None for a dense H.
+
+    Raises NotSPD when H is not positive definite.
+    """
+
+    def __init__(self, hessian, tol):
+        self.root = None
+        if hessian.ndim == 2:
+            self.chol = _cholesky_checked(hessian, tol, NotSPD)
+            return
+        if hessian.size and not hessian.min() > 0.0:
+            raise NotSPD(
+                f"diagonal Hessian has a non-positive entry {hessian.min():.3e}"
+            )
+        self.root = np.sqrt(hessian)
+        self._inv_root = 1.0 / self.root
+
+    def solve(self, v, trans=0):
+        """L⁻¹v, or L⁻ᵀv with ``trans=1``; ``v`` is (n,) or (n, k).
+
+        On a diagonal both are O(n·k) and round as LAPACK's ``dtrtrs``
+        rounds a solve with diag(√h) in the OpenBLAS that numpy and scipy
+        ship: it divides a single right-hand side by the pivot and scales
+        several by the pivot's reciprocal. So a diagonal Hessian and its
+        ``np.diag`` give the same bits.
+        """
+        if self.root is None:
+            return _solve_tri(self.chol, v, lower=True, trans=trans)
+        if v.ndim == 2 and v.shape[1] > 1:
+            return v * self._inv_root[:, None]
+        return v / (self.root if v.ndim == 1 else self.root[:, None])
+
+
 @dataclass
 class QPProblem:
     """min ½ xᵀHx + gᵀx  s.t.  eq_matrix·x = eq_rhs,  lower ≤ x ≤ upper.
 
-    ``lower``/``upper`` are optional (scalars broadcast) and may be ±inf;
-    ``linear`` is the gradient term g, zero when omitted. H must be finite
-    and symmetric; eq_matrix, eq_rhs and g finite, with at most n rows in
-    eq_matrix, which may have none. Any violation raises ValueError here,
-    so the solvers take the data as checked; they raise NotSPD when H is
-    not positive definite.
+    ``hessian`` is H as an (n, n) matrix, or as an (n,) vector that is its
+    diagonal. ``lower``/``upper`` are optional (scalars broadcast) and may
+    be ±inf; ``linear`` is the gradient term g, zero when omitted. H must
+    be finite, and symmetric when dense; eq_matrix, eq_rhs and g finite,
+    with at most n rows in eq_matrix, which may have none. Any violation
+    raises ValueError here, so the solvers take the data as checked; they
+    raise NotSPD when H is not positive definite.
     """
 
     hessian: np.ndarray
@@ -143,11 +191,15 @@ class QPProblem:
     linear: object = None
 
     def __post_init__(self):
-        self.hessian = _as_matrix(self.hessian, "hessian")
+        self.hessian = np.asarray(self.hessian, dtype=float)
+        if self.hessian.ndim == 1:
+            self.hessian = _as_vector(self.hessian, self.hessian.size, "hessian")
+        else:
+            self.hessian = _as_matrix(self.hessian, "hessian")
+            if self.hessian.shape[1] != self.hessian.shape[0]:
+                raise ValueError("hessian must be square")
+            _check_symmetric(self.hessian, "hessian")
         n = self.hessian.shape[0]
-        if self.hessian.shape[1] != n:
-            raise ValueError("hessian must be square")
-        _check_symmetric(self.hessian, "hessian")
         self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
         if self.eq_matrix.size == 0:
             self.eq_matrix = self.eq_matrix.reshape(0, n)
@@ -190,9 +242,14 @@ class QPProblem:
         hi = self.upper if self.upper is not None else np.full(self.n, np.inf)
         return lo, hi
 
+    @property
+    def dense_hessian(self):
+        """H as an (n, n) matrix, expanding a diagonal one."""
+        return np.diag(self.hessian) if self.hessian.ndim == 1 else self.hessian
+
     def objective(self, x):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.hessian @ x + self.linear @ x)
+        return float(0.5 * x @ self.dense_hessian @ x + self.linear @ x)
 
 
 def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
@@ -231,9 +288,11 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
 def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     """Solve an equality-constrained QP in range space.
 
-    With H = LLᵀ (Cholesky) and L⁻¹Cᵀ = QR, R is the Cholesky factor of the
-    Gram matrix C H⁻¹ Cᵀ. The multipliers solve RᵀR λ = b + C H⁻¹ g, and
-    x = H⁻¹(Cᵀλ − g), computed as L⁻ᵀ(Q(R⁻ᵀb + QᵀL⁻¹g) − L⁻¹g).
+    With H = LLᵀ and L⁻¹Cᵀ = QR, R is the Cholesky factor of the Gram
+    matrix C H⁻¹ Cᵀ. The multipliers solve RᵀR λ = b + C H⁻¹ g, and
+    x = H⁻¹(Cᵀλ − g), computed as L⁻ᵀ(Q(R⁻ᵀb + QᵀL⁻¹g) − L⁻¹g). On a
+    diagonal H, L = diag(√h), so the only factorization is the QR of
+    H^-½Cᵀ.
 
     Parameters
     ----------
@@ -261,9 +320,9 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     if problem.has_bounds:
         raise ValueError("problem has bounds; use solve_box_qp")
     c, b = problem.eq_matrix, problem.eq_rhs
-    chol = _cholesky_checked(problem.hessian, tol, NotSPD)
-    lc = _solve_tri(chol, c.T, lower=True)
-    lg = _solve_tri(chol, problem.linear, lower=True)
+    factor = _HessianFactor(problem.hessian, tol)
+    lc = factor.solve(c.T)
+    lg = factor.solve(problem.linear)
     # The two LAPACK calls scipy.linalg.qr(lc, mode="economic") makes, without
     # its workspace queries and argument handling: 4 µs against 34 on 36×3.
     # R is copied out before dorgqr overwrites qr.
@@ -279,5 +338,5 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
                 f"{smallest:.3e} vs scale {r_scale:.3e}"
             )
     a = _solve_tri(r, b, trans=1) + q.T @ lg
-    x = _solve_tri(chol, q @ a - lg, lower=True, trans=1)
+    x = factor.solve(q @ a - lg, trans=1)
     return x, _solve_tri(r, a)

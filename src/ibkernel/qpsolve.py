@@ -16,6 +16,12 @@ Four routes to a minimizer of ½ xᵀHx + gᵀx; the first three take a
 
 plus phase1_feasible (a bounded least-squares feasibility probe) and
 check_kkt (residual audit of any solution against any problem).
+
+solve_generating_qp passes the kernel Hessian W⁻¹ as the vector 1/w, so
+its solves factor no n×n matrix: solve_eq_qp's only factorization is the
+QR of W^½Aᵀ, and solve_box_qp divides by √h where a dense H would need
+triangular solves. solve_soft_qp, the objective and check_kkt expand a
+diagonal H where they need it dense.
 """
 
 from dataclasses import dataclass
@@ -29,7 +35,6 @@ from .errors import (
     InsufficientSupport,
     LengthMismatch,
     MaxIterationsExceeded,
-    NotSPD,
     RankDeficientConstraints,
 )
 from .kernels import KernelSource, KernelWeights, SolveMode
@@ -38,7 +43,7 @@ from .kernels import KernelSource, KernelWeights, SolveMode
 from .linalg import (
     DEFAULT_TOLERANCES,
     QPProblem,
-    _cholesky_checked,
+    _HessianFactor,
     _solve_tri,
     solve_kkt,
     solve_spd,
@@ -168,6 +173,11 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     are recomputed from that factorization, so rounding does not build up
     over the steps, and pinned variables sit exactly on their bounds.
 
+    On a diagonal H nothing is factored: L = diag(√h), L⁻¹ is a
+    division, and Qᵀ applied to the scaled unit normal of bound p is
+    row p of Q, scaled. With g = 0 the start point's terms in −L⁻¹g are
+    exact zeros and are left out.
+
     Parameters
     ----------
     problem : QPProblem with bounds.
@@ -194,15 +204,13 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
     cap = 50 * n if max_iterations is None else int(max_iterations)
-    chol = _cholesky_checked(problem.hessian, tol, NotSPD)
-    y0 = -_solve_tri(chol, problem.linear, lower=True)
+    factor = _HessianFactor(problem.hessian, tol)
+    y0 = -factor.solve(problem.linear) if problem.linear.any() else None
 
     # Working set: the pinned bounds (site, +1 at lower / -1 at upper, the
     # bound) in the order they joined, then the m equality rows.
     pinned, side, at = [], [], []
-    q_fac, r_fac = scipy.linalg.qr(
-        _solve_tri(chol, problem.eq_matrix.T, lower=True)
-    )
+    q_fac, r_fac = scipy.linalg.qr(factor.solve(problem.eq_matrix.T))
     _check_rank(r_fac[:m])
 
     def minimizer():
@@ -211,9 +219,13 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         r1, q1, q2 = r_fac[:q], q_fac[:, :q], q_fac[:, q:]
         rhs = np.concatenate([np.multiply(side, at), problem.eq_rhs])
         a = _solve_tri(r1, rhs, trans=1)
-        x = _solve_tri(chol, q2 @ (q2.T @ y0) + q1 @ a, lower=True, trans=1)
+        if y0 is None:
+            x = factor.solve(q1 @ a, trans=1)
+        else:
+            x = factor.solve(q2 @ (q2.T @ y0) + q1 @ a, trans=1)
+            a = a - q1.T @ y0
         x[pinned] = at
-        return x, _solve_tri(r1, a - q1.T @ y0)
+        return x, _solve_tri(r1, a)
 
     x, u = minimizer()
     steps = 0
@@ -227,7 +239,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         bound = lo[p] if s_p > 0 else hi[p]
         normal = np.zeros(n)
         normal[p] = s_p
-        w = _solve_tri(chol, normal, lower=True)
+        w = factor.solve(normal)
         while True:
             steps += 1
             if steps > cap:
@@ -235,7 +247,8 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                     f"dual active-set iteration cap {cap} reached"
                 )
             k, q = len(pinned), len(pinned) + m
-            d = q_fac.T @ w
+            # On a diagonal, w is zero but at p.
+            d = q_fac.T @ w if factor.root is None else q_fac[p] * w[p]
             r = _solve_tri(r_fac[:q], d[:q])
             dz = d[q:]
             curvature = float(dz @ dz)
@@ -263,7 +276,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                 x, u = minimizer()
                 break
             if t_full < np.inf:
-                z = _solve_tri(chol, q_fac[:, q:] @ dz, lower=True, trans=1)
+                z = factor.solve(q_fac[:, q:] @ dz, trans=1)
                 x = x + t_part * z
             drop = int(np.argmin(ratios))
             u = np.delete(u - t_part * r, drop)
@@ -329,7 +342,7 @@ def solve_soft_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     if not problem.has_bounds:
         raise ValueError("soft solve requires bounds")
     c, b = problem.eq_matrix, problem.eq_rhs
-    soft_h = problem.hessian + _PENALTY * (c.T @ c)
+    soft_h = problem.dense_hessian + _PENALTY * (c.T @ c)
     soft_h = 0.5 * (soft_h + soft_h.T)
     soft_g = problem.linear - _PENALTY * (c.T @ b)
     inner = QPProblem(
@@ -431,7 +444,7 @@ def check_kkt(problem, solution):
         raise LengthMismatch(
             f"bound multipliers have length {mu.shape[0]}, expected {problem.n}"
         )
-    h, g = problem.hessian, problem.linear
+    h, g = problem.dense_hessian, problem.linear
     lo, hi = problem.bounds()
 
     grad = h @ x + g - (problem.eq_matrix.T @ lam if problem.m else 0.0) - mu
@@ -481,7 +494,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         raise InsufficientSupport(
             f"only {n_keep} sites carry weight above {tol.zero_weight:g}"
         )
-    hessian = np.diag(1.0 / w[keep])
+    hessian = 1.0 / w[keep]
     a_keep = system.A[:, keep]
 
     if bounds is None:

@@ -349,6 +349,23 @@ def test_paired_operators_match_per_marker_reference(dim, kind, order, builds):
     assert got_field.tobytes() == want_field.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["two-sided", "one-sided", "boxed"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_marker_calls_match_per_marker_reference(dim, kind, builds):
+    # A one-marker batch is the marker's own kernel, with no gather.
+    grid, strategy, markers, field, values = _paired_case(dim, kind)
+    for k in range(len(markers)):
+        x, v = markers[k:k + 1], values[k:k + 1]
+        want_value = per_marker_interpolate(field, x, strategy)
+        want_field = per_marker_spread(v, x, grid, strategy)
+        builds.clear()
+        got_value = interpolate(field, x, strategy)
+        got_field = spread(v, x, grid, strategy).values
+        assert len(builds) == 1
+        assert got_value.tobytes() == want_value.tobytes()
+        assert got_field.tobytes() == want_field.tobytes()
+
+
 def _call(op, grid, strategy, markers, field, values):
     if op == "I":
         return interpolate(field, markers, strategy)

@@ -194,6 +194,56 @@ def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
         )
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_diagonal_solve_kkt_matches_saddle_solve_on_stencils(dimension):
+    # W⁻¹ passed as its diagonal, as solve_generating_qp passes it, on
+    # two-sided and one-sided stencils, with g = 0 and with g ≠ 0.
+    npr.seed(17 + dimension)
+    h = 0.075
+    grid = make_grid([(-1.0, 1.0)] * dimension, h)
+    wf = WeightFunction.six_point_spline(h)
+    basis = build_basis(dimension, BasisDegree.LINEAR)
+    sd = SignedDistance.circle(np.zeros(dimension), 0.5)
+    for _ in range(10):
+        direction = npr.randn(dimension)
+        marker = 0.5 * direction / np.linalg.norm(direction)
+        stencil = support_stencil(grid, marker, wf.radius_in_cells)
+        two_sided = assemble_system(stencil.sites, marker, wf, basis)
+        one_sided = restrict_weights(two_sided, classify_side(sd, stencil.sites))
+        for system in (two_sided, one_sided):
+            keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+            w, c = system.Wdiag[keep], system.A[:, keep]
+            for g in (np.zeros(w.size), npr.randn(w.size)):
+                x, lam = solve_kkt(QPProblem(1.0 / w, c, system.p, linear=g))
+                x_ref, lam_ref = saddle_solve(np.diag(1.0 / w), c, g, system.p)
+                assert np.max(np.abs(x - x_ref)) <= 1e-14 * np.max(np.abs(x_ref))
+                assert (np.max(np.abs(lam - lam_ref))
+                        <= 1e-14 * np.max(np.abs(lam_ref)))
+
+
+def test_diagonal_hessian_validation():
+    c, b = np.ones((1, 3)), [1.0]
+    for bad in ([1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError):
+            QPProblem(bad, c, b)
+    for entry in (0.0, -1.0):
+        with pytest.raises(NotSPD):
+            solve_kkt(QPProblem([1.0, entry, 1.0], c, b))
+
+
+def test_diagonal_hessian_has_no_relative_pivot_floor():
+    # Entries spanning 1e20 pass (a diagonal has no factorization error),
+    # where the dense form fails the Cholesky pivot floor.
+    h = np.array([1e-6, 1.0, 1e14])
+    c = np.array([[1.0, 1.0, 1.0]])
+    x, lam = solve_kkt(QPProblem(h, c, [1.0]))
+    x_ref, lam_ref = saddle_solve(np.diag(h), c, np.zeros(3), [1.0])
+    assert_allclose(x, x_ref, rtol=1e-14)
+    assert_allclose(lam, lam_ref, rtol=1e-14)
+    with pytest.raises(NotSPD):
+        solve_kkt(QPProblem(np.diag(h), c, [1.0]))
+
+
 def test_kkt_system_validation():
     # solve_kkt's input is a QPProblem, which rejects bad data at construction
     with pytest.raises(ValueError):

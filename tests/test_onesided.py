@@ -12,8 +12,9 @@ from ibkernel.kernels import (
     WeightFunction,
     assemble_system,
     build_basis,
+    eval_psi6,
 )
-from ibkernel.ibops import make_grid, support_stencil
+from ibkernel.ibops import KernelStrategy, make_grid, support_stencil
 from ibkernel.qpsolve import solve_generating_qp
 from ibkernel.onesided import (
     KernelBounds,
@@ -291,3 +292,27 @@ def test_sphere_boxes():
                 psi[keep], system.Wdiag[keep], system.A[:, keep], alpha, beta
             )
             assert max(residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+def test_scaled_weight_profile_gives_the_psi6_kernel(scale):
+    # Scaling W leaves the kernel unchanged, yet c·ψ6 keeps sites down to
+    # ψ6 = 1e-14/c, so W⁻¹ spans more than 1e14. A relative Cholesky pivot
+    # floor refused 7 of these two-sided markers at c = 1e2 and 1e4.
+    h = 0.075
+    grid = make_grid(((-1.0, 1.0), (-1.0, 1.0)), h)
+    c = grid.axis_centers(0)[13]
+    ang = np.deg2rad(7.5 * np.arange(48))
+    circle = 0.5 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    scaled = WeightFunction.custom1d(h, lambda r: scale * eval_psi6(r), 3.0)
+    sd = SignedDistance.circle((0.0, 0.0), 0.5)
+    for side, markers, rtol in (
+        (None, np.vstack([[c + 0.01 * h, c + 0.3 * h], circle]), 1e-13),
+        (sd, circle, 1e-11),
+    ):
+        ref = KernelStrategy(WeightFunction.six_point_spline(h), signed_distance=side)
+        got = KernelStrategy(scaled, signed_distance=side)
+        for marker in markers:
+            want = ref.kernel_for(grid, marker)[1].psi
+            psi = got.kernel_for(grid, marker)[1].psi
+            assert np.max(np.abs(psi - want)) <= rtol * np.max(np.abs(want))

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import brute_force_box_qp, random_box_problem
 
 from ibkernel.errors import (
+    IBKernelError,
     Infeasible,
     InsufficientSupport,
     LengthMismatch,
@@ -22,7 +23,10 @@ from ibkernel.kernels import (
     eval_psi4,
     generating_function_closed_form,
 )
-from ibkernel.linalg import solve_kkt
+from ibkernel.experiments import CircleCaseConfig
+from ibkernel.ibops import make_grid, support_stencil
+from ibkernel.linalg import DEFAULT_TOLERANCES, solve_kkt
+from ibkernel.onesided import SignedDistance, classify_side, restrict_weights
 from ibkernel.qpsolve import (
     Peskin4Weights,
     QPProblem,
@@ -338,6 +342,19 @@ class TestCheckKKT:
         report = check_kkt(self.p, bad)
         assert report.max_residual() > 1e-5
 
+    def test_diagonal_hessian_is_expanded_where_a_dense_one_is_needed(self):
+        # objective, check_kkt and the soft fallback's penalized Hessian
+        h = np.array([2.0, 0.5, 1.0])
+        forms = [
+            QPProblem(hess, np.ones((1, 3)), [1.0], lower=0.0, upper=0.3)
+            for hess in (h, np.diag(h))
+        ]
+        soft = [solve_soft_qp(p) for p in forms]
+        assert soft[0].x.tobytes() == soft[1].x.tobytes()
+        x = soft[1].x
+        assert forms[0].objective(x) == forms[1].objective(x)
+        assert check_kkt(forms[0], soft[1]) == check_kkt(forms[1], soft[1])
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             check_kkt(self.p, QPSolutionLike(self.sol, x=np.zeros(3)))
@@ -418,3 +435,114 @@ class TestGeneratingQP:
         a = solve_generating_qp(system, bounds=Bounds())
         b = solve_generating_qp(system, bounds=(-1.0, 1.0))
         assert_allclose(a.psi, b.psi, atol=1e-14)
+
+
+# A diagonal Hessian against its dense form. solve_generating_qp hands
+# W⁻¹ to the solvers as the vector 1/w; np.diag(1/w) takes the Cholesky
+# route. Both run the bounded pipeline as solve_generating_qp does.
+
+# Case-4 angles that raise RankDeficientConstraints, and three whose
+# multipliers reach 1e10 and more.
+RANK_DEFICIENT_DEG = (115.0, 115.5, 125.0, 125.5, 324.5, 325.0, 334.5, 335.0)
+ILL_CONDITIONED_DEG = (29.0, 187.5, 225.0)
+
+
+def _bounded_pipeline(problem):
+    """(mode or exception class name, solution) as solve_generating_qp runs it."""
+    try:
+        if phase1_feasible(problem).feasible:
+            sol = solve_box_qp(problem)
+        else:
+            sol = solve_soft_qp(problem)
+    except IBKernelError as exc:
+        return type(exc).__name__, None
+    return sol.mode.value, sol
+
+
+def _diagonal_and_dense(grid, marker, sd, alpha, beta):
+    wf = WeightFunction.six_point_spline(grid.spacing[0])
+    basis = build_basis(grid.dimension, BasisDegree.LINEAR)
+    sites = support_stencil(grid, marker, wf.radius_in_cells).sites
+    system = restrict_weights(
+        assemble_system(sites, marker, wf, basis), classify_side(sd, sites)
+    )
+    keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+    h = 1.0 / system.Wdiag[keep]
+    return [
+        _bounded_pipeline(QPProblem(
+            hessian, system.A[:, keep], system.p, lower=alpha, upper=beta
+        ))
+        for hessian in (h, np.diag(h))
+    ]
+
+
+def _assert_same_kernel(diagonal, dense):
+    (mode, sol), (dense_mode, dense_sol) = diagonal, dense
+    assert mode == dense_mode
+    if sol is not None:
+        assert sol.active_set == dense_sol.active_set
+        scale = np.max(np.abs(dense_sol.x))
+        assert np.max(np.abs(sol.x - dense_sol.x)) <= 1e-12 * scale
+
+
+def _circle_markers(case, angles):
+    cfg = CircleCaseConfig.for_case(case, marker_angles_deg=angles)
+    sd = SignedDistance.circle(cfg.center, cfg.radius)
+    grid = make_grid(cfg.extents, cfg.mesh_width)
+    return grid, sd, cfg.bounds, cfg.marker_positions()
+
+
+def test_diagonal_hessian_matches_dense_on_case3_sweep():
+    grid, sd, bounds, markers = _circle_markers(3, 0.5 * np.arange(720))
+    for marker in markers:
+        diagonal, dense = _diagonal_and_dense(
+            grid, marker, sd, bounds.alpha, bounds.beta
+        )
+        assert diagonal[0] == "Exact"
+        _assert_same_kernel(diagonal, dense)
+
+
+def test_diagonal_hessian_matches_dense_on_case4():
+    angles = sorted(
+        set(RANK_DEFICIENT_DEG + ILL_CONDITIONED_DEG)
+        | set(5.0 * np.arange(72))
+    )
+    grid, sd, bounds, markers = _circle_markers(4, angles)
+    modes = []
+    for marker in markers:
+        diagonal, dense = _diagonal_and_dense(
+            grid, marker, sd, bounds.alpha, bounds.beta
+        )
+        _assert_same_kernel(diagonal, dense)
+        modes.append(diagonal[0])
+    for deg, mode in zip(angles, modes):
+        if deg in RANK_DEFICIENT_DEG:
+            assert mode == "RankDeficientConstraints"
+    assert {"Exact", "SoftConstraint"} <= set(modes)
+
+
+def test_diagonal_hessian_matches_dense_on_sphere_boxes():
+    # The sphere benchmark's geometry: 150 markers of a Fibonacci lattice
+    # on r = 0.5, 216-site one-sided stencils, every third marker unbounded
+    # and the rest split between the two boxes.
+    n = 150
+    grid = make_grid([(-0.9, 0.9)] * 3, 0.075)
+    sd = SignedDistance.circle(np.zeros(3), 0.5)
+    z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)
+    ring = np.sqrt(1.0 - z * z)
+    markers = 0.5 * np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=1)
+    boxes = (None, (-0.07, 0.5), (0.0, 0.75))
+    for k, marker in enumerate(markers):
+        if boxes[k % 3] is None:
+            continue
+        diagonal, dense = _diagonal_and_dense(grid, marker, sd, *boxes[k % 3])
+        assert diagonal[0] == "Exact"
+        _assert_same_kernel(diagonal, dense)
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0])
+def test_diagonal_hessian_with_a_non_positive_entry_raises_not_spd(entry):
+    p = QPProblem([1.0, entry], np.ones((1, 2)), [1.0], lower=0.0, upper=1.0)
+    with pytest.raises(NotSPD):
+        solve_box_qp(p)
