@@ -1,23 +1,20 @@
 """The QP problem type and its SPD and equality-constrained solvers.
 
-Every quadratic program in this package, min ½ xᵀHx + gᵀx subject to
-Cx = b and optional bounds, is a ``QPProblem``, and its data are checked
-once, when it is built: shapes, finite H, C, b and g, a symmetric H, at
-most n constraint rows, and bounds that are not NaN and not crossed.
+Every quadratic program in this package is a kernel's, min ½ xᵀHx subject
+to Cx = b and optional bounds, with H = W⁻¹ diagonal. It is a
+``QPProblem``, which holds H as the vector h of its diagonal, and its data
+are checked once, when it is built: shapes, finite h, C and b, at most n
+constraint rows, and bounds that are not NaN and not crossed.
 
-H is either a dense matrix or a vector holding the diagonal of H, as it
-is for every kernel (W⁻¹ with a diagonal weight matrix W). One helper,
-``_HessianFactor``, holds a factor L with H = LLᵀ and applies L⁻¹ and
-L⁻ᵀ: a checked Cholesky factor of a dense H, or diag(√h) for a diagonal,
-which costs O(n) to set up and to apply. All systems are small (a few
-dozen unknowns, at most a handful of constraints), so dense
+H is SPD when every entry of h is > 0 (NotSPD otherwise), and L = diag(√h)
+has H = LLᵀ, so applying L⁻¹ is a division that costs O(n). An equality
+QP is solved in range space: the m×m Cholesky factor of the constraint
+Gram matrix is taken as the R of a QR factorization of L⁻¹Cᵀ, so that its
+condition number is not squared, and its pivots are verified against a
+relative rank threshold (RankDeficientConstraints). All systems are small
+(a few dozen unknowns, at most a handful of constraints), so dense
 factorizations from LAPACK are both the simplest and the most accurate
-choice. An equality QP is solved in range space: the m×m Cholesky factor
-of the constraint Gram matrix is taken as the R of a QR factorization of
-L⁻¹Cᵀ, so that its condition number is not squared. A dense Hessian's
-Cholesky pivots are verified against a relative floor, a diagonal's
-entries against zero (NotSPD), and the pivots of R against a relative
-rank threshold (RankDeficientConstraints).
+choice. ``solve_spd`` is a checked Cholesky solve of a dense SPD matrix.
 """
 
 from dataclasses import dataclass
@@ -44,10 +41,10 @@ class ToleranceSet:
     Attributes
     ----------
     spd_pivot : float
-        A Cholesky pivot below ``spd_pivot * max(diag)`` means not SPD.
-        Dense Hessians only: a diagonal Hessian is SPD when every entry is
-        > 0, with no relative floor, because a diagonal has no
-        factorization error (scaling W leaves the kernel unchanged).
+        A Cholesky pivot below ``spd_pivot * max(diag)`` means not SPD
+        (``solve_spd``). A diagonal Hessian has no such floor: it is SPD
+        when every entry is > 0, because a diagonal has no factorization
+        error (scaling W leaves the kernel unchanged).
     rank_pivot : float
         Constraint rows are rank deficient when a constraint matrix's
         smallest singular value (a restricted moment matrix), or the
@@ -68,7 +65,7 @@ class ToleranceSet:
 
 DEFAULT_TOLERANCES = ToleranceSet()
 
-# Relative symmetry slack accepted on Hessian inputs.
+# Relative symmetry slack accepted on ``solve_spd``'s matrix.
 _SYMMETRY_RTOL = 1e-12
 
 
@@ -90,14 +87,8 @@ def _as_vector(v, n, name):
     return v
 
 
-def _check_symmetric(a, name):
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if a.size and float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric")
-
-
-def _solve_tri(a, v, lower=False, trans=0):
-    """Triangular solve through LAPACK directly, on inputs already checked.
+def _solve_tri(a, v, trans=0):
+    """Upper-triangular solve through LAPACK, on inputs already checked.
 
     At these sizes ``scipy.linalg.solve_triangular`` spends about four
     times as long on argument handling as on the solve, and the dual
@@ -105,82 +96,46 @@ def _solve_tri(a, v, lower=False, trans=0):
     """
     if not a.size:
         return np.zeros(np.shape(v))
-    x, info = scipy.linalg.lapack.dtrtrs(a, v, lower=lower, trans=trans)
+    x, info = scipy.linalg.lapack.dtrtrs(a, v, trans=trans)
     if info:
         raise RankDeficientConstraints("triangular factor is singular")
     return x
 
 
-def _cholesky_checked(a, tol, exc):
-    """Cholesky factor of ``a`` or raise ``exc`` with a pivot diagnostic."""
-    diag_max = float(a.diagonal().max()) if a.size else 0.0
-    if a.size and diag_max <= 0.0:
-        raise exc("matrix has a non-positive diagonal")
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise exc(f"Cholesky factorization failed: {err}") from err
-    if a.size:
-        smallest = float((chol.diagonal() ** 2).min())
-        floor = tol.spd_pivot * diag_max
-        if smallest < floor:
-            raise exc(
-                f"smallest Cholesky pivot {smallest:.3e} below "
-                f"relative floor {floor:.3e}"
-            )
-    return chol
+def _diagonal_root(hessian):
+    """√h of a diagonal Hessian h, which is SPD when every entry is > 0.
 
-
-class _HessianFactor:
-    """A factor L with H = LLᵀ, applying L⁻¹ and L⁻ᵀ.
-
-    A 2-D Hessian gets its Cholesky factor, whose pivots must clear
-    ``tol.spd_pivot`` times the largest diagonal entry. A 1-D one is the
-    diagonal h of H: L = diag(√h), nothing is factored, and H is SPD when
-    every entry is > 0. ``root`` holds √h, or is None for a dense H.
-
-    Raises NotSPD when H is not positive definite.
+    Raises NotSPD otherwise.
     """
+    if hessian.size and not hessian.min() > 0.0:
+        raise NotSPD(
+            f"diagonal Hessian has a non-positive entry {hessian.min():.3e}"
+        )
+    return np.sqrt(hessian)
 
-    def __init__(self, hessian, tol):
-        self.root = None
-        if hessian.ndim == 2:
-            self.chol = _cholesky_checked(hessian, tol, NotSPD)
-            return
-        if hessian.size and not hessian.min() > 0.0:
-            raise NotSPD(
-                f"diagonal Hessian has a non-positive entry {hessian.min():.3e}"
-            )
-        self.root = np.sqrt(hessian)
-        self._inv_root = 1.0 / self.root
 
-    def solve(self, v, trans=0):
-        """L⁻¹v, or L⁻ᵀv with ``trans=1``; ``v`` is (n,) or (n, k).
+def _divide(v, root):
+    """diag(root)⁻¹v for ``v`` of shape (n,) or (n, k), in O(n·k).
 
-        On a diagonal both are O(n·k) and round as LAPACK's ``dtrtrs``
-        rounds a solve with diag(√h) in the OpenBLAS that numpy and scipy
-        ship: it divides a single right-hand side by the pivot and scales
-        several by the pivot's reciprocal. So a diagonal Hessian and its
-        ``np.diag`` give the same bits.
-        """
-        if self.root is None:
-            return _solve_tri(self.chol, v, lower=True, trans=trans)
-        if v.ndim == 2 and v.shape[1] > 1:
-            return v * self._inv_root[:, None]
-        return v / (self.root if v.ndim == 1 else self.root[:, None])
+    Rounds as LAPACK's ``dtrtrs`` rounds a solve with diag(root) in the
+    OpenBLAS that numpy and scipy ship: a single right-hand side is
+    divided by the pivot, several are scaled by the pivot's reciprocal.
+    """
+    if v.ndim == 2 and v.shape[1] > 1:
+        return v * (1.0 / root)[:, None]
+    return v / (root if v.ndim == 1 else root[:, None])
 
 
 @dataclass
 class QPProblem:
-    """min ½ xᵀHx + gᵀx  s.t.  eq_matrix·x = eq_rhs,  lower ≤ x ≤ upper.
+    """min ½ xᵀHx  s.t.  eq_matrix·x = eq_rhs,  lower ≤ x ≤ upper.
 
-    ``hessian`` is H as an (n, n) matrix, or as an (n,) vector that is its
-    diagonal. ``lower``/``upper`` are optional (scalars broadcast) and may
-    be ±inf; ``linear`` is the gradient term g, zero when omitted. H must
-    be finite, and symmetric when dense; eq_matrix, eq_rhs and g finite,
+    ``hessian`` is the (n,) diagonal h of H, as W⁻¹ is for every kernel; a
+    2-D ``hessian`` is rejected. ``lower``/``upper`` are optional (scalars
+    broadcast) and may be ±inf. h, eq_matrix and eq_rhs must be finite,
     with at most n rows in eq_matrix, which may have none. Any violation
     raises ValueError here, so the solvers take the data as checked; they
-    raise NotSPD when H is not positive definite.
+    raise NotSPD when an entry of h is not > 0.
     """
 
     hessian: np.ndarray
@@ -188,18 +143,16 @@ class QPProblem:
     eq_rhs: np.ndarray
     lower: object = None
     upper: object = None
-    linear: object = None
 
     def __post_init__(self):
         self.hessian = np.asarray(self.hessian, dtype=float)
-        if self.hessian.ndim == 1:
-            self.hessian = _as_vector(self.hessian, self.hessian.size, "hessian")
-        else:
-            self.hessian = _as_matrix(self.hessian, "hessian")
-            if self.hessian.shape[1] != self.hessian.shape[0]:
-                raise ValueError("hessian must be square")
-            _check_symmetric(self.hessian, "hessian")
-        n = self.hessian.shape[0]
+        if self.hessian.ndim != 1:
+            raise ValueError(
+                f"hessian must be the 1-D diagonal of H, got shape "
+                f"{self.hessian.shape}"
+            )
+        n = self.hessian.size
+        self.hessian = _as_vector(self.hessian, n, "hessian")
         self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
         if self.eq_matrix.size == 0:
             self.eq_matrix = self.eq_matrix.reshape(0, n)
@@ -211,9 +164,6 @@ class QPProblem:
         if self.eq_matrix.shape[0] > n:
             raise ValueError("more constraints than unknowns")
         self.eq_rhs = _as_vector(self.eq_rhs, self.eq_matrix.shape[0], "eq_rhs")
-        self.linear = _as_vector(
-            np.zeros(n) if self.linear is None else self.linear, n, "linear"
-        )
         for name in ("lower", "upper"):
             v = getattr(self, name)
             if v is not None:
@@ -242,14 +192,9 @@ class QPProblem:
         hi = self.upper if self.upper is not None else np.full(self.n, np.inf)
         return lo, hi
 
-    @property
-    def dense_hessian(self):
-        """H as an (n, n) matrix, expanding a diagonal one."""
-        return np.diag(self.hessian) if self.hessian.ndim == 1 else self.hessian
-
     def objective(self, x):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.dense_hessian @ x + self.linear @ x)
+        return float(0.5 * x @ (self.hessian * x))
 
 
 def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
@@ -277,22 +222,36 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
     a = _as_matrix(matrix, "matrix")
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    _check_symmetric(a, "matrix")
+    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
+    if a.size and float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
+        raise ValueError("matrix is not symmetric")
     b = _as_vector(rhs, a.shape[0], "rhs")
     if a.shape[0] == 0:
         return np.zeros(0)
-    chol = _cholesky_checked(a, tol, NotSPD)
+    diag_max = float(a.diagonal().max())
+    if diag_max <= 0.0:
+        raise NotSPD("matrix has a non-positive diagonal")
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
+        raise NotSPD(f"Cholesky factorization failed: {err}") from err
+    smallest = float((chol.diagonal() ** 2).min())
+    floor = tol.spd_pivot * diag_max
+    if smallest < floor:
+        raise NotSPD(
+            f"smallest Cholesky pivot {smallest:.3e} below "
+            f"relative floor {floor:.3e}"
+        )
     return scipy.linalg.cho_solve((chol, True), b)
 
 
 def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     """Solve an equality-constrained QP in range space.
 
-    With H = LLᵀ and L⁻¹Cᵀ = QR, R is the Cholesky factor of the Gram
-    matrix C H⁻¹ Cᵀ. The multipliers solve RᵀR λ = b + C H⁻¹ g, and
-    x = H⁻¹(Cᵀλ − g), computed as L⁻ᵀ(Q(R⁻ᵀb + QᵀL⁻¹g) − L⁻¹g). On a
-    diagonal H, L = diag(√h), so the only factorization is the QR of
-    H^-½Cᵀ.
+    With L = diag(√h) and L⁻¹Cᵀ = QR, R is the Cholesky factor of the
+    Gram matrix C H⁻¹ Cᵀ. The multipliers solve RᵀR λ = b, and
+    x = H⁻¹Cᵀλ is computed as L⁻¹QR⁻ᵀb, so the only factorization is the
+    QR of H^-½Cᵀ.
 
     Parameters
     ----------
@@ -304,8 +263,8 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     x : (n,) ndarray
         Primal minimizer.
     lam : (m,) ndarray
-        Constraint multipliers, with the sign convention
-        Hx + g = Cᵀλ at the solution.
+        Constraint multipliers, with the sign convention Hx = Cᵀλ at the
+        solution.
 
     Raises
     ------
@@ -320,9 +279,8 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     if problem.has_bounds:
         raise ValueError("problem has bounds; use solve_box_qp")
     c, b = problem.eq_matrix, problem.eq_rhs
-    factor = _HessianFactor(problem.hessian, tol)
-    lc = factor.solve(c.T)
-    lg = factor.solve(problem.linear)
+    root = _diagonal_root(problem.hessian)
+    lc = _divide(c.T, root)
     # The two LAPACK calls scipy.linalg.qr(lc, mode="economic") makes, without
     # its workspace queries and argument handling: 4 µs against 34 on 36×3.
     # R is copied out before dorgqr overwrites qr.
@@ -337,6 +295,5 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
                 f"constraint rows dependent: smallest R pivot "
                 f"{smallest:.3e} vs scale {r_scale:.3e}"
             )
-    a = _solve_tri(r, b, trans=1) + q.T @ lg
-    x = factor.solve(q @ a - lg, trans=1)
-    return x, _solve_tri(r, a)
+    a = _solve_tri(r, b, trans=1)
+    return _divide(q @ a, root), _solve_tri(r, a)

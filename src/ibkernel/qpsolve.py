@@ -1,27 +1,23 @@
 """Constrained quadratic minimization engines.
 
-Four routes to a minimizer of ½ xᵀHx + gᵀx; the first three take a
-``QPProblem`` (defined and validated in linalg, re-exported here):
+Four routes to a kernel's minimizer of ½ xᵀHx with H = W⁻¹ diagonal; the
+first three take a ``QPProblem`` (defined and validated in linalg,
+re-exported here), which holds H as the vector of its diagonal:
 
 - solve_eq_qp: equality constraints only, one range-space solve
-  (linalg.solve_kkt).
+  (linalg.solve_kkt), whose only factorization is the QR of H^-½Cᵀ.
 - solve_box_qp: equalities plus bound constraints, the dual active-set
   method of Goldfarb & Idnani (Math. Programming 27, 1983), started from
   the equality-constrained minimizer.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
-  empty.
+  empty. With a diagonal H this is bounded least squares.
 - solve_peskin4: the four-point kernel's per-axis system, which is exactly
   determined up to one quadratic root and needs no iteration at all.
 
 plus phase1_feasible (a bounded least-squares feasibility probe) and
-check_kkt (residual audit of any solution against any problem).
-
-solve_generating_qp passes the kernel Hessian W⁻¹ as the vector 1/w, so
-its solves factor no n×n matrix: solve_eq_qp's only factorization is the
-QR of W^½Aᵀ, and solve_box_qp divides by √h where a dense H would need
-triangular solves. solve_soft_qp, the objective and check_kkt expand a
-diagonal H where they need it dense.
+check_kkt (residual audit of any solution against any problem). Phase-1
+and the soft fallback share one bounded-variable least-squares solve.
 """
 
 from dataclasses import dataclass
@@ -43,7 +39,8 @@ from .kernels import KernelSource, KernelWeights, SolveMode
 from .linalg import (
     DEFAULT_TOLERANCES,
     QPProblem,
-    _HessianFactor,
+    _diagonal_root,
+    _divide,
     _solve_tri,
     solve_kkt,
     solve_spd,
@@ -168,15 +165,12 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
 
     The working set's normals N (a signed unit vector per pinned bound,
     then the equality rows) enter through a full QR factorization of
-    L⁻¹N with H = LLᵀ, kept current by ``scipy.linalg.qr_insert`` and
-    ``qr_delete``. After each full step the iterate and the multipliers
-    are recomputed from that factorization, so rounding does not build up
-    over the steps, and pinned variables sit exactly on their bounds.
-
-    On a diagonal H nothing is factored: L = diag(√h), L⁻¹ is a
-    division, and Qᵀ applied to the scaled unit normal of bound p is
-    row p of Q, scaled. With g = 0 the start point's terms in −L⁻¹g are
-    exact zeros and are left out.
+    L⁻¹N with L = diag(√h), kept current by ``scipy.linalg.qr_insert``
+    and ``qr_delete``. L⁻¹ is a division, and Qᵀ applied to the scaled
+    unit normal of bound p is row p of Q, scaled. After each full step the
+    iterate and the multipliers are recomputed from that factorization, so
+    rounding does not build up over the steps, and pinned variables sit
+    exactly on their bounds.
 
     Parameters
     ----------
@@ -204,26 +198,21 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
     cap = 50 * n if max_iterations is None else int(max_iterations)
-    factor = _HessianFactor(problem.hessian, tol)
-    y0 = -factor.solve(problem.linear) if problem.linear.any() else None
+    root = _diagonal_root(problem.hessian)
 
     # Working set: the pinned bounds (site, +1 at lower / -1 at upper, the
     # bound) in the order they joined, then the m equality rows.
     pinned, side, at = [], [], []
-    q_fac, r_fac = scipy.linalg.qr(factor.solve(problem.eq_matrix.T))
+    q_fac, r_fac = scipy.linalg.qr(_divide(problem.eq_matrix.T, root))
     _check_rank(r_fac[:m])
 
     def minimizer():
         """Minimizer and multipliers with every working-set row active."""
         q = len(pinned) + m
-        r1, q1, q2 = r_fac[:q], q_fac[:, :q], q_fac[:, q:]
+        r1 = r_fac[:q]
         rhs = np.concatenate([np.multiply(side, at), problem.eq_rhs])
         a = _solve_tri(r1, rhs, trans=1)
-        if y0 is None:
-            x = factor.solve(q1 @ a, trans=1)
-        else:
-            x = factor.solve(q2 @ (q2.T @ y0) + q1 @ a, trans=1)
-            a = a - q1.T @ y0
+        x = _divide(q_fac[:, :q] @ a, root)
         x[pinned] = at
         return x, _solve_tri(r1, a)
 
@@ -239,7 +228,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         bound = lo[p] if s_p > 0 else hi[p]
         normal = np.zeros(n)
         normal[p] = s_p
-        w = factor.solve(normal)
+        w = _divide(normal, root)
         while True:
             steps += 1
             if steps > cap:
@@ -247,8 +236,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                     f"dual active-set iteration cap {cap} reached"
                 )
             k, q = len(pinned), len(pinned) + m
-            # On a diagonal, w is zero but at p.
-            d = q_fac.T @ w if factor.root is None else q_fac[p] * w[p]
+            d = q_fac[p] * w[p]  # Qᵀw, as w is zero but at p
             r = _solve_tri(r_fac[:q], d[:q])
             dz = d[q:]
             curvature = float(dz @ dz)
@@ -276,7 +264,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                 x, u = minimizer()
                 break
             if t_full < np.inf:
-                z = factor.solve(q_fac[:, q:] @ dz, trans=1)
+                z = _divide(q_fac[:, q:] @ dz, root)
                 x = x + t_part * z
             drop = int(np.argmin(ratios))
             u = np.delete(u - t_part * r, drop)
@@ -300,68 +288,75 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     )
 
 
+def _bounded_lsq(matrix, rhs, lo, hi):
+    """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi, and its iteration count.
+
+    Bounded-variable least squares (Stark & Parker, Comput. Stat. 10,
+    1995) through ``scipy.optimize.lsq_linear``, which rejects entries
+    with lower == upper: they are constants, so they move to the
+    right-hand side and the solve runs on the free entries only.
+    """
+    free = lo < hi
+    x = lo.copy()
+    if not np.any(free):
+        return x, 0
+    result = scipy.optimize.lsq_linear(
+        matrix[:, free], rhs - matrix[:, ~free] @ lo[~free],
+        bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
+    )
+    x[free] = np.clip(result.x, lo[free], hi[free])
+    return x, int(result.nit)
+
+
 def phase1_feasible(problem, tol=DEFAULT_TOLERANCES):
     """Feasibility probe: minimize equality violation subject to bounds.
 
     Solves min ‖eq_matrix·x − eq_rhs‖ over the box (bounded-variable
     least squares) and reports the max-norm violation of the minimizer.
-    Feasible iff that violation is at most ``tol.feasibility``. Entries
-    with lower == upper are constants: they move to the right-hand side
-    and the least-squares solve runs on the free entries only.
+    Feasible iff that violation is at most ``tol.feasibility``.
 
     Always returns a FeasibilityReport; never raises on infeasibility.
     """
     if not problem.has_bounds:
         raise ValueError("phase-1 requires bounds")
     lo, hi = problem.bounds()
-    c, b = problem.eq_matrix, problem.eq_rhs
     if problem.m == 0:
         witness = np.clip(np.zeros(problem.n), lo, hi)
         return FeasibilityReport(True, witness, 0.0)
-    free = lo < hi
-    witness = lo.copy()
-    if np.any(free):
-        result = scipy.optimize.lsq_linear(
-            c[:, free], b - c[:, ~free] @ lo[~free],
-            bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
-        )
-        witness[free] = np.clip(result.x, lo[free], hi[free])
-    violation = float(np.max(np.abs(c @ witness - b)))
+    witness, _ = _bounded_lsq(problem.eq_matrix, problem.eq_rhs, lo, hi)
+    violation = _eq_residual(problem, witness)
     return FeasibilityReport(violation <= tol.feasibility, witness, violation)
 
 
-def solve_soft_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
+def solve_soft_qp(problem, tol=DEFAULT_TOLERANCES):
     """Penalty fallback: fold equalities into the objective, keep bounds hard.
 
-    Minimizes ½ xᵀHx + gᵀx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box,
-    with the fixed ρ = 1e8. The returned multipliers are the penalty
-    estimates ρ(b − Cx), the
-    equality residual is reported honestly, and the mode is SoftConstraint
-    so callers cannot mistake the result for an exact solve.
+    Minimizes ½ xᵀHx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box, with
+    the fixed ρ = 1e8. With H = diag(h) that is the bounded least-squares
+    problem min ‖[H^½; √ρC]x − [0; √ρb]‖, solved as phase-1's is. The
+    returned multipliers are the penalty estimates λ = ρ(b − Cx), the
+    bound multipliers are Hx − Cᵀλ at the sites on a bound, the equality
+    residual is reported honestly, and the mode is SoftConstraint so
+    callers cannot mistake the result for an exact solve.
     """
     if not problem.has_bounds:
         raise ValueError("soft solve requires bounds")
     c, b = problem.eq_matrix, problem.eq_rhs
-    soft_h = problem.dense_hessian + _PENALTY * (c.T @ c)
-    soft_h = 0.5 * (soft_h + soft_h.T)
-    soft_g = problem.linear - _PENALTY * (c.T @ b)
-    inner = QPProblem(
-        hessian=soft_h,
-        eq_matrix=np.zeros((0, problem.n)),
-        eq_rhs=np.zeros(0),
-        lower=problem.lower,
-        upper=problem.upper,
-        linear=soft_g,
+    lo, hi = problem.bounds()
+    scale = np.sqrt(_PENALTY)
+    x, iterations = _bounded_lsq(
+        np.vstack([np.diag(_diagonal_root(problem.hessian)), scale * c]),
+        np.concatenate([np.zeros(problem.n), scale * b]), lo, hi,
     )
-    sol = solve_box_qp(inner, tol, max_iterations)
-    lam = _PENALTY * (b - c @ sol.x) if problem.m else np.zeros(0)
+    lam = _PENALTY * (b - c @ x)
+    active = (x <= lo) | (x >= hi)
     return QPSolution(
-        x=sol.x,
+        x=x,
         multipliers=lam,
-        bound_multipliers=sol.bound_multipliers,
-        active_set=sol.active_set,
-        eq_residual=_eq_residual(problem, sol.x),
-        iterations=sol.iterations,
+        bound_multipliers=np.where(active, problem.hessian * x - c.T @ lam, 0.0),
+        active_set=tuple(np.flatnonzero(active).tolist()),
+        eq_residual=_eq_residual(problem, x),
+        iterations=iterations,
         mode=SolveMode.SOFT_CONSTRAINT,
     )
 
@@ -425,7 +420,7 @@ def solve_peskin4(shift, dimension=None):
 def check_kkt(problem, solution):
     """Audit a solution against a problem; returns the four KKT residuals.
 
-    stationarity  ‖Hx + g − Cᵀλ − μ‖∞
+    stationarity  ‖Hx − Cᵀλ − μ‖∞
     primal        max of equality and bound violations
     dual          wrong-signed bound multipliers on the active set
     complementarity  |μ| × distance-to-bound (slack capped at 1 so
@@ -444,10 +439,9 @@ def check_kkt(problem, solution):
         raise LengthMismatch(
             f"bound multipliers have length {mu.shape[0]}, expected {problem.n}"
         )
-    h, g = problem.dense_hessian, problem.linear
     lo, hi = problem.bounds()
 
-    grad = h @ x + g - (problem.eq_matrix.T @ lam if problem.m else 0.0) - mu
+    grad = problem.hessian * x - problem.eq_matrix.T @ lam - mu
     stationarity = float(np.max(np.abs(grad))) if problem.n else 0.0
 
     primal = _eq_residual(problem, x)

@@ -4,11 +4,19 @@ import itertools
 
 import numpy as np
 import numpy.random as npr
+import scipy.linalg
 
-from ibkernel.errors import StencilOutsideDomain
+from ibkernel.errors import Infeasible, MaxIterationsExceeded, StencilOutsideDomain
 from ibkernel.ibops import Stencil
-from ibkernel.kernels import as_point, as_sites
-from ibkernel.qpsolve import QPProblem
+from ibkernel.kernels import SolveMode, as_point, as_sites
+from ibkernel.qpsolve import (
+    _DEPENDENT,
+    _PENALTY,
+    QPProblem,
+    QPSolution,
+    _check_rank,
+    phase1_feasible,
+)
 
 
 def brute_force_box_qp(problem):
@@ -22,7 +30,7 @@ def brute_force_box_qp(problem):
     """
     n = problem.n
     lo, hi = problem.bounds()
-    h, g = problem.hessian, problem.linear
+    h = problem.hessian
     c, b = problem.eq_matrix, problem.eq_rhs
     best_x, best_obj = None, np.inf
     for pattern in itertools.product((0, -1, 1), repeat=n):
@@ -47,14 +55,12 @@ def brute_force_box_qp(problem):
         f = np.array(free, dtype=int)
         if f.size:
             pinned = np.setdiff1d(np.arange(n), f)
-            hff = h[np.ix_(f, f)]
-            gf = g[f] + h[np.ix_(f, pinned)] @ x[pinned]
             cf = c[:, f]
             bf = b - c[:, pinned] @ x[pinned]
             kkt = np.block(
-                [[hff, -cf.T], [cf, np.zeros((c.shape[0], c.shape[0]))]]
+                [[np.diag(h[f]), -cf.T], [cf, np.zeros((c.shape[0], c.shape[0]))]]
             )
-            rhs = np.concatenate([-gf, bf])
+            rhs = np.concatenate([np.zeros(f.size), bf])
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
             if np.max(np.abs(kkt @ sol - rhs), initial=0.0) > 1e-9:
                 continue
@@ -72,9 +78,7 @@ def brute_force_box_qp(problem):
 def random_box_problem(n):
     """Strictly feasible random instance: box built around a known point."""
     m = npr.randint(0, n)
-    mat = npr.randn(n, n)
-    h = mat.T @ mat + n * np.eye(n)
-    g = npr.randn(n)
+    h = npr.uniform(0.1, 10.0, size=n)
     x_feas = npr.uniform(-0.5, 0.5, size=n)
     lo = x_feas - npr.uniform(0.05, 0.8, size=n)
     hi = x_feas + npr.uniform(0.05, 0.8, size=n)
@@ -86,19 +90,132 @@ def random_box_problem(n):
             hi[i] = np.inf
     c = npr.randn(m, n)
     b = c @ x_feas
-    return QPProblem(h, c, b, lower=lo, upper=hi, linear=g)
+    return QPProblem(h, c, b, lower=lo, upper=hi)
 
 
-def saddle_solve(h, c, g, b):
-    """Minimizer and multipliers of ½ xᵀHx + gᵀx s.t. Cx = b, one dense solve.
+def dense_box_qp(problem):
+    """``qpsolve.solve_box_qp``'s dual active-set method with H as a matrix.
 
-    Factors the whole (n+m) saddle matrix [[H, −Cᵀ], [C, 0]] at once, so
-    it shares no arithmetic with a range-space solve; λ follows the
-    convention Hx + g = Cᵀλ.
+    Where the solver divides by √h, this factors H = diag(h) as a dense
+    (n, n) matrix, H = LLᵀ, applies L⁻¹ by triangular solves, and forms
+    Qᵀ(L⁻¹e_p) as a full product. The working set's QR factorization of
+    L⁻¹N is kept by ``scipy.linalg.qr_insert``/``qr_delete``, with the
+    solver's rank rule and its cap of 50·n steps; it raises as the solver
+    does.
+    """
+    n, m = problem.n, problem.m
+    lo, hi = problem.bounds()
+    cap = 50 * n
+    chol = np.linalg.cholesky(np.diag(problem.hessian))
+
+    def solve(v, trans=0):
+        return scipy.linalg.solve_triangular(chol, v, lower=True, trans=trans)
+
+    pinned, side, at = [], [], []
+    q_fac, r_fac = scipy.linalg.qr(solve(problem.eq_matrix.T))
+    _check_rank(r_fac[:m])
+
+    def minimizer():
+        q = len(pinned) + m
+        rhs = np.concatenate([np.multiply(side, at), problem.eq_rhs])
+        a = scipy.linalg.solve_triangular(r_fac[:q], rhs, trans=1)
+        x = solve(q_fac[:, :q] @ a, trans=1)
+        x[pinned] = at
+        return x, scipy.linalg.solve_triangular(r_fac[:q], a)
+
+    x, u = minimizer()
+    steps = 0
+    while True:
+        viol = np.maximum(lo - x, x - hi)
+        viol[pinned] = 0.0
+        p = int(np.argmax(viol))
+        if not viol[p] > 0.0:
+            break
+        s_p = 1.0 if lo[p] - x[p] >= x[p] - hi[p] else -1.0
+        bound = lo[p] if s_p > 0 else hi[p]
+        normal = np.zeros(n)
+        normal[p] = s_p
+        w = solve(normal)
+        while True:
+            steps += 1
+            if steps > cap:
+                raise MaxIterationsExceeded(f"iteration cap {cap} reached")
+            k, q = len(pinned), len(pinned) + m
+            d = q_fac.T @ w
+            r = scipy.linalg.solve_triangular(r_fac[:q], d[:q])
+            dz = d[q:]
+            curvature = float(dz @ dz)
+            t_full = np.inf
+            if curvature > _DEPENDENT**2 * float(w @ w):
+                t_full = s_p * (bound - x[p]) / curvature
+            ratios = np.full(k, np.inf)
+            falling = r[:k] > 0.0
+            ratios[falling] = np.maximum(u[:k][falling], 0.0) / r[:k][falling]
+            t_part = float(np.min(ratios, initial=np.inf))
+            if t_full == np.inf and t_part == np.inf:
+                violation = phase1_feasible(problem).violation
+                raise Infeasible("infeasible", violation=violation)
+            if t_full <= t_part:
+                q_fac, r_fac = scipy.linalg.qr_insert(q_fac, r_fac, w, k, which="col")
+                pinned.append(p)
+                side.append(s_p)
+                at.append(bound)
+                x, u = minimizer()
+                break
+            if t_full < np.inf:
+                x = x + t_part * solve(q_fac[:, q:] @ dz, trans=1)
+            drop = int(np.argmin(ratios))
+            u = np.delete(u - t_part * r, drop)
+            q_fac, r_fac = scipy.linalg.qr_delete(q_fac, r_fac, drop, which="col")
+            del pinned[drop], side[drop], at[drop]
+
+    k = len(pinned)
+    _check_rank(r_fac[k:k + m, k:k + m])
+    bound_mult = np.zeros(n)
+    bound_mult[pinned] = np.multiply(side, u[:k])
+    return QPSolution(
+        x=x,
+        multipliers=u[k:],
+        bound_multipliers=bound_mult,
+        active_set=tuple(sorted(pinned)),
+        eq_residual=float(np.max(np.abs(problem.eq_matrix @ x - problem.eq_rhs),
+                                 initial=0.0)),
+        iterations=1 + steps,
+        mode=SolveMode.EXACT,
+    )
+
+
+def augmented_soft_qp(problem):
+    """Minimizer of ``qpsolve.solve_soft_qp``'s penalty problem, by ``dense_box_qp``.
+
+    The residual r = Cx − b joins x as m unbounded variables of Hessian ρ
+    under the equality [C, −I][x; r] = b, so ½ xᵀHx + (ρ/2)‖Cx − b‖² over
+    the box becomes a hard-constrained QP that shares no arithmetic with
+    the soft solver's bounded least squares. Returns x.
+    """
+    n, m = problem.n, problem.m
+    lo, hi = problem.bounds()
+    unbounded = np.full(m, np.inf)
+    augmented = QPProblem(
+        np.concatenate([problem.hessian, np.full(m, _PENALTY)]),
+        np.hstack([problem.eq_matrix, -np.eye(m)]),
+        problem.eq_rhs,
+        lower=np.concatenate([lo, -unbounded]),
+        upper=np.concatenate([hi, unbounded]),
+    )
+    return dense_box_qp(augmented).x[:n]
+
+
+def saddle_solve(h, c, b):
+    """Minimizer and multipliers of ½ xᵀHx s.t. Cx = b, one dense solve.
+
+    ``h`` is the diagonal of H. Factors the whole (n+m) saddle matrix
+    [[H, −Cᵀ], [C, 0]] at once, so it shares no arithmetic with a
+    range-space solve; λ follows the convention Hx = Cᵀλ.
     """
     n, m = c.shape[1], c.shape[0]
-    saddle = np.block([[h, -c.T], [c, np.zeros((m, m))]])
-    sol = np.linalg.solve(saddle, np.concatenate([-g, b]))
+    saddle = np.block([[np.diag(h), -c.T], [c, np.zeros((m, m))]])
+    sol = np.linalg.solve(saddle, np.concatenate([np.zeros(n), b]))
     return sol[:n], sol[n:]
 
 

@@ -163,7 +163,7 @@ def _case4_phase1_reports(marker_angles_deg):
         )
         keep = system.Wdiag > tol.zero_weight
         problem = QPProblem(
-            np.diag(1.0 / system.Wdiag[keep]),
+            1.0 / system.Wdiag[keep],
             system.A[:, keep],
             system.p,
             lower=cfg.bounds.alpha,

@@ -220,7 +220,7 @@ class TestSweeps:
         table = run_circle_case(cfg)
         for row in table.rows:
             a, w, p = _supported_system(cfg, row)
-            problem = QPProblem(np.eye(w.size), a, p, lower=0.0, upper=0.75)
+            problem = QPProblem(np.ones(w.size), a, p, lower=0.0, upper=0.75)
             feasible = phase1_feasible(problem, cfg.tolerances).feasible
             want = "Exact" if feasible else "SoftConstraint"
             assert row.mode == want, row.marker_deg

@@ -66,14 +66,14 @@ def test_solve_spd_random_residuals():
 
 
 def test_solve_kkt_symmetric_split():
-    problem = QPProblem(np.eye(2), [[1.0, 1.0]], [1.0])
+    problem = QPProblem(np.ones(2), [[1.0, 1.0]], [1.0])
     x, lam = solve_kkt(problem)
     assert_allclose(x, [0.5, 0.5], atol=1e-14)
     assert_allclose(lam, [0.5], atol=1e-14)
 
 
 def test_solve_kkt_inactive_constraint():
-    problem = QPProblem(np.eye(2), [[1.0, 0.0]], [0.0])
+    problem = QPProblem(np.ones(2), [[1.0, 0.0]], [0.0])
     x, lam = solve_kkt(problem)
     assert_allclose(x, [0.0, 0.0], atol=1e-15)
     assert_allclose(lam, [0.0], atol=1e-15)
@@ -81,21 +81,20 @@ def test_solve_kkt_inactive_constraint():
 
 def test_solve_kkt_weighted_diagonal():
     # minimize x1^2/2 + 2 x2^2 with x1 + x2 = 5: x1 = lam, 4 x2 = lam
-    problem = QPProblem(np.diag([1.0, 4.0]), [[1.0, 1.0]], [5.0])
+    problem = QPProblem([1.0, 4.0], [[1.0, 1.0]], [5.0])
     x, lam = solve_kkt(problem)
     assert_allclose(x, [4.0, 1.0], atol=1e-13)
     assert_allclose(lam, [4.0], atol=1e-13)
 
 
 def test_solve_kkt_no_constraints_matches_spd():
+    # Without constraints the minimizer of ½ xᵀHx solves Hx = 0.
     npr.seed(11)
-    m = npr.randn(4, 4)
-    h = m.T @ m + 4.0 * np.eye(4)
-    g = npr.randn(4)
-    problem = QPProblem(h, np.zeros((0, 4)), np.zeros(0), linear=g)
+    h = npr.uniform(0.1, 10.0, size=4)
+    problem = QPProblem(h, np.zeros((0, 4)), np.zeros(0))
     x, lam = solve_kkt(problem)
     assert lam.shape == (0,)
-    assert_allclose(x, solve_spd(h, -g), atol=1e-13)
+    assert_allclose(x, solve_spd(np.diag(h), np.zeros(4)), atol=0)
 
 
 def test_solve_kkt_random_residuals():
@@ -103,21 +102,19 @@ def test_solve_kkt_random_residuals():
     for _ in range(100):
         n = npr.randint(2, 12)
         m = npr.randint(1, n + 1)
-        q = npr.randn(n, n)
-        h = q.T @ q + n * np.eye(n)
+        h = npr.uniform(0.1, 10.0, size=n)
         c = npr.randn(m, n)
-        g = npr.randn(n)
         b = npr.randn(m)
-        x, lam = solve_kkt(QPProblem(h, c, b, linear=g))
-        stat = np.max(np.abs(h @ x - c.T @ lam + g))
+        x, lam = solve_kkt(QPProblem(h, c, b))
+        stat = np.max(np.abs(h * x - c.T @ lam))
         feas = np.max(np.abs(c @ x - b))
-        assert stat <= 1e-10 * (1.0 + np.max(np.abs(g)))
+        assert stat <= 1e-10
         assert feas <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
 def test_solve_kkt_rank_deficient_rows():
     c = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-    problem = QPProblem(np.eye(3), c, [1.0, 2.0])
+    problem = QPProblem(np.ones(3), c, [1.0, 2.0])
     with pytest.raises(RankDeficientConstraints):
         solve_kkt(problem)
 
@@ -130,7 +127,7 @@ def test_solve_kkt_solves_ill_conditioned_weighted_rows():
     # times machine epsilon.
     w = np.array([1.0, 1.0, 1.0, 2e-14])
     c = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
-    x, _ = solve_kkt(QPProblem(np.diag(1.0 / w), c, [1.0, 0.25]))
+    x, _ = solve_kkt(QPProblem(1.0 / w, c, [1.0, 0.25]))
     assert np.max(np.abs(c @ x - [1.0, 0.25])) <= 1e-14
     assert_allclose(x, [0.25, 0.25, 0.25, 0.25], rtol=1e-8)
 
@@ -138,16 +135,16 @@ def test_solve_kkt_solves_ill_conditioned_weighted_rows():
 def test_solve_kkt_indefinite_on_null_space():
     # null space of [1, 0] is e2; H restricted there is -1. The range-space
     # solve factors H itself, so it refuses any indefinite H.
-    problem = QPProblem(np.diag([1.0, -1.0]), [[1.0, 0.0]], [1.0])
+    problem = QPProblem([1.0, -1.0], [[1.0, 0.0]], [1.0])
     with pytest.raises(NotSPD):
         solve_kkt(problem)
 
 
-def _assert_matches_saddle_solve(h, c, g, b):
-    x, lam = solve_kkt(QPProblem(h, c, b, linear=g))
-    x_ref, lam_ref = saddle_solve(h, c, g, b)
-    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
-    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
+def _assert_matches_saddle_solve(h, c, b, rtol=1e-12):
+    x, lam = solve_kkt(QPProblem(h, c, b))
+    x_ref, lam_ref = saddle_solve(h, c, b)
+    assert np.max(np.abs(x - x_ref)) <= rtol * np.max(np.abs(x_ref))
+    assert np.max(np.abs(lam - lam_ref)) <= rtol * np.max(np.abs(lam_ref))
 
 
 def test_solve_kkt_matches_saddle_solve_on_random_problems():
@@ -155,23 +152,21 @@ def test_solve_kkt_matches_saddle_solve_on_random_problems():
     for _ in range(50):
         n = npr.randint(2, 12)
         m = npr.randint(1, n + 1)
-        q = npr.randn(n, n)
-        h = q.T @ q + n * np.eye(n)
-        _assert_matches_saddle_solve(h, npr.randn(m, n), npr.randn(n), npr.randn(m))
+        h = npr.uniform(0.1, 10.0, size=n)
+        _assert_matches_saddle_solve(h, npr.randn(m, n), npr.randn(m))
 
 
 def test_solve_kkt_square_constraints_fix_x():
     # m = n: C alone fixes x = C⁻¹b, and the QR factor of L⁻¹Cᵀ is square.
     npr.seed(19)
     for n in (1, 2, 4, 9):
-        q = npr.randn(n, n)
-        h = q.T @ q + n * np.eye(n)
+        h = npr.uniform(0.1, 10.0, size=n)
         c = npr.randn(n, n) + n * np.eye(n)
-        g, b = npr.randn(n), npr.randn(n)
-        x, lam = solve_kkt(QPProblem(h, c, b, linear=g))
+        b = npr.randn(n)
+        x, lam = solve_kkt(QPProblem(h, c, b))
         assert_allclose(x, np.linalg.solve(c, b), rtol=1e-12, atol=1e-14)
-        assert_allclose(lam, np.linalg.solve(c.T, h @ x + g), rtol=1e-12, atol=1e-14)
-        _assert_matches_saddle_solve(h, c, g, b)
+        assert_allclose(lam, np.linalg.solve(c.T, h * x), rtol=1e-12, atol=1e-14)
+        _assert_matches_saddle_solve(h, c, b)
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
@@ -189,15 +184,14 @@ def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
         system = restrict_weights(system, classify_side(sd, stencil.sites))
         keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
         _assert_matches_saddle_solve(
-            np.diag(1.0 / system.Wdiag[keep]), system.A[:, keep],
-            np.zeros(int(keep.sum())), system.p,
+            1.0 / system.Wdiag[keep], system.A[:, keep], system.p
         )
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_diagonal_solve_kkt_matches_saddle_solve_on_stencils(dimension):
     # W⁻¹ passed as its diagonal, as solve_generating_qp passes it, on
-    # two-sided and one-sided stencils, with g = 0 and with g ≠ 0.
+    # two-sided and one-sided stencils.
     npr.seed(17 + dimension)
     h = 0.075
     grid = make_grid([(-1.0, 1.0)] * dimension, h)
@@ -212,13 +206,9 @@ def test_diagonal_solve_kkt_matches_saddle_solve_on_stencils(dimension):
         one_sided = restrict_weights(two_sided, classify_side(sd, stencil.sites))
         for system in (two_sided, one_sided):
             keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
-            w, c = system.Wdiag[keep], system.A[:, keep]
-            for g in (np.zeros(w.size), npr.randn(w.size)):
-                x, lam = solve_kkt(QPProblem(1.0 / w, c, system.p, linear=g))
-                x_ref, lam_ref = saddle_solve(np.diag(1.0 / w), c, g, system.p)
-                assert np.max(np.abs(x - x_ref)) <= 1e-14 * np.max(np.abs(x_ref))
-                assert (np.max(np.abs(lam - lam_ref))
-                        <= 1e-14 * np.max(np.abs(lam_ref)))
+            _assert_matches_saddle_solve(
+                1.0 / system.Wdiag[keep], system.A[:, keep], system.p, rtol=1e-14
+            )
 
 
 def test_diagonal_hessian_validation():
@@ -233,27 +223,27 @@ def test_diagonal_hessian_validation():
 
 def test_diagonal_hessian_has_no_relative_pivot_floor():
     # Entries spanning 1e20 pass (a diagonal has no factorization error),
-    # where the dense form fails the Cholesky pivot floor.
+    # where a Cholesky factorization of the dense form fails the pivot floor.
     h = np.array([1e-6, 1.0, 1e14])
     c = np.array([[1.0, 1.0, 1.0]])
     x, lam = solve_kkt(QPProblem(h, c, [1.0]))
-    x_ref, lam_ref = saddle_solve(np.diag(h), c, np.zeros(3), [1.0])
+    x_ref, lam_ref = saddle_solve(h, c, [1.0])
     assert_allclose(x, x_ref, rtol=1e-14)
     assert_allclose(lam, lam_ref, rtol=1e-14)
     with pytest.raises(NotSPD):
-        solve_kkt(QPProblem(np.diag(h), c, [1.0]))
+        solve_spd(np.diag(h), [1.0, 1.0, 1.0])
 
 
 def test_kkt_system_validation():
     # solve_kkt's input is a QPProblem, which rejects bad data at construction
     with pytest.raises(ValueError):
-        QPProblem(np.eye(2), np.ones((3, 2)), np.zeros(3))
+        QPProblem(np.ones(2), np.ones((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="1-D diagonal"):
+        QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
     with pytest.raises(ValueError):
-        QPProblem([[1.0, 0.5], [0.0, 1.0]], np.ones((1, 2)), [1.0])
+        QPProblem(np.ones(2), np.ones((1, 3)), [1.0])
     with pytest.raises(ValueError):
-        QPProblem(np.eye(2), np.ones((1, 3)), [1.0])
-    with pytest.raises(ValueError):
-        solve_kkt(QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0))
+        solve_kkt(QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=0.0))
 
 
 def test_tolerance_set_defaults():

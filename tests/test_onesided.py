@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import numpy.random as npr
 import pytest
@@ -316,3 +318,43 @@ def test_scaled_weight_profile_gives_the_psi6_kernel(scale):
             want = ref.kernel_for(grid, marker)[1].psi
             psi = got.kernel_for(grid, marker)[1].psi
             assert np.max(np.abs(psi - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4])
+def test_scaled_weight_profile_in_the_case4_box(scale):
+    # Case 4 (one-sided, box [0, 0.75]) every 2.5 degrees with c·ψ6 must
+    # end in ψ6's modes. The soft fallback once factored the dense
+    # W⁻¹ + ρCᵀC with a relative pivot floor and raised NotSPD at 2
+    # (c = 1e2) and 48 (c = 1e4) of these markers. Exact kernels do not
+    # depend on the scale of W; soft ones do, so they are only held to
+    # the box and to zero on the Minus side.
+    h = 0.075
+    grid = make_grid(((-1.0, 1.0), (-1.0, 1.0)), h)
+    ang = np.deg2rad(2.5 * np.arange(144))
+    circle = 0.5 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    sd = SignedDistance.circle((0.0, 0.0), 0.5)
+    box = KernelBounds(0.0, 0.75)
+    ref = KernelStrategy(WeightFunction.six_point_spline(h), signed_distance=sd,
+                         bounds=box)
+    got = KernelStrategy(
+        WeightFunction.custom1d(h, lambda r: scale * eval_psi6(r), 3.0),
+        signed_distance=sd, bounds=box,
+    )
+    modes = Counter()
+    for marker in circle:
+        try:
+            _, want = ref.kernel_for(grid, marker)
+        except RankDeficientConstraints:
+            with pytest.raises(RankDeficientConstraints):
+                got.kernel_for(grid, marker)
+            modes["RankDeficientConstraints"] += 1
+            continue
+        stencil, kw = got.kernel_for(grid, marker)
+        assert kw.mode is want.mode
+        modes[kw.mode.value] += 1
+        if kw.mode is SolveMode.EXACT:
+            assert np.max(np.abs(kw.psi - want.psi)) <= 1e-8 * np.max(np.abs(want.psi))
+        else:
+            assert np.all(kw.psi >= 0.0) and np.all(kw.psi <= 0.75)
+            assert np.all(kw.psi[~classify_side(sd, stencil.sites).plus] == 0.0)
+    assert modes == {"Exact": 92, "RankDeficientConstraints": 4, "SoftConstraint": 48}

@@ -2,7 +2,12 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
-from oracles import brute_force_box_qp, random_box_problem
+from oracles import (
+    augmented_soft_qp,
+    brute_force_box_qp,
+    dense_box_qp,
+    random_box_problem,
+)
 
 from ibkernel.errors import (
     IBKernelError,
@@ -42,43 +47,43 @@ from ibkernel.qpsolve import (
 
 class TestQPProblem:
     def test_scalar_bounds_broadcast(self):
-        p = QPProblem(np.eye(3), np.ones((1, 3)), [1.0], lower=0.0, upper=1.0)
+        p = QPProblem(np.ones(3), np.ones((1, 3)), [1.0], lower=0.0, upper=1.0)
         assert_allclose(p.lower, [0, 0, 0])
         assert_allclose(p.upper, [1, 1, 1])
         assert p.has_bounds
 
     def test_no_bounds(self):
-        p = QPProblem(np.eye(2), np.zeros((0, 2)), [])
+        p = QPProblem(np.ones(2), np.zeros((0, 2)), [])
         assert not p.has_bounds
         lo, hi = p.bounds()
         assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
 
     def test_objective(self):
-        p = QPProblem(2.0 * np.eye(2), np.zeros((0, 2)), [], linear=[1.0, -1.0])
-        assert p.objective([1.0, 2.0]) == pytest.approx(1 + 4 + 1 - 2)
+        p = QPProblem([2.0, 0.5], np.zeros((0, 2)), [])
+        assert p.objective([1.0, 2.0]) == pytest.approx(1 + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             QPProblem(np.ones((2, 3)), np.zeros((0, 2)), [])
         with pytest.raises(ValueError):
-            QPProblem(np.eye(2), np.ones((1, 3)), [1.0])
+            QPProblem(np.ones(2), np.ones((1, 3)), [1.0])
         with pytest.raises(ValueError):
-            QPProblem(np.eye(2), np.ones((1, 2)), [1.0, 2.0])
+            QPProblem(np.ones(2), np.ones((1, 2)), [1.0, 2.0])
+        with pytest.raises(ValueError, match="1-D diagonal"):
+            QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
-            QPProblem(np.eye(2), np.ones((1, 2)), [1.0], linear=[1.0])
+            QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=1.0, upper=0.0)
         with pytest.raises(ValueError):
-            QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=1.0, upper=0.0)
+            QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=np.nan)
         with pytest.raises(ValueError):
-            QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=np.nan)
+            QPProblem(np.ones(2), np.ones((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
-            QPProblem(np.eye(2), np.ones((3, 2)), np.zeros(3))
-        with pytest.raises(ValueError):
-            QPProblem([[1.0, 0.5], [0.0, 1.0]], np.ones((1, 2)), [1.0])
+            QPProblem([1.0, np.nan], np.ones((1, 2)), [1.0])
 
 
 class TestEqQP:
     def test_least_norm_quarter(self):
-        p = QPProblem(np.eye(4), np.ones((1, 4)), [1.0])
+        p = QPProblem(np.ones(4), np.ones((1, 4)), [1.0])
         sol = solve_eq_qp(p)
         assert_allclose(sol.x, np.full(4, 0.25), atol=1e-14)
         assert_allclose(sol.multipliers, [0.25], atol=1e-14)
@@ -87,7 +92,7 @@ class TestEqQP:
         assert sol.active_set == ()
 
     def test_rejects_bounds(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0)
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=0.0)
         with pytest.raises(ValueError):
             solve_eq_qp(p)
         with pytest.raises(ValueError):
@@ -110,7 +115,7 @@ class TestEqQP:
 
 class TestBoxQP:
     def test_fast_path_interior(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=1.0)
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=1.0)
         sol = solve_box_qp(p)
         assert_allclose(sol.x, [0.5, 0.5], atol=1e-14)
         assert sol.active_set == ()
@@ -119,7 +124,7 @@ class TestBoxQP:
 
     def test_upper_bound_pins_first(self):
         p = QPProblem(
-            np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
+            np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
         )
         sol = solve_box_qp(p)
         assert_allclose(sol.x, [0.3, 0.7], atol=1e-12)
@@ -131,20 +136,19 @@ class TestBoxQP:
 
     def test_bounds_only_clips(self):
         p = QPProblem(
-            np.eye(3),
+            np.ones(3),
             np.zeros((0, 3)),
             [],
-            lower=-1.0,
-            upper=1.0,
-            linear=[-2.0, 0.5, 0.0],
+            lower=[0.5, -1.0, -1.0],
+            upper=[1.0, -0.5, 1.0],
         )
         sol = solve_box_qp(p)
-        assert_allclose(sol.x, [1.0, -0.5, 0.0], atol=1e-12)
-        assert sol.active_set == (0,)
+        assert_allclose(sol.x, [0.5, -0.5, 0.0], atol=1e-12)
+        assert sol.active_set == (0, 1)
 
     def test_infeasible_raises(self):
         p = QPProblem(
-            np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.3
+            np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.3
         )
         with pytest.raises(Infeasible) as err:
             solve_box_qp(p)
@@ -152,7 +156,7 @@ class TestBoxQP:
 
     def test_iteration_cap(self):
         p = QPProblem(
-            np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
+            np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
         )
         with pytest.raises(MaxIterationsExceeded):
             solve_box_qp(p, max_iterations=0)
@@ -171,27 +175,26 @@ class TestBoxQP:
             assert check_kkt(p, sol).max_residual() <= 1e-8
 
     def test_requires_bounds(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
             solve_box_qp(p)
 
     @pytest.mark.parametrize("field, value", [
-        ("hessian", [[1.0, np.nan], [np.nan, 1.0]]),
+        ("hessian", [1.0, np.nan]),
         ("hessian", [[1.0, 0.5], [0.0, 1.0]]),
         ("eq_matrix", [[1.0, np.inf]]),
         ("eq_rhs", [np.nan]),
-        ("linear", [0.0, np.nan]),
+        ("hessian", [1.0, np.inf]),
     ])
     def test_rejects_non_finite_or_asymmetric_input(self, field, value):
-        data = dict(hessian=np.eye(2), eq_matrix=np.ones((1, 2)), eq_rhs=[1.0],
-                    linear=np.zeros(2))
+        data = dict(hessian=np.ones(2), eq_matrix=np.ones((1, 2)), eq_rhs=[1.0])
         data[field] = value
         with pytest.raises(ValueError):
             QPProblem(**data, lower=0.0, upper=[0.3, 1.0])
 
     def test_indefinite_hessian_raises_not_spd(self):
         p = QPProblem(
-            np.diag([1.0, -1.0]), np.ones((1, 2)), [1.0], lower=0.0, upper=1.0
+            [1.0, -1.0], np.ones((1, 2)), [1.0], lower=0.0, upper=1.0
         )
         with pytest.raises(NotSPD):
             solve_box_qp(p)
@@ -199,21 +202,21 @@ class TestBoxQP:
 
 class TestPhase1:
     def test_feasible_interior(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=1.0)
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=1.0)
         report = phase1_feasible(p)
         assert report.feasible
         assert report.violation <= 1e-12
         assert np.all(report.witness >= 0.0) and np.all(report.witness <= 1.0)
 
     def test_infeasible_witness_saturates(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.4)
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.4)
         report = phase1_feasible(p)
         assert not report.feasible
         assert report.violation == pytest.approx(0.2, abs=1e-12)
         assert_allclose(report.witness, [0.4, 0.4], atol=1e-12)
 
     def test_requires_bounds(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
             phase1_feasible(p)
 
@@ -221,7 +224,7 @@ class TestPhase1:
         c = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
         fixed = np.array([0.5, 0.3, 0.2])
         for b, feasible in (([1.0, 0.3], True), ([1.0, 0.2], False)):
-            p = QPProblem(np.eye(3), c, b, lower=fixed, upper=fixed)
+            p = QPProblem(np.ones(3), c, b, lower=fixed, upper=fixed)
             report = phase1_feasible(p)
             assert_allclose(report.witness, fixed, rtol=0, atol=0)
             assert report.violation == np.max(np.abs(c @ fixed - b))
@@ -231,7 +234,7 @@ class TestPhase1:
         c = np.ones((1, 3))
         lo, hi = [0.0, 0.5, 0.0], [1.0, 0.5, 1.0]
         for b, feasible in (([1.0], True), ([3.0], False)):
-            p = QPProblem(np.eye(3), c, b, lower=lo, upper=hi)
+            p = QPProblem(np.ones(3), c, b, lower=lo, upper=hi)
             report = phase1_feasible(p)
             w = report.witness
             assert w[1] == 0.5
@@ -244,7 +247,7 @@ class TestPhase1:
 
 class TestSoftQP:
     def test_saturates_toward_constraint(self):
-        p = QPProblem(np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.4)
+        p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=0.4)
         sol = solve_soft_qp(p)
         assert sol.mode is SolveMode.SOFT_CONSTRAINT
         assert_allclose(sol.x, [0.4, 0.4], atol=1e-6)
@@ -254,11 +257,11 @@ class TestSoftQP:
 
     def test_penalty_validation(self):
         p = QPProblem(
-            np.eye(3), np.ones((1, 3)), [1.0], lower=0.0, upper=[0.1, 0.1, 0.4]
+            np.ones(3), np.ones((1, 3)), [1.0], lower=0.0, upper=[0.1, 0.1, 0.4]
         )
         # the box caps the sum at 0.6, so the violation floor is 0.4
         assert solve_soft_qp(p).eq_residual == pytest.approx(0.4, abs=1e-6)
-        q = QPProblem(np.eye(2), np.ones((1, 2)), [1.0])
+        q = QPProblem(np.ones(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
             solve_soft_qp(q)
 
@@ -326,7 +329,7 @@ class TestPeskin4:
 class TestCheckKKT:
     def setup_method(self):
         self.p = QPProblem(
-            np.eye(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
+            np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
         )
         self.sol = solve_box_qp(self.p)
 
@@ -341,19 +344,6 @@ class TestCheckKKT:
         bad = QPSolutionLike(self.sol, dx=np.array([1e-3, -1e-3]))
         report = check_kkt(self.p, bad)
         assert report.max_residual() > 1e-5
-
-    def test_diagonal_hessian_is_expanded_where_a_dense_one_is_needed(self):
-        # objective, check_kkt and the soft fallback's penalized Hessian
-        h = np.array([2.0, 0.5, 1.0])
-        forms = [
-            QPProblem(hess, np.ones((1, 3)), [1.0], lower=0.0, upper=0.3)
-            for hess in (h, np.diag(h))
-        ]
-        soft = [solve_soft_qp(p) for p in forms]
-        assert soft[0].x.tobytes() == soft[1].x.tobytes()
-        x = soft[1].x
-        assert forms[0].objective(x) == forms[1].objective(x)
-        assert check_kkt(forms[0], soft[1]) == check_kkt(forms[1], soft[1])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -437,9 +427,11 @@ class TestGeneratingQP:
         assert_allclose(a.psi, b.psi, atol=1e-14)
 
 
-# A diagonal Hessian against its dense form. solve_generating_qp hands
-# W⁻¹ to the solvers as the vector 1/w; np.diag(1/w) takes the Cholesky
-# route. Both run the bounded pipeline as solve_generating_qp does.
+# The bounded pipeline, as solve_generating_qp runs it on the vector 1/w,
+# against references that treat W⁻¹ as a dense matrix: the dual active set
+# with a Cholesky factor (oracles.dense_box_qp) where phase-1 finds the box
+# feasible, and the penalty problem with its residual as extra variables
+# (oracles.augmented_soft_qp) where it does not.
 
 # Case-4 angles that raise RankDeficientConstraints, and three whose
 # multipliers reach 1e10 and more.
@@ -447,19 +439,20 @@ RANK_DEFICIENT_DEG = (115.0, 115.5, 125.0, 125.5, 324.5, 325.0, 334.5, 335.0)
 ILL_CONDITIONED_DEG = (29.0, 187.5, 225.0)
 
 
-def _bounded_pipeline(problem):
-    """(mode or exception class name, solution) as solve_generating_qp runs it."""
+def _mode_and_solution(solve, problem):
+    """(mode or exception class name, solution) of one solve."""
     try:
-        if phase1_feasible(problem).feasible:
-            sol = solve_box_qp(problem)
-        else:
-            sol = solve_soft_qp(problem)
+        sol = solve(problem)
     except IBKernelError as exc:
         return type(exc).__name__, None
     return sol.mode.value, sol
 
 
 def _diagonal_and_dense(grid, marker, sd, alpha, beta):
+    """The solver's (mode, solution) and the dense reference's, for one marker.
+
+    A soft reference has mode SoftConstraint and the solution's x only.
+    """
     wf = WeightFunction.six_point_spline(grid.spacing[0])
     basis = build_basis(grid.dimension, BasisDegree.LINEAR)
     sites = support_stencil(grid, marker, wf.radius_in_cells).sites
@@ -467,19 +460,24 @@ def _diagonal_and_dense(grid, marker, sd, alpha, beta):
         assemble_system(sites, marker, wf, basis), classify_side(sd, sites)
     )
     keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
-    h = 1.0 / system.Wdiag[keep]
-    return [
-        _bounded_pipeline(QPProblem(
-            hessian, system.A[:, keep], system.p, lower=alpha, upper=beta
-        ))
-        for hessian in (h, np.diag(h))
-    ]
+    problem = QPProblem(
+        1.0 / system.Wdiag[keep], system.A[:, keep], system.p,
+        lower=alpha, upper=beta,
+    )
+    if phase1_feasible(problem).feasible:
+        return (_mode_and_solution(solve_box_qp, problem),
+                _mode_and_solution(dense_box_qp, problem))
+    soft = solve_soft_qp(problem)
+    return (soft.mode.value, soft), ("SoftConstraint", augmented_soft_qp(problem))
 
 
 def _assert_same_kernel(diagonal, dense):
     (mode, sol), (dense_mode, dense_sol) = diagonal, dense
     assert mode == dense_mode
-    if sol is not None:
+    if mode == "SoftConstraint":
+        scale = np.max(np.abs(dense_sol))
+        assert np.max(np.abs(sol.x - dense_sol)) <= 1e-10 * scale
+    elif sol is not None:
         assert sol.active_set == dense_sol.active_set
         scale = np.max(np.abs(dense_sol.x))
         assert np.max(np.abs(sol.x - dense_sol.x)) <= 1e-12 * scale
