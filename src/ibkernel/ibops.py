@@ -4,7 +4,10 @@ The interpolation and spreading operators are exact adjoints of one
 another by construction: both apply the same kernel weights for a given
 marker, produced by whatever generation strategy the caller bundles. An
 interpolate and a spread at the same markers share one build of those
-weights (see ``KernelStrategy``).
+weights (see ``KernelStrategy``). The two-sided unbounded kernels of a
+call with several markers are built together, in one closed-form pass
+over per-axis moments of the tensor-product weight; every other kernel is
+built marker by marker.
 """
 
 import math
@@ -217,6 +220,9 @@ class KernelStrategy:
     side restriction, bounds and tolerances all live here. Frozen, so the
     weights cannot change between an interpolate and a spread that share
     one build of them (16 B per stencil site, at most one batch held).
+    ``kernel_for`` builds one marker's kernel; the operators build a
+    batch, which for several two-sided unbounded markers agrees with
+    ``kernel_for`` to rounding and otherwise bitwise.
     """
 
     weight_function: object
@@ -249,15 +255,28 @@ class KernelStrategy:
         it, builds one and leaves that. A build that raises leaves none.
         A one-marker batch is that marker's own stencil indices and
         weights, with counts None.
+
+        Several two-sided unbounded markers are built together by
+        ``_closed_form_batch``, whose weights differ from ``kernel_for``'s
+        by rounding (1e-12 of the largest at most, in the tests). Any
+        other batch, and one that pass refuses, is built by ``kernel_for``
+        marker by marker, which raises what a failing marker raises.
         """
         key = (grid, markers.shape, markers.tobytes())
         pending = self.__dict__.pop("_pending", None)
         if pending and pending[0] != operator and pending[1] == key:
             return pending[2]
+        batch = None
         if len(markers) == 1:
             stencil, weights = self.kernel_for(grid, markers[0])
             batch = (stencil.indices, weights.psi, None)
-        else:
+        elif (len(markers) > 1 and self.signed_distance is None
+              and self.bounds is None):
+            batch = _closed_form_batch(
+                grid, markers, self.weight_function, self.degree,
+                self.tolerances,
+            )
+        if batch is None:
             indices, psi = [np.empty(0, np.intp)], [np.empty(0)]
             for marker in markers:
                 stencil, weights = self.kernel_for(grid, marker)
@@ -267,6 +286,96 @@ class KernelStrategy:
             batch = (np.concatenate(indices), np.concatenate(psi), counts)
         self.__dict__["_pending"] = (operator, key, batch)
         return batch
+
+
+def _closed_form_batch(grid, markers, wf, degree, tol):
+    """Two-sided unbounded kernels of many markers in one closed-form pass.
+
+    On a full tensor stencil W is a product of 1D profiles, so each entry
+    of the Gram matrix A W Aᵀ is a product of per-axis sums Σφ, Σφr and
+    Σφr² (r the physical offset from the marker, as ``PolynomialBasis``
+    takes it). The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p. Sites at or
+    below ``tol.zero_weight`` are eliminated as ``solve_generating_qp``
+    eliminates them: their terms are taken out of the Gram, and Ψ = 0
+    there.
+
+    Returns the flat indices, weights and per-marker counts in the C
+    order of ``support_stencil``, or None if any marker is within the
+    support of an edge, has fewer than m supported sites, or has a Gram
+    matrix whose Cholesky pivots fail the ``tol.rank_pivot`` rule (the
+    R of ``solve_kkt``'s QR is that Cholesky factor). Weights agree with
+    ``KernelStrategy.kernel_for`` to rounding, not bitwise.
+    """
+    try:
+        m = build_basis(grid.dimension, degree).size
+    except ValueError:
+        return None
+    n, d = markers.shape
+    radius = wf.radius_in_cells
+    window = math.ceil(2 * radius) + 2
+    right = grid.right_edge
+    # Per axis, support_stencil's candidate cells for every marker, as
+    # (n, window) arrays broadcast to the (n, window, ..., window) tensor.
+    offsets, phi, along, inside, flat, weight = [], [], [], True, 0, 1.0
+    for ax in range(d):
+        o, h, x = grid.origin[ax], grid.spacing[ax], markers[:, ax:ax + 1]
+        reach = radius * h
+        fuzz = 1e-12 * h
+        if np.any(x - reach < o - fuzz) or np.any(x + reach > right[ax] + fuzz):
+            return None
+        first = np.maximum(np.floor((x - o) / h - 0.5 - radius), 0)
+        idx = first.astype(np.intp) + np.arange(window)
+        r = o + (idx + 0.5) * h - x  # the centers of axis_centers, less x
+        ok = (idx < grid.counts[ax]) & (np.abs(r) < reach)
+        values = np.zeros(r.shape)
+        values[ok] = wf.eval1d(r[ok] / wf.mesh_width)
+        shape = (n,) + (1,) * ax + (window,) + (1,) * (d - ax - 1)
+        offsets.append(r)
+        phi.append(values)
+        along.append(r.reshape(shape))
+        inside = inside & ok.reshape(shape)
+        flat = flat * grid.counts[ax] + idx.reshape(shape)
+        weight = weight * values.reshape(shape)
+    kept = weight > tol.zero_weight
+    if np.any(np.count_nonzero(kept.reshape(n, -1), axis=1) < m):
+        return None
+
+    # Entry (a, b) of the Gram is the product over axes of the per-axis
+    # sum of φ·r^k, k the power of that axis in basis rows a and b.
+    phi, offsets = np.stack(phi, axis=1), np.stack(offsets, axis=1)
+    moments = np.stack(
+        [phi.sum(-1), (phi * offsets).sum(-1), (phi * offsets**2).sum(-1)],
+        axis=-1,
+    )
+    powers = np.eye(m, d, -1, dtype=np.intp)  # row 0 is 1, row a is r_(a-1)
+    gram = moments[:, np.arange(d), powers[:, None] + powers[None]].prod(-1)
+    gone = np.nonzero(~kept & (weight != 0.0))
+    if gone[0].size:
+        a = np.ones((gone[0].size, m))
+        for ax in range(m - 1):
+            a[:, ax + 1] = offsets[gone[0], ax, gone[ax + 1]]
+        terms = weight[gone][:, None, None] * a[:, :, None] * a[:, None, :]
+        np.subtract.at(gram, gone[0], terms)
+
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.abs(np.diagonal(chol, axis1=1, axis2=2)).min(axis=1)
+    if not np.all(pivots >= tol.rank_pivot * np.abs(chol).max(axis=(1, 2))):
+        return None
+    p = np.zeros((n, m, 1))
+    p[:, 0] = 1.0
+    coef = np.linalg.solve(gram, p)[..., 0]
+
+    lead = (n,) + (1,) * d
+    poly = coef[:, 0].reshape(lead)
+    for ax in range(m - 1):
+        poly = poly + coef[:, ax + 1].reshape(lead) * along[ax]
+    psi = np.where(kept, weight * poly, 0.0)
+    inside = np.broadcast_to(inside, weight.shape)
+    counts = np.count_nonzero(inside.reshape(n, -1), axis=1)
+    return np.broadcast_to(flat, weight.shape)[inside], psi[inside], counts
 
 
 def interpolate(field, markers, strategy):

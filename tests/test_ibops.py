@@ -6,7 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import full_scan_stencil, per_marker_interpolate, per_marker_spread
 
-from ibkernel.errors import DegenerateDomain, StencilOutsideDomain
+from ibkernel.errors import (
+    DegenerateDomain,
+    InsufficientSupport,
+    RankDeficientConstraints,
+    StencilOutsideDomain,
+)
 from ibkernel.ibops import (
     GridField,
     KernelStrategy,
@@ -17,7 +22,15 @@ from ibkernel.ibops import (
     spread,
     support_stencil,
 )
-from ibkernel.kernels import WeightFunction
+from ibkernel.kernels import (
+    BasisDegree,
+    WeightFunction,
+    build_basis,
+    eval_psi4,
+    eval_psi6,
+    tensor_weight,
+)
+from ibkernel.linalg import DEFAULT_TOLERANCES, ToleranceSet
 from ibkernel.onesided import KernelBounds, SignedDistance
 
 
@@ -286,8 +299,10 @@ class TestSpread:
 
 
 # Paired kernels: an interpolate and a spread at the same markers share one
-# build of the kernels. Every output is compared bitwise with the
-# per-marker reference loops in oracles.py.
+# build of the kernels. Outputs are compared with the per-marker reference
+# loops in oracles.py: bitwise wherever the operators build marker by
+# marker, and to 1e-12 of the output scale where several two-sided
+# unbounded markers are built in one closed-form pass.
 
 
 def _paired_case(dim, kind):
@@ -344,9 +359,17 @@ def test_paired_operators_match_per_marker_reference(dim, kind, order, builds):
     else:
         got_field = spread(values, markers, grid, strategy).values
         got_values = interpolate(field, markers, strategy)
-    assert len(builds) == len(markers)
-    assert got_values.tobytes() == want_values.tobytes()
-    assert got_field.tobytes() == want_field.tobytes()
+    if kind == "two-sided":
+        # The closed-form pass ran: no marker was built on its own.
+        assert builds == []
+        assert_allclose(got_values, want_values, rtol=0,
+                        atol=1e-12 * np.max(np.abs(want_values)))
+        assert_allclose(got_field, want_field, rtol=0,
+                        atol=1e-12 * np.max(np.abs(want_field)))
+    else:
+        assert len(builds) == len(markers)
+        assert got_values.tobytes() == want_values.tobytes()
+        assert got_field.tobytes() == want_field.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["two-sided", "one-sided", "boxed"])
@@ -364,6 +387,136 @@ def test_one_marker_calls_match_per_marker_reference(dim, kind, builds):
         assert len(builds) == 1
         assert got_value.tobytes() == want_value.tobytes()
         assert got_field.tobytes() == want_field.tobytes()
+
+
+# Several two-sided unbounded markers are built in one closed-form pass.
+# Each of its kernels is checked against its own ``kernel_for`` build.
+
+
+def _tiny_tail(r):
+    """ψ6 within two cells, then 1e-8 out to three: where two axes reach
+    the tail the tensor weight, 1e-16, is below zero_weight."""
+    r = np.asarray(r, dtype=float)
+    return np.where(np.abs(r) < 2.0, eval_psi6(r), 1e-8)
+
+
+def _scalar_psi4(r):
+    return float(eval_psi4(float(r)))  # float() rejects an array
+
+
+def _scaled_psi6(r):
+    """ψ6 times 1e-4: in 2D and 3D a large share of the stencil's weight
+    lies on sites at or below zero_weight, which the solve eliminates."""
+    return 1e-4 * eval_psi6(r)
+
+
+_TABLE = np.linspace(-2.5, 2.5, 21)
+_PROFILES = {
+    "psi6": WeightFunction.six_point_spline,
+    "psi4": WeightFunction.four_point_peskin,
+    "custom-array": lambda h: WeightFunction.custom1d(h, _tiny_tail, 3.0),
+    "custom-scalar": lambda h: WeightFunction.custom1d(h, _scalar_psi4, 2.0),
+    "custom-scaled": lambda h: WeightFunction.custom1d(h, _scaled_psi6, 3.0),
+    "table": lambda h: WeightFunction.from_table(
+        h, _TABLE, 1.0 - (_TABLE / 2.5) ** 2, 2.5
+    ),
+}
+
+
+def _parity_case(dim, wf):
+    """A grid with non-zero origin, and markers on cell centers, on cell
+    faces (half a cell off) and exactly at the edge margin."""
+    h = wf.mesh_width
+    grid = make_grid([(0.3, 1.0), (-1.7, -1.05), (2.1, 2.75)][:dim], h)
+    o, right = np.array(grid.origin), np.array(grid.right_edge)
+    margin = wf.radius_in_cells * h
+    markers = np.array([
+        o + (np.array([7, 8, 6][:dim]) + 0.5) * h,
+        o + (np.array([5, 9, 8][:dim]) + 0.5) * h,
+        o + np.array([8, 6, 7][:dim]) * h,
+        o + np.array([6, 7, 9][:dim]) * h,
+        o + margin,
+        right - margin,
+        np.where(np.arange(dim) % 2, o + margin, right - margin),
+    ])
+    return grid, markers
+
+
+@pytest.mark.parametrize("degree", list(BasisDegree))
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_batch_matches_kernel_for(dim, profile, degree, builds):
+    wf = _PROFILES[profile](0.05)
+    grid, markers = _parity_case(dim, wf)
+    strategy = KernelStrategy(wf, degree=degree)
+    indices, psi, counts = strategy._batch("interpolate", grid, markers)
+    assert builds == []
+    basis = build_basis(dim, degree)
+    zero_weight = DEFAULT_TOLERANCES.zero_weight
+    dropped = 0
+    ends = np.cumsum(counts)
+    for x, end, count in zip(markers, ends, counts):
+        stencil = support_stencil(grid, x, wf.radius_in_cells)
+        got = psi[end - count:end]
+        got_indices = indices[end - count:end]
+        assert count == len(stencil)
+        assert got_indices.dtype == stencil.indices.dtype
+        assert got_indices.tobytes() == stencil.indices.tobytes()
+        _, want = strategy.kernel_for(grid, x)
+        assert np.max(np.abs(got - want.psi)) <= 1e-12 * np.max(np.abs(want.psi))
+        w = np.array([tensor_weight(site, x, wf) for site in stencil.sites])
+        assert np.all(got[w <= zero_weight] == 0.0)
+        dropped += np.count_nonzero((w > 0.0) & (w <= zero_weight))
+        moments = basis.rows(stencil.sites, x) @ got - basis.at_eval()
+        assert np.max(np.abs(moments)) <= 1e-12
+    if profile in ("custom-array", "custom-scaled") and dim > 1:
+        assert dropped > 0
+
+
+def _failing_batch(case):
+    """Strategy and markers whose marker ``bad`` fails its build.
+
+    edge: a marker inside the edge margin. support: a profile that covers
+    one site of a marker on a cell center, two per axis of one on a face.
+    rank: a rank_pivot that every linear Gram on this grid fails.
+    """
+    h = 0.075
+    grid = make_grid([(-1.0, 1.0)] * 2, h)
+    faces = grid.origin[0] + h * np.array([[12, 14], [15, 11], [13, 13]])
+    wf, tol, markers, bad = (WeightFunction.six_point_spline(h),
+                             DEFAULT_TOLERANCES, faces, 2)
+    if case == "edge":
+        markers = np.vstack([faces[:2], [[0.99, 0.0]], faces[2:]])
+    elif case == "support":
+        wf = WeightFunction.custom1d(
+            h, lambda r: np.maximum(0.0, 1.0 - np.abs(r) / 0.6), 0.6
+        )
+        markers = np.vstack([faces[:2], grid.centers()[300], faces[2:]])
+    else:
+        tol, bad = ToleranceSet(rank_pivot=0.5), 0
+    return grid, KernelStrategy(wf, tolerances=tol), markers, bad
+
+
+@pytest.mark.parametrize("op", ["I", "S"])
+@pytest.mark.parametrize(
+    "case, error",
+    [("edge", StencilOutsideDomain), ("support", InsufficientSupport),
+     ("rank", RankDeficientConstraints)],
+)
+def test_failing_closed_form_batch_raises_as_the_per_marker_loop(
+    case, error, op, builds
+):
+    grid, strategy, markers, bad = _failing_batch(case)
+    field = GridField(np.ones(grid.total_cells), grid)
+    values = np.ones(len(markers))
+    with pytest.raises(error):
+        per_marker_interpolate(field, markers, strategy)
+    builds.clear()
+    with pytest.raises(error):
+        _call(op, grid, strategy, markers, field, values)
+    # The marker-by-marker build ran, and stopped at the failing marker.
+    assert len(builds) == bad + 1
+    assert "_pending" not in vars(strategy)
 
 
 def _call(op, grid, strategy, markers, field, values):
