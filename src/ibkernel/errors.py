@@ -23,7 +23,12 @@ class InsufficientSupport(IBKernelError):
 
 
 class Infeasible(IBKernelError):
-    """Bound + equality constraint set is empty (phase-1 certified)."""
+    """Bound + equality constraint set is empty.
+
+    Raised by the dual active-set solver when a violated bound depends on
+    its working set and no multiplier can fall; ``violation`` is then the
+    phase-1 (bounded least-squares) minimum of the equality violation.
+    """
 
     def __init__(self, message, violation=None):
         super().__init__(message)

@@ -288,6 +288,17 @@ class KernelStrategy:
         return batch
 
 
+# Bound on the condition number of the diagonally scaled Gram D·G·D,
+# D = diag(G)^-½, as its Cholesky pivots read it. The closed-form pass
+# solves the normal equations G c = p, whose error grows with that number.
+# It is 1, to rounding, where the profile meets the moment conditions on
+# its grid (ψ6 or ψ4 at the grid's spacing). On a grid of spacing
+# (1e-4, 3e-4) with a ψ6 of width 1e-4 it runs past 1e5; the markers this
+# bound admits there read up to 2.3e-13·max|Ψ| from kernel_for, and those
+# a bound of 1e4 would admit up to 2.8e-12.
+_BATCH_COND_LIMIT = 1e3
+
+
 def _closed_form_batch(grid, markers, wf, degree, tol):
     """Two-sided unbounded kernels of many markers in one closed-form pass.
 
@@ -303,7 +314,8 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
     order of ``support_stencil``, or None if any marker is within the
     support of an edge, has fewer than m supported sites, or has a Gram
     matrix whose Cholesky pivots fail the ``tol.rank_pivot`` rule (the
-    R of ``solve_kkt``'s QR is that Cholesky factor). Weights agree with
+    R of ``solve_kkt``'s QR is that Cholesky factor) or whose scaled
+    condition number exceeds ``_BATCH_COND_LIMIT``. Weights agree with
     ``KernelStrategy.kernel_for`` to rounding, not bitwise.
     """
     try:
@@ -363,6 +375,13 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
         return None
     pivots = np.abs(np.diagonal(chol, axis1=1, axis2=2)).min(axis=1)
     if not np.all(pivots >= tol.rank_pivot * np.abs(chol).max(axis=(1, 2))):
+        return None
+    # D·chol is the Cholesky factor of D·G·D. The squared ratio of its
+    # extreme pivots is a lower bound on that matrix's condition number.
+    scaled = np.diagonal(chol, axis1=1, axis2=2) / np.sqrt(
+        np.diagonal(gram, axis1=1, axis2=2))
+    if not np.all(scaled.max(axis=1) ** 2
+                  <= _BATCH_COND_LIMIT * scaled.min(axis=1) ** 2):
         return None
     p = np.zeros((n, m, 1))
     p[:, 0] = 1.0

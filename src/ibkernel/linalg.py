@@ -126,6 +126,27 @@ def _divide(v, root):
     return v / (root if v.ndim == 1 else root[:, None])
 
 
+def _householder_qr(a, full=False):
+    """Q and R of the (n, m) matrix ``a``, n ≥ m, as ``scipy.linalg.qr``.
+
+    Economic (Q n×m, R m×m) by default; with ``full``, Q is n×n and R is
+    n×m. These are the two LAPACK calls ``scipy.linalg.qr`` makes, dgeqrf
+    and dorgqr, without its workspace queries and argument handling: 4 µs
+    against 34 on 36×3 economic, 7 against 45 on 216×4 full. R is copied
+    out before dorgqr overwrites the factored matrix.
+    """
+    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a)
+    if full:
+        r = np.triu(qr)
+        square = np.empty((a.shape[0], a.shape[0]), order="F")
+        square[:, :a.shape[1]] = qr
+        qr = square
+    else:
+        r = np.triu(qr[:a.shape[1]])
+    q, _, _ = scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)
+    return q, r
+
+
 @dataclass
 class QPProblem:
     """min ½ xᵀHx  s.t.  eq_matrix·x = eq_rhs,  lower ≤ x ≤ upper.
@@ -280,13 +301,7 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
         raise ValueError("problem has bounds; use solve_box_qp")
     c, b = problem.eq_matrix, problem.eq_rhs
     root = _diagonal_root(problem.hessian)
-    lc = _divide(c.T, root)
-    # The two LAPACK calls scipy.linalg.qr(lc, mode="economic") makes, without
-    # its workspace queries and argument handling: 4 µs against 34 on 36×3.
-    # R is copied out before dorgqr overwrites qr.
-    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(lc)
-    r = np.triu(qr[:problem.m])
-    q, _, _ = scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)
+    q, r = _householder_qr(_divide(c.T, root))
     if problem.m:
         smallest = float(np.min(np.abs(np.diag(r))))
         r_scale = float(np.max(np.abs(r)))

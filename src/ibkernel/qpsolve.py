@@ -8,7 +8,8 @@ re-exported here), which holds H as the vector of its diagonal:
   (linalg.solve_kkt), whose only factorization is the QR of H^-½Cᵀ.
 - solve_box_qp: equalities plus bound constraints, the dual active-set
   method of Goldfarb & Idnani (Math. Programming 27, 1983), started from
-  the equality-constrained minimizer.
+  the equality-constrained minimizer. It detects an empty constraint set
+  itself and raises Infeasible.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
   empty. With a diagonal H this is bounded least squares.
@@ -18,6 +19,10 @@ re-exported here), which holds H as the vector of its diagonal:
 plus phase1_feasible (a bounded least-squares feasibility probe) and
 check_kkt (residual audit of any solution against any problem). Phase-1
 and the soft fallback share one bounded-variable least-squares solve.
+Phase-1 does not gate the bounded solve: it runs only when solve_box_qp
+has found the box infeasible, to report the violation that Infeasible
+carries, and the tests hold it as an independent oracle that the solve
+mode agrees with.
 """
 
 from dataclasses import dataclass
@@ -41,6 +46,7 @@ from .linalg import (
     QPProblem,
     _diagonal_root,
     _divide,
+    _householder_qr,
     _solve_tri,
     solve_kkt,
     solve_spd,
@@ -64,6 +70,12 @@ __all__ = [
 
 # Weight ρ of the soft fallback's penalty on the equality residual.
 _PENALTY = 1e8
+
+# scipy's QR column updates, called past the array-API batch wrapper that
+# recent scipy puts around them (23 and 13 µs a call through it, against
+# 5.9 and 2.4 µs). Where there is no wrapper these are the functions.
+_qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
+_qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 
 @dataclass
@@ -141,9 +153,14 @@ def _check_rank(r_eq):
 
     With the pinned bounds ordered before the equality rows, the trailing
     m×m block of R in the QR factorization of L⁻¹N is such a factor of
-    C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N).
+    C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N). Its condition number
+    is the square of r_eq's, the ratio of its extreme singular values
+    (infinite when the smallest is 0, as ``np.linalg.cond`` reads it).
     """
-    cond = np.linalg.cond(r_eq) ** 2 if r_eq.size else 1.0
+    cond = 1.0
+    if r_eq.size:
+        s = np.linalg.svd(r_eq, compute_uv=False)
+        cond = (s[0] / s[-1] if s[-1] > 0.0 else np.inf) ** 2
     if cond > _GRAM_COND_LIMIT:
         raise RankDeficientConstraints(
             "equality Gram matrix on the free variables has condition "
@@ -165,9 +182,9 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
 
     The working set's normals N (a signed unit vector per pinned bound,
     then the equality rows) enter through a full QR factorization of
-    L⁻¹N with L = diag(√h), kept current by ``scipy.linalg.qr_insert``
-    and ``qr_delete``. L⁻¹ is a division, and Qᵀ applied to the scaled
-    unit normal of bound p is row p of Q, scaled. After each full step the
+    L⁻¹N with L = diag(√h), kept current by scipy's ``qr_insert`` and
+    ``qr_delete``. L⁻¹ is a division, and Qᵀ applied to the scaled unit
+    normal of bound p is row p of Q, scaled. After each full step the
     iterate and the multipliers are recomputed from that factorization, so
     rounding does not build up over the steps, and pinned variables sit
     exactly on their bounds.
@@ -186,8 +203,9 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     NotSPD
         The Hessian is not positive definite.
     Infeasible
-        No point meets the equalities within the bounds; the reported
-        violation is phase-1's.
+        No point meets the equalities within the bounds: the bound to add
+        depends on the working set and no multiplier can fall. Only then
+        does phase-1 run, to report its violation.
     RankDeficientConstraints
         The equality rows restricted to the free variables at the optimum
         fail the rank rule (see ``_GRAM_COND_LIMIT``).
@@ -200,53 +218,59 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     cap = 50 * n if max_iterations is None else int(max_iterations)
     root = _diagonal_root(problem.hessian)
 
-    # Working set: the pinned bounds (site, +1 at lower / -1 at upper, the
-    # bound) in the order they joined, then the m equality rows.
-    pinned, side, at = [], [], []
-    q_fac, r_fac = scipy.linalg.qr(_divide(problem.eq_matrix.T, root))
+    # Working set: the k pinned bounds in the order they joined, then the
+    # m equality rows. Pinned bound j holds site pinned[j] at fixed[0, j],
+    # from side fixed[1, j] (+1 at lower, -1 at upper); fixed[2, j] is
+    # their product, the bound's row of the working set's right-hand side.
+    pinned = np.empty(n, dtype=np.intp)
+    fixed = np.empty((3, n))
+    k = 0
+    q_fac, r_fac = _householder_qr(_divide(problem.eq_matrix.T, root), full=True)
     _check_rank(r_fac[:m])
+    # The leading (k + m)-square block of R, copied once into the layout
+    # LAPACK takes for all the triangular solves until R changes.
+    r_top = np.asfortranarray(r_fac[:m])
 
     def minimizer():
         """Minimizer and multipliers with every working-set row active."""
-        q = len(pinned) + m
-        r1 = r_fac[:q]
-        rhs = np.concatenate([np.multiply(side, at), problem.eq_rhs])
-        a = _solve_tri(r1, rhs, trans=1)
-        x = _divide(q_fac[:, :q] @ a, root)
-        x[pinned] = at
-        return x, _solve_tri(r1, a)
+        rhs = np.concatenate([fixed[2, :k], problem.eq_rhs])
+        a = _solve_tri(r_top, rhs, trans=1)
+        x = _divide(q_fac[:, :k + m] @ a, root)
+        x[pinned[:k]] = fixed[0, :k]
+        return x, _solve_tri(r_top, a)
 
     x, u = minimizer()
     steps = 0
     while True:
         viol = np.maximum(lo - x, x - hi)
-        viol[pinned] = 0.0
+        viol[pinned[:k]] = 0.0
         p = int(np.argmax(viol))
         if not viol[p] > 0.0:
             break
         s_p = 1.0 if lo[p] - x[p] >= x[p] - hi[p] else -1.0
         bound = lo[p] if s_p > 0 else hi[p]
-        normal = np.zeros(n)
-        normal[p] = s_p
-        w = _divide(normal, root)
+        w_p = s_p / root[p]  # w = L⁻¹ times the unit normal is zero but at p
         while True:
             steps += 1
             if steps > cap:
                 raise MaxIterationsExceeded(
                     f"dual active-set iteration cap {cap} reached"
                 )
-            k, q = len(pinned), len(pinned) + m
-            d = q_fac[p] * w[p]  # Qᵀw, as w is zero but at p
-            r = _solve_tri(r_fac[:q], d[:q])
+            q = k + m
+            d = q_fac[p] * w_p  # Qᵀw
+            r = _solve_tri(r_top, d[:q])
             dz = d[q:]
             curvature = float(dz @ dz)
             t_full = np.inf
-            if curvature > _DEPENDENT**2 * float(w @ w):
+            if curvature > _DEPENDENT**2 * (w_p * w_p):
                 t_full = s_p * (bound - x[p]) / curvature
-            ratios = np.full(k, np.inf)
-            falling = r[:k] > 0.0
-            ratios[falling] = np.maximum(u[:k][falling], 0.0) / r[:k][falling]
-            t_part = float(np.min(ratios, initial=np.inf))
+            t_part = np.inf
+            if k:
+                ratios = np.divide(
+                    np.maximum(u[:k], 0.0), r[:k],
+                    out=np.full(k, np.inf), where=r[:k] > 0.0,
+                )
+                t_part = float(ratios.min())
             if t_full == np.inf and t_part == np.inf:
                 violation = phase1_feasible(problem, tol).violation
                 raise Infeasible(
@@ -255,12 +279,16 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                     violation=violation,
                 )
             if t_full <= t_part:
-                q_fac, r_fac = scipy.linalg.qr_insert(
-                    q_fac, r_fac, w, k, which="col", check_finite=False
+                w = np.zeros(n)
+                w[p] = w_p
+                q_fac, r_fac = _qr_insert(
+                    q_fac, r_fac, w, k, which="col", overwrite_qru=True,
+                    check_finite=False,
                 )
-                pinned.append(p)
-                side.append(s_p)
-                at.append(bound)
+                pinned[k] = p
+                fixed[:, k] = bound, s_p, s_p * bound
+                k += 1
+                r_top = np.asfortranarray(r_fac[:k + m])
                 x, u = minimizer()
                 break
             if t_full < np.inf:
@@ -268,20 +296,23 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                 x = x + t_part * z
             drop = int(np.argmin(ratios))
             u = np.delete(u - t_part * r, drop)
-            q_fac, r_fac = scipy.linalg.qr_delete(
-                q_fac, r_fac, drop, which="col", check_finite=False
+            q_fac, r_fac = _qr_delete(
+                q_fac, r_fac, drop, which="col", overwrite_qr=True,
+                check_finite=False,
             )
-            del pinned[drop], side[drop], at[drop]
+            pinned[drop:k - 1] = pinned[drop + 1:k]
+            fixed[:, drop:k - 1] = fixed[:, drop + 1:k]
+            k -= 1
+            r_top = np.asfortranarray(r_fac[:k + m])
 
-    k = len(pinned)
     _check_rank(r_fac[k:k + m, k:k + m])
     bound_mult = np.zeros(n)
-    bound_mult[pinned] = np.multiply(side, u[:k])
+    bound_mult[pinned[:k]] = fixed[1, :k] * u[:k]
     return QPSolution(
         x=x,
         multipliers=u[k:],
         bound_multipliers=bound_mult,
-        active_set=tuple(sorted(pinned)),
+        active_set=tuple(sorted(pinned[:k].tolist())),
         eq_residual=_eq_residual(problem, x),
         iterations=1 + steps,
         mode=SolveMode.EXACT,
@@ -474,9 +505,11 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
     Sites whose weight is at or below ``tol.zero_weight`` make W⁻¹
     undefined; they are eliminated with Ψ := 0 before solving, which
     preserves the minimizer of the remaining coordinates. Without bounds
-    this is a single equality-QP solve; with bounds the active-set solver
-    runs, falling back to the soft-constraint penalty when phase-1 reports
-    the constraint set empty.
+    this is a single equality-QP solve. With bounds the dual active-set
+    solver runs first and, when it raises Infeasible, the soft-constraint
+    penalty takes over. So phase-1 runs only on infeasible boxes, inside
+    that raise, and an Infeasible whose phase-1 violation is within
+    ``tol.feasibility`` (the two disagree) is raised, not softened.
 
     ``bounds`` may be anything with ``alpha``/``beta`` attributes or an
     (alpha, beta) pair.
@@ -504,10 +537,13 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
                 violation=max(alpha - 0.0, 0.0 - beta),
             )
         problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta)
-        report = phase1_feasible(problem, tol)
-        if report.feasible:
+        try:
             sol = solve_box_qp(problem, tol)
-        else:
+        except Infeasible as exc:
+            # The dual solver and phase-1 disagree on a box phase-1 finds
+            # feasible: raise rather than return a soft kernel there.
+            if exc.violation <= tol.feasibility:
+                raise
             sol = solve_soft_qp(problem, tol)
 
     psi = np.zeros(system.n_sites)

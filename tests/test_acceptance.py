@@ -2,12 +2,12 @@
 
 Each test prints a single `criterion N: PASS/FAIL` line (visible with
 pytest -s, and in the failure report otherwise) and asserts the criterion
-exactly as stated. Criterion 4 checks that phase-1 decides the solve mode
-on case 4's [0, 0.75] box, against a box margin computed independently by
-linear programming: the paper's four markers are strictly feasible
-(margins +1.7e-3 to +7.0e-3) and must finish Exact, while the marker at
-0 deg is infeasible (margin -2.5e-3) and must finish SoftConstraint with
-the weights still inside the box.
+exactly as stated. Criterion 4 checks that the solve mode agrees with
+phase-1 on case 4's [0, 0.75] box, against a box margin computed
+independently by linear programming: the paper's four markers are
+strictly feasible (margins +1.7e-3 to +7.0e-3) and must finish Exact,
+while the marker at 0 deg is infeasible (margin -2.5e-3) and must finish
+SoftConstraint with the weights still inside the box.
 """
 
 import time
@@ -188,7 +188,7 @@ def test_criterion_4_case4_reproduction():
         float(np.min(row.weights.psi)) >= -1e-10 for row in table.rows
     )
 
-    # Phase-1 decides the mode: on the paper's four markers the box is
+    # The mode agrees with phase-1: on the paper's four markers the box is
     # strictly feasible by LP (margins 1.7e-3 to 7.0e-3), so phase-1 must
     # agree and every row must finish Exact with the moments met.
     tol = DEFAULT_TOLERANCES

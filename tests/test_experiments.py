@@ -229,6 +229,14 @@ class TestSweeps:
             assert np.min(row.weights.psi) >= 0.0, row.marker_deg
             assert np.max(row.weights.psi) <= 0.75, row.marker_deg
 
+    def test_case3_every_degree_mode_agrees_with_phase1(self):
+        cfg = CircleCaseConfig.for_case(3, marker_angles_deg=np.arange(360.0))
+        for row in run_circle_case(cfg).rows:
+            a, w, p = _supported_system(cfg, row)
+            problem = QPProblem(np.ones(w.size), a, p, lower=-0.07, upper=0.5)
+            feasible = phase1_feasible(problem, cfg.tolerances).feasible
+            assert row.mode == ("Exact" if feasible else "SoftConstraint")
+
     def test_case3_every_2_5_degrees_is_kkt_optimal(self):
         cfg = CircleCaseConfig.for_case(
             3, marker_angles_deg=np.arange(144) * 2.5

@@ -473,6 +473,36 @@ def test_closed_form_batch_matches_kernel_for(dim, profile, degree, builds):
         assert dropped > 0
 
 
+def test_closed_form_batch_on_a_coarser_grid_than_the_profile(builds):
+    # ψ6 of width 1e-4 on a grid of spacing (1e-4, 3e-4): along the coarse
+    # axis Σφr ≠ 0, and the scaled Gram's condition number ranges over
+    # several decades with the marker. Without the condition bound this
+    # call's batch read 1.3e-10·max|Ψ| from kernel_for; above it the call
+    # builds marker by marker.
+    grid = make_grid([(0.0, 0.03), (0.0, 0.09)], (1e-4, 3e-4))
+    wf = WeightFunction.six_point_spline(1e-4)
+    rng = np.random.default_rng(0)
+    markers = np.stack(
+        [rng.uniform(0.001, 0.029, 30), rng.uniform(0.003, 0.087, 30)], axis=1
+    )
+    want = [KernelStrategy(wf).kernel_for(grid, x)[1].psi for x in markers]
+    builds.clear()
+    _, psi, counts = KernelStrategy(wf)._batch("interpolate", grid, markers)
+    for got, ref in zip(np.split(psi, np.cumsum(counts)[:-1]), want):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # Each marker alone (given twice, so the call is a batch) is either
+    # taken by the closed-form pass, within 1e-12, or built by kernel_for.
+    taken = 0
+    for x, ref in zip(markers, want):
+        builds.clear()
+        _, psi, counts = KernelStrategy(wf)._batch(
+            "interpolate", grid, np.stack([x, x])
+        )
+        taken += not builds
+        assert np.max(np.abs(psi[:counts[0]] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert 0 < taken < len(markers)
+
+
 def _failing_batch(case):
     """Strategy and markers whose marker ``bad`` fails its build.
 

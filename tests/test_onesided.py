@@ -17,7 +17,7 @@ from ibkernel.kernels import (
     eval_psi6,
 )
 from ibkernel.ibops import KernelStrategy, make_grid, support_stencil
-from ibkernel.qpsolve import solve_generating_qp
+from ibkernel.qpsolve import QPProblem, phase1_feasible, solve_generating_qp
 from ibkernel.onesided import (
     KernelBounds,
     SideMask,
@@ -286,7 +286,13 @@ def test_sphere_boxes():
         for alpha, beta in ((-0.07, 0.5), (0.0, 0.75)):
             kw = solve_generating_qp(system, bounds=KernelBounds(alpha, beta))
             psi = kw.psi
+            # Exact, as phase-1 independently finds the box feasible.
             assert kw.mode is SolveMode.EXACT
+            problem = QPProblem(
+                1.0 / system.Wdiag[keep], system.A[:, keep], system.p,
+                lower=alpha, upper=beta,
+            )
+            assert phase1_feasible(problem).feasible
             assert np.max(np.abs(system.A @ psi - system.p)) <= 1e-10
             assert np.all(psi >= alpha) and np.all(psi <= beta)
             assert np.all(psi[~mask.plus] == 0.0)

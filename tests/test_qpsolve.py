@@ -9,6 +9,7 @@ from oracles import (
     random_box_problem,
 )
 
+from ibkernel import qpsolve
 from ibkernel.errors import (
     IBKernelError,
     Infeasible,
@@ -386,6 +387,18 @@ def _line_system(wdiag, h=1.0):
     )
 
 
+def _case4_system(deg):
+    """The one-sided moment system of the case-4 circle marker at ``deg``."""
+    cfg = CircleCaseConfig.for_case(4, marker_angles_deg=(deg,))
+    marker = cfg.marker_positions()[0]
+    grid = make_grid(cfg.extents, cfg.mesh_width)
+    wf = WeightFunction.six_point_spline(cfg.mesh_width)
+    sites = support_stencil(grid, marker, wf.radius_in_cells).sites
+    sd = SignedDistance.circle(cfg.center, cfg.radius)
+    system = assemble_system(sites, marker, wf, build_basis(2, BasisDegree.LINEAR))
+    return restrict_weights(system, classify_side(sd, sites))
+
+
 class TestGeneratingQP:
     def test_zero_weight_site_eliminated(self):
         system = _line_system([0.5, 0.5, 0.0])
@@ -415,6 +428,53 @@ class TestGeneratingQP:
         assert tight.mode is SolveMode.SOFT_CONSTRAINT
         assert np.all(tight.psi <= 0.3 + 1e-12)
         assert np.all(tight.psi >= -1e-12)
+
+    @pytest.mark.parametrize(
+        "deg, bounds, mode, phase1_calls",
+        [(None, (-1.0, 1.0), "Exact", 0),
+         (None, (0.0, 0.3), "SoftConstraint", 1),
+         (40.0, (0.0, 0.75), "Exact", 0),
+         (0.0, (0.0, 0.75), "SoftConstraint", 1)],
+    )
+    def test_phase1_runs_only_on_an_infeasible_box(
+        self, deg, bounds, mode, phase1_calls, monkeypatch
+    ):
+        # The dual solver runs first; phase-1 only reports the violation
+        # once it has raised Infeasible. deg: a case-4 circle marker, or
+        # None for the three-site line.
+        if deg is None:
+            system = _line_system([0.4, 0.8, 0.4])
+        else:
+            system = _case4_system(deg)
+        calls = []
+
+        def counted(problem, tol=DEFAULT_TOLERANCES):
+            calls.append(problem)
+            return phase1_feasible(problem, tol)
+
+        monkeypatch.setattr(qpsolve, "phase1_feasible", counted)
+        kw = solve_generating_qp(system, bounds=bounds)
+        assert kw.mode.value == mode
+        assert len(calls) == phase1_calls
+
+    @pytest.mark.parametrize("violation, mode", [(0.0, None), (0.4, "SoftConstraint")])
+    def test_infeasible_goes_soft_only_past_phase1s_tolerance(
+        self, violation, mode, monkeypatch
+    ):
+        # A box phase-1 finds feasible (violation within tol.feasibility)
+        # that the dual solver calls infeasible raises, as it did when
+        # phase-1 chose the mode; only a phase-1-infeasible box goes soft.
+        def infeasible(problem, tol=DEFAULT_TOLERANCES):
+            raise Infeasible("stand-in", violation=violation)
+
+        monkeypatch.setattr(qpsolve, "solve_box_qp", infeasible)
+        system = _line_system([0.4, 0.8, 0.4])
+        if mode is None:
+            with pytest.raises(Infeasible):
+                solve_generating_qp(system, bounds=(-1.0, 1.0))
+        else:
+            kw = solve_generating_qp(system, bounds=(-1.0, 1.0))
+            assert kw.mode.value == mode
 
     def test_bounds_object_or_tuple(self):
         system = _line_system([0.4, 0.8, 0.4])
