@@ -20,9 +20,10 @@ plus phase1_feasible (a bounded least-squares feasibility probe) and
 check_kkt (residual audit of any solution against any problem). Phase-1
 and the soft fallback share one bounded-variable least-squares solve.
 Phase-1 does not gate the bounded solve: it runs only when solve_box_qp
-has found the box infeasible, to report the violation that Infeasible
-carries, and the tests hold it as an independent oracle that the solve
-mode agrees with.
+fails, to report the violation that Infeasible carries or to decide
+whether a rank or iteration failure falls back to the soft solve, and
+the tests hold it as an independent oracle that the solve mode agrees
+with.
 """
 
 from dataclasses import dataclass
@@ -153,14 +154,9 @@ def _check_rank(r_eq):
 
     With the pinned bounds ordered before the equality rows, the trailing
     m×m block of R in the QR factorization of L⁻¹N is such a factor of
-    C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N). Its condition number
-    is the square of r_eq's, the ratio of its extreme singular values
-    (infinite when the smallest is 0, as ``np.linalg.cond`` reads it).
+    C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N).
     """
-    cond = 1.0
-    if r_eq.size:
-        s = np.linalg.svd(r_eq, compute_uv=False)
-        cond = (s[0] / s[-1] if s[-1] > 0.0 else np.inf) ** 2
+    cond = np.linalg.cond(r_eq) ** 2 if r_eq.size else 1.0
     if cond > _GRAM_COND_LIMIT:
         raise RankDeficientConstraints(
             "equality Gram matrix on the free variables has condition "
@@ -506,10 +502,11 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
     undefined; they are eliminated with Ψ := 0 before solving, which
     preserves the minimizer of the remaining coordinates. Without bounds
     this is a single equality-QP solve. With bounds the dual active-set
-    solver runs first and, when it raises Infeasible, the soft-constraint
-    penalty takes over. So phase-1 runs only on infeasible boxes, inside
-    that raise, and an Infeasible whose phase-1 violation is within
-    ``tol.feasibility`` (the two disagree) is raised, not softened.
+    solver runs first. Phase-1 runs only when that solve raises
+    Infeasible, RankDeficientConstraints or MaxIterationsExceeded: if it
+    finds the box empty the soft-constraint penalty takes over, and
+    otherwise the exception is raised. A box the dual solver meets never
+    reaches phase-1.
 
     ``bounds`` may be anything with ``alpha``/``beta`` attributes or an
     (alpha, beta) pair.
@@ -539,10 +536,17 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta)
         try:
             sol = solve_box_qp(problem, tol)
-        except Infeasible as exc:
-            # The dual solver and phase-1 disagree on a box phase-1 finds
-            # feasible: raise rather than return a soft kernel there.
-            if exc.violation <= tol.feasibility:
+        except (Infeasible, RankDeficientConstraints,
+                MaxIterationsExceeded) as exc:
+            # Phase-1 decides whether the soft kernel replaces a failed
+            # solve: it does on a box phase-1 finds empty, whatever the
+            # dual solver raised there, and any failure on a box phase-1
+            # can meet stands.
+            if isinstance(exc, Infeasible):
+                violation = exc.violation
+            else:
+                violation = phase1_feasible(problem, tol).violation
+            if violation <= tol.feasibility:
                 raise
             sol = solve_soft_qp(problem, tol)
 

@@ -17,6 +17,7 @@ from ibkernel.errors import (
     LengthMismatch,
     MaxIterationsExceeded,
     NotSPD,
+    RankDeficientConstraints,
 )
 from ibkernel.kernels import (
     BasisDegree,
@@ -457,6 +458,21 @@ class TestGeneratingQP:
         assert kw.mode.value == mode
         assert len(calls) == phase1_calls
 
+    def test_rank_refusal_on_an_infeasible_box_goes_soft(self):
+        # The weighted Gram is diag(1 + 4e-14, 4e-14), past the rank rule,
+        # so the dual solver raises RankDeficientConstraints before it can
+        # find that three sites of at most 0.3 cannot sum to 1. Phase-1
+        # finds the box empty, so the kernel is soft.
+        system = _line_system([2e-14, 1.0, 2e-14])
+        problem = QPProblem(1.0 / system.Wdiag, system.A, system.p,
+                            lower=0.0, upper=0.3)
+        with pytest.raises(RankDeficientConstraints):
+            solve_box_qp(problem)
+        assert not phase1_feasible(problem).feasible
+        kw = solve_generating_qp(system, bounds=(0.0, 0.3))
+        assert kw.mode is SolveMode.SOFT_CONSTRAINT
+        assert np.all((kw.psi >= 0.0) & (kw.psi <= 0.3))
+
     @pytest.mark.parametrize("violation, mode", [(0.0, None), (0.4, "SoftConstraint")])
     def test_infeasible_goes_soft_only_past_phase1s_tolerance(
         self, violation, mode, monkeypatch
@@ -475,6 +491,25 @@ class TestGeneratingQP:
         else:
             kw = solve_generating_qp(system, bounds=(-1.0, 1.0))
             assert kw.mode.value == mode
+
+    @pytest.mark.parametrize("error", [RankDeficientConstraints, MaxIterationsExceeded])
+    @pytest.mark.parametrize("bounds, mode", [((-1.0, 1.0), None),
+                                              ((0.0, 0.3), "SoftConstraint")])
+    def test_other_failures_go_soft_only_where_phase1_finds_the_box_empty(
+        self, error, bounds, mode, monkeypatch
+    ):
+        # Phase-1 judges the box the failed dual solve leaves: [-1, 1] can
+        # be met, so the failure is raised; [0, 0.3] cannot, so it is soft.
+        def failing(problem, tol=DEFAULT_TOLERANCES):
+            raise error("stand-in")
+
+        monkeypatch.setattr(qpsolve, "solve_box_qp", failing)
+        system = _line_system([0.4, 0.8, 0.4])
+        if mode is None:
+            with pytest.raises(error):
+                solve_generating_qp(system, bounds=bounds)
+        else:
+            assert solve_generating_qp(system, bounds=bounds).mode.value == mode
 
     def test_bounds_object_or_tuple(self):
         system = _line_system([0.4, 0.8, 0.4])
