@@ -5,9 +5,9 @@ another by construction: both apply the same kernel weights for a given
 marker, produced by whatever generation strategy the caller bundles. An
 interpolate and a spread at the same markers share one build of those
 weights (see ``KernelStrategy``). The two-sided unbounded kernels of a
-call with several markers are built together, in one closed-form pass
-over per-axis moments of the tensor-product weight; every other kernel is
-built marker by marker.
+call with several markers are built together in one closed-form pass,
+from per-axis moments over each marker's in-support run of cells; every
+other kernel is built marker by marker.
 """
 
 import math
@@ -54,7 +54,7 @@ class CartesianGrid:
 
     @property
     def total_cells(self):
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis_centers(self, axis):
         o, h, n = self.origin[axis], self.spacing[axis], self.counts[axis]
@@ -256,11 +256,11 @@ class KernelStrategy:
         A one-marker batch is that marker's own stencil indices and
         weights, with counts None.
 
-        Several two-sided unbounded markers are built together by
-        ``_closed_form_batch``, whose weights differ from ``kernel_for``'s
-        by rounding (1e-12 of the largest at most, in the tests). Any
-        other batch, and one that pass refuses, is built by ``kernel_for``
-        marker by marker, which raises what a failing marker raises.
+        Several two-sided unbounded markers are built on their in-support
+        runs of cells by ``_closed_form_batch``, whose weights differ from
+        ``kernel_for``'s by rounding (1e-12 of the largest at most, in the
+        tests). Any other batch, and one that pass refuses, is built by
+        ``kernel_for`` marker by marker, raising what a failing marker raises.
         """
         key = (grid, markers.shape, markers.tobytes())
         pending = self.__dict__.pop("_pending", None)
@@ -308,7 +308,9 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
     takes it). The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p. Sites at or
     below ``tol.zero_weight`` are eliminated as ``solve_generating_qp``
     eliminates them: their terms are taken out of the Gram, and Ψ = 0
-    there.
+    there. The tensor spans each axis's run of cells inside the support
+    (6 for ψ6, not the window's 8); a shorter run's extra cells, as at a
+    marker on a cell center, are dropped from the result.
 
     Returns the flat indices, weights and per-marker counts in the C
     order of ``support_stencil``, or None if any marker is within the
@@ -325,76 +327,80 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
     n, d = markers.shape
     radius = wf.radius_in_cells
     window = math.ceil(2 * radius) + 2
-    right = grid.right_edge
-    # Per axis, support_stencil's candidate cells for every marker, as
-    # (n, window) arrays broadcast to the (n, window, ..., window) tensor.
-    offsets, phi, along, inside, flat, weight = [], [], [], True, 0, 1.0
+    # support_stencil's candidate cells, (d, window, n): markers go on the
+    # last axis of every array, where numpy's inner loops run long. Each
+    # keeps the longest in-support run's width from its own run's start.
+    o, h, right, counts = (np.array(v)[:, None, None] for v in (
+        grid.origin, grid.spacing, grid.right_edge, grid.counts))
+    x, reach, fuzz = markers.T.copy()[:, None], radius * h, 1e-12 * h
+    if np.any(x - reach < o - fuzz) or np.any(x + reach > right + fuzz):
+        return None
+    first = np.maximum(np.floor((x - o) / h - 0.5 - radius), 0)
+    idx = first.astype(np.intp) + np.arange(window)[:, None]
+    r = o + (idx + 0.5) * h - x  # the centers of axis_centers, less x
+    ok = (idx < counts) & (np.abs(r) < reach)
+    run = ok.sum(axis=1).max()
+    idx = idx[:, :1] + np.minimum(ok.argmax(axis=1), window - run)[:, None]
+    idx = idx + np.arange(run)[:, None]
+    r = o + (idx + 0.5) * h - x
+    ok = (idx < counts) & (np.abs(r) < reach)
+    phi = np.zeros(r.shape)
+    phi[ok] = wf.eval1d(r[ok] / wf.mesh_width)
+    # The runs, broadcast to the (run, ..., run, n) tensor.
+    along, inside, flat, weight = [], True, 0, 1.0
     for ax in range(d):
-        o, h, x = grid.origin[ax], grid.spacing[ax], markers[:, ax:ax + 1]
-        reach = radius * h
-        fuzz = 1e-12 * h
-        if np.any(x - reach < o - fuzz) or np.any(x + reach > right[ax] + fuzz):
-            return None
-        first = np.maximum(np.floor((x - o) / h - 0.5 - radius), 0)
-        idx = first.astype(np.intp) + np.arange(window)
-        r = o + (idx + 0.5) * h - x  # the centers of axis_centers, less x
-        ok = (idx < grid.counts[ax]) & (np.abs(r) < reach)
-        values = np.zeros(r.shape)
-        values[ok] = wf.eval1d(r[ok] / wf.mesh_width)
-        shape = (n,) + (1,) * ax + (window,) + (1,) * (d - ax - 1)
-        offsets.append(r)
-        phi.append(values)
-        along.append(r.reshape(shape))
-        inside = inside & ok.reshape(shape)
-        flat = flat * grid.counts[ax] + idx.reshape(shape)
-        weight = weight * values.reshape(shape)
+        shape = (1,) * ax + (run,) + (1,) * (d - ax - 1) + (n,)
+        along.append(r[ax].reshape(shape))
+        inside = inside & ok[ax].reshape(shape)
+        flat = flat * grid.counts[ax] + idx[ax].reshape(shape)
+        weight = weight * phi[ax].reshape(shape)
     kept = weight > tol.zero_weight
-    if np.any(np.count_nonzero(kept.reshape(n, -1), axis=1) < m):
+    if np.any(np.count_nonzero(kept.reshape(-1, n), axis=0) < m):
         return None
 
     # Entry (a, b) of the Gram is the product over axes of the per-axis
     # sum of φ·r^k, k the power of that axis in basis rows a and b.
-    phi, offsets = np.stack(phi, axis=1), np.stack(offsets, axis=1)
-    moments = np.stack(
-        [phi.sum(-1), (phi * offsets).sum(-1), (phi * offsets**2).sum(-1)],
-        axis=-1,
-    )
+    moments = np.stack([phi.sum(1), (phi * r).sum(1), (phi * r**2).sum(1)],
+                       axis=1)  # (d, 3, n)
     powers = np.eye(m, d, -1, dtype=np.intp)  # row 0 is 1, row a is r_(a-1)
-    gram = moments[:, np.arange(d), powers[:, None] + powers[None]].prod(-1)
-    gone = np.nonzero(~kept & (weight != 0.0))
-    if gone[0].size:
-        a = np.ones((gone[0].size, m))
+    gram = moments[np.arange(d), powers[:, None] + powers[None]].prod(2)
+    gone = np.flatnonzero(~kept & (weight != 0.0))
+    if gone.size:
+        *cell, k = np.unravel_index(gone, weight.shape)
+        a = np.ones((m, gone.size))
         for ax in range(m - 1):
-            a[:, ax + 1] = offsets[gone[0], ax, gone[ax + 1]]
-        terms = weight[gone][:, None, None] * a[:, :, None] * a[:, None, :]
-        np.subtract.at(gram, gone[0], terms)
+            a[ax + 1] = r[ax, cell[ax], k]
+        np.subtract.at(gram, (..., k), weight.flat[gone] * a[:, None] * a)
 
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(gram.transpose(2, 0, 1))
     except np.linalg.LinAlgError:
         return None
-    pivots = np.abs(np.diagonal(chol, axis1=1, axis2=2)).min(axis=1)
-    if not np.all(pivots >= tol.rank_pivot * np.abs(chol).max(axis=(1, 2))):
+    chol = np.ascontiguousarray(chol.transpose(1, 2, 0))  # (m, m, n)
+    pivots = chol[np.arange(m), np.arange(m)]  # positive
+    if not np.all(pivots.min(axis=0)
+                  >= tol.rank_pivot * np.abs(chol).max(axis=(0, 1))):
         return None
     # D·chol is the Cholesky factor of D·G·D. The squared ratio of its
     # extreme pivots is a lower bound on that matrix's condition number.
-    scaled = np.diagonal(chol, axis1=1, axis2=2) / np.sqrt(
-        np.diagonal(gram, axis1=1, axis2=2))
-    if not np.all(scaled.max(axis=1) ** 2
-                  <= _BATCH_COND_LIMIT * scaled.min(axis=1) ** 2):
+    scaled = pivots / np.sqrt(gram[np.arange(m), np.arange(m)])
+    if not np.all(scaled.max(axis=0) ** 2
+                  <= _BATCH_COND_LIMIT * scaled.min(axis=0) ** 2):
         return None
-    p = np.zeros((n, m, 1))
-    p[:, 0] = 1.0
-    coef = np.linalg.solve(gram, p)[..., 0]
-
-    lead = (n,) + (1,) * d
-    poly = coef[:, 0].reshape(lead)
-    for ax in range(m - 1):
-        poly = poly + coef[:, ax + 1].reshape(lead) * along[ax]
-    psi = np.where(kept, weight * poly, 0.0)
-    inside = np.broadcast_to(inside, weight.shape)
-    counts = np.count_nonzero(inside.reshape(n, -1), axis=1)
-    return np.broadcast_to(flat, weight.shape)[inside], psi[inside], counts
+    # c = G⁻¹e₀ by forward (L y = e₀), then back (Lᵀc = y) substitution.
+    c = np.eye(m, 1).repeat(n, axis=1)
+    for i in range(m):
+        c[i] = (c[i] - (chol[i, :i] * c[:i]).sum(0)) / pivots[i]
+    for i in reversed(range(m)):
+        c[i] = (c[i] - (chol[i + 1:, i] * c[i + 1:]).sum(0)) / pivots[i]
+    psi = weight  # Ψ = W·(c₀ + c·r), in W's place
+    psi *= sum((c[ax + 1] * along[ax] for ax in range(m - 1)), c[0])
+    psi[~kept] = 0.0
+    # Marker-major rows, each in the C order of its stencil.
+    flat, psi, inside = (v.reshape(-1, n).T for v in (flat, psi, inside))
+    if np.all(inside):  # every run has full length: no site to drop
+        return flat.reshape(-1), psi.reshape(-1), np.full(n, inside.shape[1])
+    return flat[inside], psi[inside], np.count_nonzero(inside, axis=1)
 
 
 def interpolate(field, markers, strategy):
@@ -408,8 +414,17 @@ def interpolate(field, markers, strategy):
     vals = field.values[indices]
     if counts is None:
         return np.array([psi @ vals])
-    ends = np.cumsum(counts).tolist()
-    return np.array([psi[a:b] @ vals[a:b] for a, b in zip([0] + ends, ends)])
+    # Per stencil length, one stacked matmul: each row is psi[a:b] @ vals[a:b]
+    # to the bit, which a sum along rows or zero-padded rows is not.
+    out = np.empty(len(counts))
+    starts = np.cumsum(counts) - counts
+    for length in np.unique(counts):
+        rows = np.flatnonzero(counts == length)
+        at = (starts[rows, None] + np.arange(length)
+              if len(rows) < len(counts) else slice(None))
+        out[rows] = np.matmul(psi[at].reshape(-1, 1, length),
+                              vals[at].reshape(-1, length, 1))[:, 0, 0]
+    return out
 
 
 def spread(values, markers, grid, strategy):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.random as npr
@@ -16,6 +17,7 @@ from ibkernel.ibops import (
     GridField,
     KernelStrategy,
     MarkerSet,
+    _closed_form_batch,
     interpolate,
     make_grid,
     sample_field,
@@ -501,6 +503,68 @@ def test_closed_form_batch_on_a_coarser_grid_than_the_profile(builds):
         taken += not builds
         assert np.max(np.abs(psi[:counts[0]] - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert 0 < taken < len(markers)
+
+
+def _short_run_case(dim, kind):
+    """The paired case with two markers moved onto their nearest cell
+    centers. The cells 3h from a center lie on the ψ6 support's edge, so
+    such a marker has fewer than 6 cells on an axis where the others
+    have 6: the batch's stencils have unequal lengths."""
+    grid, strategy, markers, field, values = _paired_case(dim, kind)
+    o, h = np.array(grid.origin), np.array(grid.spacing)
+    centers = o + (np.floor((markers[[1, -1]] - o) / h) + 0.5) * h
+    markers = np.vstack([markers, centers])
+    return grid, strategy, markers, field, np.concatenate([values, values[:2]])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closed_form_batch_with_short_runs(dim, builds):
+    grid, strategy, markers, _, _ = _short_run_case(dim, "two-sided")
+    indices, psi, counts = strategy._batch("interpolate", grid, markers)
+    assert builds == []
+    assert np.min(counts) < 6**dim == np.max(counts)
+    ends = np.cumsum(counts)
+    for x, end, count in zip(markers, ends, counts):
+        stencil = support_stencil(grid, x, 3.0)
+        assert count == len(stencil)
+        assert indices[end - count:end].tobytes() == stencil.indices.tobytes()
+        _, want = strategy.kernel_for(grid, x)
+        got = psi[end - count:end]
+        assert np.max(np.abs(got - want.psi)) <= 1e-12 * np.max(np.abs(want.psi))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unequal_stencil_lengths_match_per_marker_reference(dim, builds):
+    # One-sided kernels are built marker by marker; interpolate reduces
+    # them with one stacked product per stencil length.
+    grid, strategy, markers, field, values = _short_run_case(dim, "one-sided")
+    assert len({len(support_stencil(grid, x, 3.0)) for x in markers}) > 1
+    want_values = per_marker_interpolate(field, markers, strategy)
+    want_field = per_marker_spread(values, markers, grid, strategy)
+    builds.clear()
+    got_values = interpolate(field, markers, strategy)
+    got_field = spread(values, markers, grid, strategy).values
+    assert len(builds) == len(markers)
+    assert got_values.tobytes() == want_values.tobytes()
+    assert got_field.tobytes() == want_field.tobytes()
+
+
+def test_closed_form_batch_peak_memory_in_3d():
+    # Each axis holds its 6 in-support cells, not the 8-cell window, so a
+    # 3D ψ6 marker's tensor has 216 entries, not 512.
+    h = 1.0 / 32
+    grid = make_grid([(0.0, 1.0)] * 3, h)
+    wf = WeightFunction.six_point_spline(h)
+    markers = npr.default_rng(0).uniform(0.2, 0.8, (2000, 3))
+    tracemalloc.start()
+    try:
+        batch = _closed_form_batch(grid, markers, wf, BasisDegree.LINEAR,
+                                   DEFAULT_TOLERANCES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch is not None and len(batch[1]) == 216 * len(markers)
+    assert peak <= 12e3 * len(markers)
 
 
 def _failing_batch(case):
