@@ -1,11 +1,12 @@
 """Immersed-boundary kernel weights via constrained quadratic minimization.
 
-Construct moving-least-squares kernels in closed form or as
-equality-constrained QPs, restrict their support to one side of an
-interface, bound the weights with a dual active-set box-QP solver, build
-Peskin-style four-point kernels per axis in closed form, and drive the
-whole machinery through grid interpolation/spreading operators and a
-reproducible circular-interface experiment.
+Construct moving-least-squares kernels as minimizers of
+equality-constrained QPs, whose closed form is Ψ = W Aᵀ(A W Aᵀ)⁻¹p,
+restrict their support to one side of an interface, bound the weights
+with a dual active-set box-QP solver, build Peskin-style four-point
+kernels per axis in closed form, and drive the whole machinery through
+grid interpolation/spreading operators and a reproducible
+circular-interface experiment.
 """
 
 from .errors import (
@@ -33,10 +34,6 @@ from .kernels import (
     build_basis,
     eval_psi4,
     eval_psi6,
-    generating_function_closed_form,
-    gram,
-    quasi_interpolate,
-    solve_problem_A,
     tensor_weight,
 )
 from .qpsolve import (

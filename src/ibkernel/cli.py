@@ -15,21 +15,19 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .errors import IBKernelError
+from .errors import IBKernelError, LengthMismatch
 from .experiments import CircleCaseConfig, run_circle_case, validate_moments
-from .ibops import KernelStrategy, make_grid, support_stencil
+from .ibops import KernelStrategy, make_grid
 from .kernels import (
     BasisDegree,
     KernelSource,
     KernelWeights,
     WeightFunction,
-    assemble_system,
     build_basis,
-    generating_function_closed_form,
 )
 from .linalg import DEFAULT_TOLERANCES, ToleranceSet
 from .onesided import KernelBounds, SignedDistance
-from .qpsolve import solve_generating_qp, solve_peskin4
+from .qpsolve import solve_peskin4
 
 DEFAULT_CONFIG_NAME = "ibkernel.json"
 
@@ -39,6 +37,14 @@ _CONFIG_KEYS = _CASE_KEYS | {
 }
 _TOLERANCE_KEYS = {f.name for f in fields(ToleranceSet)}
 _FORMULATIONS = ("standard", "backus-gilbert", "peskin4", "one-sided")
+# The moment formulations all run the KernelStrategy pipeline; the label
+# records which problem the file was asked for. The closed form is Problem
+# B's minimizer, so "standard" and "backus-gilbert" write the same weights.
+_MOMENT_SOURCES = {
+    "standard": KernelSource.CLOSED_FORM,
+    "backus-gilbert": KernelSource.PROBLEM_B,
+    "one-sided": KernelSource.PROBLEM_D,
+}
 
 
 class ConfigError(Exception):
@@ -265,19 +271,12 @@ def cmd_kernel(args):
     degree = basis_degree_from(config)
     tol = tolerances_from(config)
 
+    sd = bounds = None
     if formulation == "one-sided":
-        strategy = KernelStrategy(
-            wf, degree, _signed_distance_from(config), _bounds_from(config), tol
-        )
-        _, weights = strategy.kernel_for(grid, eval_point)
-    else:
-        basis = build_basis(grid.dimension, degree)
-        stencil = support_stencil(grid, eval_point, wf.radius_in_cells)
-        system = assemble_system(stencil.sites, eval_point, wf, basis, tol)
-        if formulation == "standard":
-            weights = generating_function_closed_form(system, tol)
-        else:  # backus-gilbert
-            weights = solve_generating_qp(system, tol=tol)
+        sd, bounds = _signed_distance_from(config), _bounds_from(config)
+    strategy = KernelStrategy(wf, degree, sd, bounds, tol)
+    _, weights = strategy.kernel_for(grid, eval_point)
+    weights = replace(weights, source=_MOMENT_SOURCES[formulation])
 
     atomic_write(out_path, _kernel_dump(weights, degree))
     print(
@@ -311,9 +310,9 @@ def _validate_moment_file(doc, tolerance):
     names = ["zeroth"] + [f"first[{k}]" for k in range(len(residuals) - 1)]
     ok = True
     for name, res in zip(names, residuals):
-        status = "ok" if res <= tolerance else "FAIL"
-        if res > tolerance:
-            ok = False
+        passed = res <= tolerance  # False on a NaN residual
+        ok = ok and passed
+        status = "ok" if passed else "FAIL"
         print(f"moment {name}: residual {res:.3e} [{status}]")
     return ok
 
@@ -330,9 +329,9 @@ def _validate_peskin_file(doc, tolerance):
         squares = abs(float(w @ w) - 0.375)
         for name, res in (("even-sum", even), ("odd-sum", odd),
                           ("first-moment", first), ("sum-of-squares", squares)):
-            status = "ok" if res <= tolerance else "FAIL"
-            if res > tolerance:
-                ok = False
+            passed = res <= tolerance
+            ok = ok and passed
+            status = "ok" if passed else "FAIL"
             print(f"axis {axis} {name}: residual {res:.3e} [{status}]")
     return ok
 
@@ -346,6 +345,10 @@ def cmd_validate(args):
     if not isinstance(doc, dict):
         raise ConfigError("weights file root must be a JSON object")
     tolerance = args.tolerance
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ConfigError(
+            f"--tolerance must be finite and >= 0, got {tolerance}"
+        )
     try:
         if doc.get("source") == KernelSource.PROBLEM_C.value:
             ok = _validate_peskin_file(doc, tolerance)
@@ -353,7 +356,7 @@ def cmd_validate(args):
             ok = _validate_moment_file(doc, tolerance)
         else:
             raise ConfigError("weights file missing sites/psi/eval fields")
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, LengthMismatch) as err:
         raise ConfigError(f"malformed weights file: {err}") from err
     return 0 if ok else 1
 

@@ -1,11 +1,12 @@
-"""Weight functions, polynomial bases, and moving-least-squares kernels.
+"""Weight functions, polynomial bases, and moving-least-squares systems.
 
 The central object is the kernel system (A, W, p): a small polynomial
 matrix A over the support sites, a diagonal weight matrix W from a
 compactly supported 1D profile in tensor-product form, and the basis
 values p at the evaluation point. The generating function (the vector of
-kernel weights) comes out of the weighted normal equations in closed form;
-the constrained-optimization routes to the same object live in qpsolve.
+kernel weights) is the minimizer of ½ΨᵀW⁻¹Ψ subject to AΨ = p, whose
+closed form is Ψ = W Aᵀ(A W Aᵀ)⁻¹p. qpsolve.solve_generating_qp solves
+that problem and its bounded variant; this module only assembles it.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InsufficientSupport, LengthMismatch
-from .linalg import DEFAULT_TOLERANCES, solve_spd
+from .errors import InsufficientSupport
+from .linalg import DEFAULT_TOLERANCES
 
 __all__ = [
     "WeightKind",
@@ -30,10 +31,6 @@ __all__ = [
     "tensor_weight",
     "build_basis",
     "assemble_system",
-    "gram",
-    "generating_function_closed_form",
-    "solve_problem_A",
-    "quasi_interpolate",
 ]
 
 
@@ -366,52 +363,3 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
         eval=eval_point,
         sites=sites,
     )
-
-
-def gram(system):
-    """Gram matrix A · diag(W) · Aᵀ (symmetric, m × m)."""
-    return (system.A * system.Wdiag[None, :]) @ system.A.T
-
-
-def generating_function_closed_form(system, tol=DEFAULT_TOLERANCES):
-    """Kernel weights from the weighted normal equations.
-
-    Ψ = W Aᵀ G⁻¹ p with G the Gram matrix. This is the unconstrained
-    closed form; it satisfies the moment conditions A Ψ = p by
-    construction, and the recorded equality residual verifies that.
-    """
-    coeff = solve_spd(gram(system), system.p, tol)
-    psi = system.Wdiag * (system.A.T @ coeff)
-    residual = float(np.max(np.abs(system.A @ psi - system.p)))
-    return KernelWeights(
-        psi=psi,
-        sites=system.sites,
-        eval=system.eval,
-        source=KernelSource.CLOSED_FORM,
-        equality_residual=residual,
-        support=system.Wdiag > tol.zero_weight,
-    )
-
-
-def solve_problem_A(system, data, tol=DEFAULT_TOLERANCES):
-    """Weighted least-squares coefficients fitting ``data`` at the sites.
-
-    Solves G c = A W g. The fitted value at the evaluation point, pᵀc,
-    equals the quasi-interpolant Ψᵀg of the closed-form weights.
-    """
-    data = np.asarray(data, dtype=float).reshape(-1)
-    if data.shape[0] != system.n_sites:
-        raise LengthMismatch(
-            f"data length {data.shape[0]} != site count {system.n_sites}"
-        )
-    return solve_spd(gram(system), system.A @ (system.Wdiag * data), tol)
-
-
-def quasi_interpolate(weights, data):
-    """Dot product Ψᵀ · data."""
-    data = np.asarray(data, dtype=float).reshape(-1)
-    if data.shape[0] != weights.psi.shape[0]:
-        raise LengthMismatch(
-            f"data length {data.shape[0]} != weight count {weights.psi.shape[0]}"
-        )
-    return float(np.dot(weights.psi, data))

@@ -6,15 +6,19 @@ to Cx = b and optional bounds, with H = W⁻¹ diagonal. It is a
 are checked once, when it is built: shapes, finite h, C and b, at most n
 constraint rows, and bounds that are not NaN and not crossed.
 
-H is SPD when every entry of h is > 0 (NotSPD otherwise), and L = diag(√h)
-has H = LLᵀ, so applying L⁻¹ is a division that costs O(n). An equality
-QP is solved in range space: the m×m Cholesky factor of the constraint
-Gram matrix is taken as the R of a QR factorization of L⁻¹Cᵀ, so that its
-condition number is not squared, and its pivots are verified against a
-relative rank threshold (RankDeficientConstraints). All systems are small
+H is SPD when every entry of h is > 0 (NotSPD otherwise), with no
+relative pivot floor: a diagonal has no factorization error, and scaling
+W leaves the kernel unchanged. L = diag(√h) has H = LLᵀ, so applying L⁻¹
+is a division that costs O(n). An equality QP is solved in range space:
+the m×m Cholesky factor of the constraint Gram matrix is taken as the R
+of a QR factorization of L⁻¹Cᵀ, so that its condition number is not
+squared, and its pivots are verified against a relative rank threshold
+(RankDeficientConstraints). All systems are small
 (a few dozen unknowns, at most a handful of constraints), so dense
 factorizations from LAPACK are both the simplest and the most accurate
-choice. ``solve_spd`` is a checked Cholesky solve of a dense SPD matrix.
+choice. ``solve_spd`` is a checked Cholesky solve of a dense SPD matrix
+with a relative pivot floor of 1e-14; no kernel path calls it, and it
+stays while bench/tracing.py looks it up.
 """
 
 from dataclasses import dataclass
@@ -40,11 +44,6 @@ class ToleranceSet:
 
     Attributes
     ----------
-    spd_pivot : float
-        A Cholesky pivot below ``spd_pivot * max(diag)`` means not SPD
-        (``solve_spd``). A diagonal Hessian has no such floor: it is SPD
-        when every entry is > 0, because a diagonal has no factorization
-        error (scaling W leaves the kernel unchanged).
     rank_pivot : float
         Constraint rows are rank deficient when a constraint matrix's
         smallest singular value (a restricted moment matrix), or the
@@ -57,7 +56,6 @@ class ToleranceSet:
         Phase-1 max constraint violation at or below this counts as feasible.
     """
 
-    spd_pivot: float = 1e-14
     rank_pivot: float = 1e-12
     zero_weight: float = 1e-14
     feasibility: float = 1e-9
@@ -65,8 +63,10 @@ class ToleranceSet:
 
 DEFAULT_TOLERANCES = ToleranceSet()
 
-# Relative symmetry slack accepted on ``solve_spd``'s matrix.
+# Relative symmetry slack accepted on ``solve_spd``'s matrix, and its
+# relative Cholesky pivot floor.
 _SYMMETRY_RTOL = 1e-12
+_SPD_PIVOT = 1e-14
 
 
 def _as_matrix(a, name):
@@ -218,7 +218,7 @@ class QPProblem:
         return float(0.5 * x @ (self.hessian * x))
 
 
-def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
+def solve_spd(matrix, rhs):
     """Solve ``matrix @ x = rhs`` for a symmetric positive definite matrix.
 
     Parameters
@@ -226,7 +226,6 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
     matrix : (n, n) array_like
         Symmetric positive definite.
     rhs : (n,) array_like
-    tol : ToleranceSet
 
     Returns
     -------
@@ -236,7 +235,7 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
     ------
     NotSPD
         If the Cholesky factorization fails or produces a pivot below
-        ``tol.spd_pivot`` times the largest diagonal entry.
+        1e-14 times the largest diagonal entry.
     ValueError
         On shape mismatch or an asymmetric matrix.
     """
@@ -257,7 +256,7 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOLERANCES):
     except np.linalg.LinAlgError as err:
         raise NotSPD(f"Cholesky factorization failed: {err}") from err
     smallest = float((chol.diagonal() ** 2).min())
-    floor = tol.spd_pivot * diag_max
+    floor = _SPD_PIVOT * diag_max
     if smallest < floor:
         raise NotSPD(
             f"smallest Cholesky pivot {smallest:.3e} below "

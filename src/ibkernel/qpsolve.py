@@ -40,8 +40,8 @@ from .errors import (
     RankDeficientConstraints,
 )
 from .kernels import KernelSource, KernelWeights, SolveMode
-# solve_spd is not called here; it is imported only because bench/tracing.py
-# wraps it where this module would look it up.
+# solve_spd has no caller in the package; it is imported here only because
+# bench/tracing.py wraps it where this module would look it up.
 from .linalg import (
     DEFAULT_TOLERANCES,
     QPProblem,
@@ -434,7 +434,7 @@ def solve_peskin4(shift, dimension=None):
         raise ValueError(
             f"{s.shape[0]} shifts given for dimension {dimension}"
         )
-    if np.any((s < 0.0) | (s >= 1.0)):
+    if not np.all((s >= 0.0) & (s < 1.0)):  # also rejects NaN
         raise ValueError("shift must lie in [0, 1) per axis")
 
     root = np.sqrt(1.0 + 4.0 * s - 4.0 * s * s)

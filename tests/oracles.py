@@ -219,6 +219,16 @@ def saddle_solve(h, c, b):
     return sol[:n], sol[n:]
 
 
+def closed_form_psi(system):
+    """Ψ = W Aᵀ (A W Aᵀ)⁻¹ p of a kernel system, through its Gram matrix.
+
+    One dense LU solve of the m×m weighted Gram matrix, where the
+    library's equality QP takes the QR of W^½Aᵀ and never forms it.
+    """
+    w, a = system.Wdiag, system.A
+    return w * (a.T @ np.linalg.solve((a * w) @ a.T, system.p))
+
+
 def kernel_kkt_residuals(psi, w, a, alpha, beta, box_tol=1e-12):
     """(stationarity, sign) residuals of a bounded kernel, scaled by W.
 

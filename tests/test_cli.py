@@ -127,13 +127,14 @@ class TestCircle:
     (["circle"], {"penalty": 1e8}),
     (["circle"], {"tolerances": {"residual": 1e-10}}),
     (["circle"], {"tolerances": {"complementarity": 1e-10}}),
+    (["kernel", "--eval", "0.31", "-0.17"], {"tolerances": {"spd_pivot": 1e-14}}),
     (["kernel", "--eval", "0.31", "-0.17"], {"mesh_width": "abc"}),
     (["kernel", "--eval", "0.31", "-0.17"], {"extents": [["a", 1], [-1, 1]]}),
     (["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"],
      {"radius": "x"}),
     (["kernel", "--formulation", "peskin4"], {"shift": ["a"]}),
 ], ids=["tolerance", "case", "penalty", "residual", "complementarity",
-     "mesh_width", "extents", "radius", "shift"])
+     "spd_pivot", "mesh_width", "extents", "radius", "shift"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     (in_tmp / "cfg.json").write_text(json.dumps(cfg))
     assert main([*argv, "--config", "cfg.json"]) == 2
@@ -150,10 +151,9 @@ class TestKernel:
                      "--eval", *ev, "--out", "bg.json"]) == 0
         std = json.loads((in_tmp / "std.json").read_text())
         bg = json.loads((in_tmp / "bg.json").read_text())
-        a = np.array([float(v) for v in std["psi"]])
-        b = np.array([float(v) for v in bg["psi"]])
-        assert np.max(np.abs(a - b)) <= 1e-12
-        assert std["sites"] == bg["sites"]
+        # the closed form is Problem B's minimizer: one pipeline, one text
+        for key in ("sites", "eval", "psi", "eq_residual"):
+            assert std[key] == bg[key]
         assert std["source"] == "ClosedForm"
         assert bg["source"] == "ProblemB"
 
@@ -187,6 +187,12 @@ class TestKernel:
 
     def test_peskin4_requires_shift(self, in_tmp):
         assert main(["kernel", "--formulation", "peskin4"]) == 2
+
+    def test_peskin4_nan_shift_rejected(self, in_tmp, capsys):
+        assert main(["kernel", "--formulation", "peskin4",
+                     "--shift", "nan", "--out", "p.json"]) == 2
+        assert "[0, 1)" in capsys.readouterr().err
+        assert not (in_tmp / "p.json").exists()
 
     def test_one_sided_with_bounds(self, in_tmp):
         cfg = {"bounds": [-0.07, 0.5], "radius": 0.5, "center": [0.0, 0.0]}
@@ -278,6 +284,28 @@ class TestValidate:
         (in_tmp / path).write_text(json.dumps(doc))
         assert main(["validate", path]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_nan_psi_fails(self, in_tmp, capsys):
+        path = self._write_kernel()
+        doc = json.loads((in_tmp / path).read_text())
+        doc["psi"][0] = "nan"
+        (in_tmp / path).write_text(json.dumps(doc))
+        assert main(["validate", path]) == 1
+        assert "[ok]" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-10"])
+    def test_bad_tolerance_rejected(self, in_tmp, capsys, tolerance):
+        path = self._write_kernel()
+        assert main(["validate", path, f"--tolerance={tolerance}"]) == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_length_mismatch_is_input_error(self, in_tmp, capsys):
+        path = self._write_kernel()
+        doc = json.loads((in_tmp / path).read_text())
+        doc["psi"].pop()
+        (in_tmp / path).write_text(json.dumps(doc))
+        assert main(["validate", path]) == 2
+        assert "malformed weights file" in capsys.readouterr().err
 
     def test_malformed_json(self, in_tmp):
         (in_tmp / "junk.json").write_text("{not json")

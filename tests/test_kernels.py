@@ -3,23 +3,19 @@ import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
 
-from ibkernel.errors import InsufficientSupport, LengthMismatch, NotSPD
+from ibkernel.errors import InsufficientSupport
 from ibkernel.kernels import (
     BasisDegree,
     KernelSource,
-    KernelSystem,
     WeightFunction,
     WeightKind,
     assemble_system,
     build_basis,
     eval_psi4,
     eval_psi6,
-    generating_function_closed_form,
-    gram,
-    quasi_interpolate,
-    solve_problem_A,
     tensor_weight,
 )
+from ibkernel.qpsolve import solve_generating_qp
 
 
 # Polynomial branches written out independently of the implementation,
@@ -212,39 +208,6 @@ class TestAssemble:
             assemble_system([[0.0]], [0.0], self.wf, self.basis)
 
 
-class TestGram:
-    def test_constant_basis_sums_weights(self):
-        wf = WeightFunction.six_point_spline(1.0)
-        basis = build_basis(1, BasisDegree.CONSTANT_ONLY)
-        sites = np.array([[-1.0], [0.0], [1.0]])
-        system = assemble_system(sites, [0.0], wf, basis)
-        g = gram(system)
-        assert g.shape == (1, 1)
-        assert g[0, 0] == pytest.approx(np.sum(system.Wdiag), abs=1e-15)
-
-    def test_symmetric_stencil_parity(self):
-        wf = WeightFunction.six_point_spline(1.0)
-        basis = build_basis(1, BasisDegree.LINEAR)
-        sites = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
-        g = gram(assemble_system(sites, [0.0], wf, basis))
-        assert g[0, 1] == pytest.approx(0.0, abs=1e-16)
-        assert g[1, 0] == g[0, 1]
-
-    def test_zero_weights_give_zero_matrix(self):
-        basis = build_basis(1, BasisDegree.LINEAR)
-        sites = np.array([[-1.0], [0.0], [1.0]])
-        system = KernelSystem(
-            A=basis.rows(sites, [0.0]),
-            Wdiag=np.zeros(3),
-            p=basis.at_eval(),
-            eval=np.array([0.0]),
-            sites=sites,
-        )
-        assert_allclose(gram(system), np.zeros((2, 2)))
-        with pytest.raises(NotSPD):
-            generating_function_closed_form(system)
-
-
 def _uniform_wf():
     return WeightFunction.custom1d(
         1.0, lambda r: np.ones_like(np.asarray(r, dtype=float)), 2.0
@@ -252,14 +215,16 @@ def _uniform_wf():
 
 
 class TestClosedForm:
+    """Ψ = W Aᵀ (A W Aᵀ)⁻¹ p, as the minimizer solve_generating_qp finds."""
+
     def test_uniform_weights_least_norm(self):
         basis = build_basis(1, BasisDegree.LINEAR)
         system = assemble_system(
             [[-1.0], [0.0], [1.0]], [0.0], _uniform_wf(), basis
         )
-        kw = generating_function_closed_form(system)
+        kw = solve_generating_qp(system)
         assert_allclose(kw.psi, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
-        assert kw.source is KernelSource.CLOSED_FORM
+        assert kw.source is KernelSource.PROBLEM_B
         assert kw.equality_residual <= 1e-10
 
     def test_moment_satisfying_weights_pass_through(self):
@@ -270,7 +235,7 @@ class TestClosedForm:
         basis = build_basis(1, BasisDegree.LINEAR)
         sites = h * np.arange(-2.0, 3.0)[:, None]
         system = assemble_system(sites, [0.0], wf, basis)
-        kw = generating_function_closed_form(system)
+        kw = solve_generating_qp(system)
         assert_allclose(kw.psi, system.Wdiag, atol=1e-13)
 
     def test_moment_conditions_on_random_stencils(self):
@@ -283,7 +248,7 @@ class TestClosedForm:
         for _ in range(20):
             ev = npr.uniform(-0.5, 0.5, size=2)
             system = assemble_system(grid, ev, wf, basis)
-            kw = generating_function_closed_form(system)
+            kw = solve_generating_qp(system)
             assert np.max(np.abs(system.A @ kw.psi - system.p)) <= 1e-10
 
 
@@ -296,41 +261,16 @@ class TestProblemASide:
             [[i + 0.0, j + 0.0] for i in range(-2, 3) for j in range(-2, 3)]
         )
 
-    def test_constant_data(self):
-        system = assemble_system(self.sites, [0.2, -0.1], self.wf, self.basis)
-        c = solve_problem_A(system, np.ones(len(self.sites)))
-        assert float(system.p @ c) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reproduces_linear_member(self):
-        ev = np.array([0.3, 0.4])
-        system = assemble_system(self.sites, ev, self.wf, self.basis)
-        data = 2.0 * (self.sites[:, 0] - ev[0]) - 0.5 * (self.sites[:, 1] - ev[1])
-        # value of that member at the evaluation point is 0
-        c = solve_problem_A(system, data)
-        assert float(system.p @ c) == pytest.approx(0.0, abs=1e-12)
-
     def test_matches_quasi_interpolant(self):
+        # Problem A, the weighted least-squares fit of the data, takes the
+        # value Ψᵀg at the evaluation point for Problem B's Ψ.
         for _ in range(10):
             ev = npr.uniform(-0.4, 0.4, size=2)
             system = assemble_system(self.sites, ev, self.wf, self.basis)
             data = npr.randn(len(self.sites))
-            c = solve_problem_A(system, data)
-            kw = generating_function_closed_form(system)
-            direct = quasi_interpolate(kw, data)
-            assert float(system.p @ c) == pytest.approx(direct, abs=1e-12)
-
-    def test_length_mismatch(self):
-        system = assemble_system(self.sites, [0.0, 0.0], self.wf, self.basis)
-        with pytest.raises(LengthMismatch):
-            solve_problem_A(system, np.ones(3))
-        kw = generating_function_closed_form(system)
-        with pytest.raises(LengthMismatch):
-            quasi_interpolate(kw, np.ones(3))
-
-
-def test_quasi_interpolate_basics():
-    basis = build_basis(1, BasisDegree.LINEAR)
-    system = assemble_system([[-1.0], [0.0], [1.0]], [0.0], _uniform_wf(), basis)
-    kw = generating_function_closed_form(system)
-    assert quasi_interpolate(kw, [7.0, 7.0, 7.0]) == pytest.approx(7.0, abs=1e-13)
-    assert quasi_interpolate(kw, np.zeros(3)) == 0.0
+            root = np.sqrt(system.Wdiag)
+            c = np.linalg.lstsq(
+                root[:, None] * system.A.T, root * data, rcond=None
+            )[0]
+            psi = solve_generating_qp(system).psi
+            assert float(system.p @ c) == pytest.approx(psi @ data, abs=1e-12)

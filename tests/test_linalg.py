@@ -248,10 +248,10 @@ def test_kkt_system_validation():
 
 def test_tolerance_set_defaults():
     tol = ToleranceSet()
-    assert tol.spd_pivot == 1e-14
     assert tol.rank_pivot == 1e-12
     assert tol.zero_weight == 1e-14
     assert tol.feasibility == 1e-9
+    assert not hasattr(tol, "spd_pivot")
     assert not hasattr(tol, "residual")
     assert not hasattr(tol, "complementarity")
     assert tol == DEFAULT_TOLERANCES

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import (
     augmented_soft_qp,
     brute_force_box_qp,
+    closed_form_psi,
     dense_box_qp,
     random_box_problem,
 )
@@ -28,7 +29,6 @@ from ibkernel.kernels import (
     assemble_system,
     build_basis,
     eval_psi4,
-    generating_function_closed_form,
 )
 from ibkernel.experiments import CircleCaseConfig
 from ibkernel.ibops import make_grid, support_stencil
@@ -109,9 +109,9 @@ class TestEqQP:
         for _ in range(20):
             ev = npr.uniform(-0.1, 0.1, size=2)
             system = assemble_system(grid, ev, wf, basis)
-            direct = generating_function_closed_form(system)
+            direct = closed_form_psi(system)
             via_qp = solve_generating_qp(system)
-            assert np.max(np.abs(direct.psi - via_qp.psi)) <= 1e-12
+            assert np.max(np.abs(direct - via_qp.psi)) <= 1e-12
             assert via_qp.source is KernelSource.PROBLEM_B
 
 
@@ -324,6 +324,8 @@ class TestPeskin4:
             solve_peskin4([-0.1])
         with pytest.raises(ValueError):
             solve_peskin4([1.0])
+        with pytest.raises(ValueError):
+            solve_peskin4([0.3, np.nan])
         with pytest.raises(ValueError):
             solve_peskin4([0.1, 0.2], dimension=3)
 
