@@ -9,6 +9,7 @@ so outputs round-trip losslessly and are byte-stable for identical inputs.
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -37,6 +38,9 @@ _CONFIG_KEYS = _CASE_KEYS | {
 }
 _TOLERANCE_KEYS = {f.name for f in fields(ToleranceSet)}
 _FORMULATIONS = ("standard", "backus-gilbert", "peskin4", "one-sided")
+# A word argparse takes as a negative number rather than an option flag.
+# Its own rule (Python 3.10-3.12) leaves out the exponent form, -1e-3.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 # The moment formulations all run the KernelStrategy pipeline; the label
 # records which problem the file was asked for. The closed form is Problem
 # B's minimizer, so "standard" and "backus-gilbert" write the same weights.
@@ -113,7 +117,7 @@ def tolerances_from(config):
         values = {k: float(v) for k, v in tols.items()}
         return replace(DEFAULT_TOLERANCES, **values)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"tolerances must be numbers: {err}") from err
+        raise ConfigError(f"tolerances must be finite numbers >= 0: {err}") from err
 
 
 def weight_function_from(config):
@@ -268,6 +272,8 @@ def cmd_kernel(args):
         raise ConfigError(
             f"--eval needs {grid.dimension} coordinates for this domain"
         )
+    if not np.isfinite(eval_point).all():
+        raise ConfigError(f"--eval coordinates must be finite, got {args.eval}")
     degree = basis_degree_from(config)
     tol = tolerances_from(config)
 
@@ -389,6 +395,8 @@ def build_parser():
     v.add_argument("--tolerance", type=float, default=1e-10)
     v.set_defaults(func=cmd_validate)
 
+    for p in (parser, c, k, v):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

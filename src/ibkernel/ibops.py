@@ -188,7 +188,7 @@ def support_stencil(grid, eval_point, radius_in_cells):
     window = math.ceil(2 * radius_in_cells) + 2
     per_axis = []
     for ax in range(d):
-        o, h, x = grid.origin[ax], grid.spacing[ax], eval_point[ax]
+        o, h, x = grid.origin[ax], grid.spacing[ax], float(eval_point[ax])
         reach = radius_in_cells * h
         fuzz = 1e-12 * h
         if x - reach < o - fuzz or x + reach > right[ax] + fuzz:
@@ -197,10 +197,13 @@ def support_stencil(grid, eval_point, radius_in_cells):
                 f"{radius_in_cells} cells of a domain edge on axis {ax}"
             )
         first = max(math.floor((x - o) / h - 0.5 - radius_in_cells), 0)
-        idx = np.arange(first, min(first + window, grid.counts[ax]))
-        centers = o + (idx + 0.5) * h  # the arithmetic of axis_centers
-        inside = np.abs(centers - x) < reach
-        per_axis.append((idx[inside], centers[inside]))
+        idx, centers = [], []
+        for i in range(first, min(first + window, grid.counts[ax])):
+            c = o + (i + 0.5) * h  # the arithmetic of axis_centers
+            if abs(c - x) < reach:
+                idx.append(i)
+                centers.append(c)
+        per_axis.append((np.array(idx, dtype=np.intp), np.array(centers)))
 
     # C order over the axis indices, as np.ravel_multi_index would give.
     sites = np.empty(tuple(len(idx) for idx, _ in per_axis) + (d,))

@@ -181,12 +181,6 @@ def tensor_weight(site, eval_point, wf):
     return float(np.prod(vals))
 
 
-def _tensor_weights(sites, eval_point, wf):
-    r = (sites - eval_point[None, :]) / wf.mesh_width
-    vals = np.asarray(wf.eval1d(r.ravel()), dtype=float).reshape(r.shape)
-    return np.prod(vals, axis=1)
-
-
 class BasisDegree(Enum):
     CONSTANT_ONLY = "ConstantOnly"
     LINEAR = "Linear"
@@ -211,12 +205,14 @@ class PolynomialBasis:
     def rows(self, sites, eval_point):
         """Matrix A with A[i, j] = (i-th basis function)(site j)."""
         sites = as_sites(sites, self.dimension)
-        eval_point = as_point(eval_point, self.dimension)
-        n = sites.shape[0]
-        a = np.empty((self.size, n))
+        return self._rows_at(sites - as_point(eval_point, self.dimension))
+
+    def _rows_at(self, offsets):
+        """A from the (N, d) offsets of the sites from the evaluation point."""
+        a = np.empty((self.size, offsets.shape[0]))
         a[0] = 1.0
         if self.degree is BasisDegree.LINEAR:
-            a[1:] = (sites - eval_point[None, :]).T
+            a[1:] = offsets.T
         return a
 
     def at_eval(self):
@@ -349,7 +345,12 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("sites must be pairwise distinct")
 
-    wdiag = _tensor_weights(sites, eval_point, wf)
+    # Tensor-product weights: the product over axes of the 1D profile.
+    offsets = sites - eval_point
+    per_axis = np.asarray(wf.eval1d(offsets / wf.mesh_width), dtype=float)
+    wdiag = per_axis[:, 0]
+    for ax in range(1, basis.dimension):
+        wdiag = wdiag * per_axis[:, ax]
     supported = int(np.count_nonzero(wdiag > tol.zero_weight))
     if supported < basis.size:
         raise InsufficientSupport(
@@ -357,7 +358,7 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
             f"need {basis.size}"
         )
     return KernelSystem(
-        A=basis.rows(sites, eval_point),
+        A=basis._rows_at(offsets),
         Wdiag=wdiag,
         p=basis.at_eval(),
         eval=eval_point,

@@ -21,7 +21,8 @@ with a relative pivot floor of 1e-14; no kernel path calls it, and it
 stays while bench/tracing.py looks it up.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -54,11 +55,19 @@ class ToleranceSet:
         as having no support and are eliminated from solves.
     feasibility : float
         Phase-1 max constraint violation at or below this counts as feasible.
+
+    Each must be finite and >= 0; ValueError otherwise.
     """
 
     rank_pivot: float = 1e-12
     zero_weight: float = 1e-14
     feasibility: float = 1e-9
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
 
 DEFAULT_TOLERANCES = ToleranceSet()
@@ -100,6 +109,14 @@ def _solve_tri(a, v, trans=0):
     if info:
         raise RankDeficientConstraints("triangular factor is singular")
     return x
+
+
+def _singular_values(a):
+    """Singular values, largest first: np.linalg.svd's dgesdd, unwrapped."""
+    _, sv, _, info = scipy.linalg.lapack.dgesdd(a, compute_uv=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return sv
 
 
 def _diagonal_root(hessian):
@@ -187,11 +204,17 @@ class QPProblem:
         self.eq_rhs = _as_vector(self.eq_rhs, self.eq_matrix.shape[0], "eq_rhs")
         for name in ("lower", "upper"):
             v = getattr(self, name)
-            if v is not None:
+            if v is None:
+                continue
+            if np.ndim(v) == 0:  # a scalar: one check, then one fill
+                v = float(v)
+                nan, v = v != v, np.full(n, v)
+            else:
                 v = np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
-                if np.isnan(v).any():
-                    raise ValueError(f"{name} contains NaN")
-                setattr(self, name, v)
+                nan = np.isnan(v).any()
+            if nan:
+                raise ValueError(f"{name} contains NaN")
+            setattr(self, name, v)
         if (self.lower is not None and self.upper is not None
                 and (self.lower > self.upper).any()):
             raise ValueError("lower bound exceeds upper bound")
@@ -302,8 +325,8 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     root = _diagonal_root(problem.hessian)
     q, r = _householder_qr(_divide(c.T, root))
     if problem.m:
-        smallest = float(np.min(np.abs(np.diag(r))))
-        r_scale = float(np.max(np.abs(r)))
+        smallest = float(np.abs(r.diagonal()).min())
+        r_scale = float(np.abs(r).max())
         if r_scale == 0.0 or smallest < tol.rank_pivot * r_scale:
             raise RankDeficientConstraints(
                 f"constraint rows dependent: smallest R pivot "

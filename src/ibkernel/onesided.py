@@ -8,13 +8,13 @@ interface; optional scalar bounds on the weights tame the resulting
 over/undershoot.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSupport, RankDeficientConstraints
-from .kernels import as_sites, assemble_system
-from .linalg import DEFAULT_TOLERANCES
+from .kernels import KernelSystem, as_sites, assemble_system
+from .linalg import DEFAULT_TOLERANCES, _singular_values
 from .qpsolve import KernelSource, solve_generating_qp
 
 __all__ = [
@@ -63,7 +63,8 @@ class _Circle(SignedDistance):
     radius: float
 
     def evaluate(self, sites):
-        return np.linalg.norm(as_sites(sites) - self.center, axis=1) - self.radius
+        rel = as_sites(sites) - self.center
+        return np.sqrt((rel * rel).sum(axis=1)) - self.radius
 
 
 @dataclass
@@ -127,13 +128,13 @@ def restrict_weights(system, mask, tol=DEFAULT_TOLERANCES):
             f"sites, need {system.n_basis}"
         )
     a_keep = system.A[:, keep]
-    sv = np.linalg.svd(a_keep, compute_uv=False)
+    sv = _singular_values(a_keep)
     if sv[-1] < tol.rank_pivot * sv[0]:
         raise RankDeficientConstraints(
             "restricted moment matrix lost row rank "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
         )
-    return replace(system, Wdiag=wdiag)
+    return KernelSystem(system.A, wdiag, system.p, system.eval, system.sites)
 
 
 def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,

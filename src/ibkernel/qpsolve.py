@@ -18,7 +18,9 @@ re-exported here), which holds H as the vector of its diagonal:
 
 plus phase1_feasible (a bounded least-squares feasibility probe) and
 check_kkt (residual audit of any solution against any problem). Phase-1
-and the soft fallback share one bounded-variable least-squares solve.
+and the soft fallback share one bounded-variable least-squares solve,
+scipy's BVLS loop run here step for step with LAPACK's dgelsd called
+directly, so importing this module does not load ``scipy.optimize``.
 Phase-1 does not gate the bounded solve: it runs only when solve_box_qp
 fails, to report the violation that Infeasible carries or to decide
 whether a rank or iteration failure falls back to the soft solve, and
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+import scipy.linalg.lapack
 
 from .errors import (
     Infeasible,
@@ -48,6 +50,7 @@ from .linalg import (
     _diagonal_root,
     _divide,
     _householder_qr,
+    _singular_values,
     _solve_tri,
     solve_kkt,
     solve_spd,
@@ -130,7 +133,7 @@ def solve_eq_qp(problem, tol=DEFAULT_TOLERANCES):
 def _eq_residual(problem, x):
     if problem.m == 0:
         return 0.0
-    return float(np.max(np.abs(problem.eq_matrix @ x - problem.eq_rhs)))
+    return float(np.abs(problem.eq_matrix @ x - problem.eq_rhs).max())
 
 
 # Rank rule: solve_box_qp refuses an optimum whose free variables F leave
@@ -156,7 +159,10 @@ def _check_rank(r_eq):
     m×m block of R in the QR factorization of L⁻¹N is such a factor of
     C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N).
     """
-    cond = np.linalg.cond(r_eq) ** 2 if r_eq.size else 1.0
+    if not r_eq.size:
+        return
+    sv = _singular_values(r_eq)
+    cond = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0.0 else np.inf
     if cond > _GRAM_COND_LIMIT:
         raise RankDeficientConstraints(
             "equality Gram matrix on the free variables has condition "
@@ -229,23 +235,30 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
 
     def minimizer():
         """Minimizer and multipliers with every working-set row active."""
-        rhs = np.concatenate([fixed[2, :k], problem.eq_rhs])
+        rhs = np.concatenate([fixed[2, :k], problem.eq_rhs]) if k else problem.eq_rhs
         a = _solve_tri(r_top, rhs, trans=1)
         x = _divide(q_fac[:, :k + m] @ a, root)
-        x[pinned[:k]] = fixed[0, :k]
+        if k:
+            x[pinned[:k]] = fixed[0, :k]
         return x, _solve_tri(r_top, a)
 
     x, u = minimizer()
     steps = 0
+    # Work buffers: bound violations, and qr_insert's column (its full-Q
+    # column insert copies it, so it is zero again once entry p is).
+    viol, above, unit = np.empty(n), np.empty(n), np.zeros(n)
     while True:
-        viol = np.maximum(lo - x, x - hi)
+        np.subtract(lo, x, out=viol)
+        np.subtract(x, hi, out=above)
+        np.maximum(viol, above, out=viol)
         viol[pinned[:k]] = 0.0
-        p = int(np.argmax(viol))
+        p = int(viol.argmax())
         if not viol[p] > 0.0:
             break
-        s_p = 1.0 if lo[p] - x[p] >= x[p] - hi[p] else -1.0
-        bound = lo[p] if s_p > 0 else hi[p]
-        w_p = s_p / root[p]  # w = L⁻¹ times the unit normal is zero but at p
+        lo_p, hi_p, x_p = float(lo[p]), float(hi[p]), float(x[p])
+        s_p = 1.0 if lo_p - x_p >= x_p - hi_p else -1.0
+        bound = lo_p if s_p > 0 else hi_p
+        w_p = s_p / float(root[p])  # w = L⁻¹ times the unit normal is zero but at p
         while True:
             steps += 1
             if steps > cap:
@@ -259,12 +272,13 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
             curvature = float(dz @ dz)
             t_full = np.inf
             if curvature > _DEPENDENT**2 * (w_p * w_p):
-                t_full = s_p * (bound - x[p]) / curvature
+                t_full = s_p * (bound - float(x[p])) / curvature
             t_part = np.inf
-            if k:
+            falling = r[:k] > 0.0
+            if falling.any():
                 ratios = np.divide(
                     np.maximum(u[:k], 0.0), r[:k],
-                    out=np.full(k, np.inf), where=r[:k] > 0.0,
+                    out=np.full(k, np.inf), where=falling,
                 )
                 t_part = float(ratios.min())
             if t_full == np.inf and t_part == np.inf:
@@ -275,14 +289,16 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                     violation=violation,
                 )
             if t_full <= t_part:
-                w = np.zeros(n)
-                w[p] = w_p
+                unit[p] = w_p
                 q_fac, r_fac = _qr_insert(
-                    q_fac, r_fac, w, k, which="col", overwrite_qru=True,
+                    q_fac, r_fac, unit, k, which="col", overwrite_qru=True,
                     check_finite=False,
                 )
+                unit[p] = 0.0
                 pinned[k] = p
-                fixed[:, k] = bound, s_p, s_p * bound
+                fixed[0, k] = bound
+                fixed[1, k] = s_p
+                fixed[2, k] = s_p * bound
                 k += 1
                 r_top = np.asfortranarray(r_fac[:k + m])
                 x, u = minimizer()
@@ -319,20 +335,99 @@ def _bounded_lsq(matrix, rhs, lo, hi):
     """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi, and its iteration count.
 
     Bounded-variable least squares (Stark & Parker, Comput. Stat. 10,
-    1995) through ``scipy.optimize.lsq_linear``, which rejects entries
-    with lower == upper: they are constants, so they move to the
-    right-hand side and the solve runs on the free entries only.
+    1995), step for step as ``scipy.optimize.lsq_linear(method="bvls",
+    tol=1e-14)`` runs it, on the same floating-point operations. Each
+    least-squares solve is LAPACK's dgelsd called directly, with the
+    workspace it asks for and the cutoff numpy's ``lstsq`` gives it.
+    Entries with lower == upper are constants: they move to the
+    right-hand side and the solve runs on the free entries only. The
+    unconstrained minimizer is returned when it lies in the box (0
+    iterations). Otherwise an initial pass pins every entry whose free
+    least-squares value leaves the box, until none does; then each main
+    step frees the pinned entry whose gradient points into the box the
+    most and re-solves on the free set, stepping back to the box along
+    the segment while the solve leaves it. The main steps stop when the
+    KKT optimality or the relative decrease of the cost falls below
+    1e-14, or after one step per free entry.
     """
+    tol = 1e-14
+
+    def lstsq(a, b, rcond=None):
+        """Minimum-norm argmin ‖a·z − b‖; rcond < 0 means machine precision."""
+        m, n = a.shape
+        if rcond is None:  # numpy's default cutoff
+            rcond = np.finfo(float).eps * max(m, n)
+        work, iwork, _ = scipy.linalg.lapack.dgelsd_lwork(m, n, 1, rcond)
+        if m < n:  # dgelsd writes the n entries of z over b
+            b = np.concatenate([b, np.zeros(n - m)])
+        z, _, _, info = scipy.linalg.lapack.dgelsd(a, b, int(work), iwork, rcond)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return z[:n]
+
     free = lo < hi
     x = lo.copy()
     if not np.any(free):
         return x, 0
-    result = scipy.optimize.lsq_linear(
-        matrix[:, free], rhs - matrix[:, ~free] @ lo[~free],
-        bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
-    )
-    x[free] = np.clip(result.x, lo[free], hi[free])
-    return x, int(result.nit)
+    a, b = matrix[:, free], rhs - matrix[:, ~free] @ lo[~free]
+    lb, ub = lo[free], hi[free]
+    z = lstsq(a, b, -1.0)
+    if np.all((z >= lb) & (z <= ub)):
+        x[free] = np.clip(z, lb, ub)
+        return x, 0
+
+    on_bound = np.zeros(a.shape[1])  # -1 at lower, +1 at upper, 0 free
+    at = z <= lb
+    z[at], on_bound[at] = lb[at], -1.0
+    at = z >= ub
+    z[at], on_bound[at] = ub[at], 1.0
+    free_set = np.flatnonzero(on_bound == 0)
+    iteration = 0
+    while free_set.size:
+        iteration += 1
+        y = lstsq(a[:, free_set], b - a.dot(z * (on_bound != 0)))
+        below, above = y < lb[free_set], y > ub[free_set]
+        z[free_set[below]], on_bound[free_set[below]] = lb[free_set[below]], -1.0
+        z[free_set[above]], on_bound[free_set[above]] = ub[free_set[above]], 1.0
+        out = below | above
+        z[free_set[~out]] = y[~out]
+        if not out.any():
+            break
+        free_set = free_set[~out]
+
+    r = a.dot(z) - b
+    cost = 0.5 * np.dot(r, r)
+    g = a.T.dot(r)
+    stop = False
+    for iteration in range(iteration, iteration + a.shape[1]):
+        if stop or np.where(on_bound == 0, np.abs(g), g * on_bound).max() < tol:
+            break
+        on_bound[np.argmax(g * on_bound)] = 0
+        while True:
+            unpinned = on_bound == 0
+            free_set = np.flatnonzero(unpinned)
+            z_free, lb_free, ub_free = z[free_set], lb[free_set], ub[free_set]
+            y = lstsq(a[:, free_set], b - a.dot(z * ~unpinned))
+            low, = np.nonzero(y < lb_free)
+            high, = np.nonzero(y > ub_free)
+            out = np.hstack((low, high))
+            if not out.size:
+                z[free_set] = y
+                break
+            alphas = np.hstack((lb_free[low] - z_free[low],
+                                ub_free[high] - z_free[high])) / (y[out] - z_free[out])
+            i = np.argmin(alphas)
+            z_free *= 1 - alphas[i]
+            z_free += alphas[i] * y
+            z[free_set] = z_free
+            on_bound[free_set[out[i]]] = -1 if i < low.size else 1
+        r = a.dot(z) - b
+        cost_new = 0.5 * np.dot(r, r)
+        stop = cost - cost_new < tol * cost
+        cost = cost_new
+        g = a.T.dot(r)
+    x[free] = np.clip(z, lb, ub)
+    return x, iteration + 1
 
 
 def phase1_feasible(problem, tol=DEFAULT_TOLERANCES):
@@ -518,8 +613,10 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         raise InsufficientSupport(
             f"only {n_keep} sites carry weight above {tol.zero_weight:g}"
         )
-    hessian = 1.0 / w[keep]
-    a_keep = system.A[:, keep]
+    # With every site kept, Ψ and its residual are the solve's x and residual.
+    everywhere = n_keep == keep.size
+    hessian = 1.0 / (w if everywhere else w[keep])
+    a_keep = system.A if everywhere else system.A[:, keep]
 
     if bounds is None:
         problem = QPProblem(hessian, a_keep, system.p)
@@ -528,7 +625,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
         alpha, beta = (
             (bounds.alpha, bounds.beta) if hasattr(bounds, "alpha") else bounds
         )
-        if not np.all(keep) and not (alpha <= 0.0 <= beta):
+        if not everywhere and not (alpha <= 0.0 <= beta):
             raise Infeasible(
                 "eliminated zero-weight sites violate bounds excluding 0",
                 violation=max(alpha - 0.0, 0.0 - beta),
@@ -550,9 +647,11 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
                 raise
             sol = solve_soft_qp(problem, tol)
 
-    psi = np.zeros(system.n_sites)
-    psi[keep] = sol.x
-    residual = float(np.max(np.abs(system.A @ psi - system.p)))
+    psi, residual = sol.x, sol.eq_residual
+    if not everywhere:
+        psi = np.zeros(system.n_sites)
+        psi[keep] = sol.x
+        residual = float(np.abs(system.A @ psi - system.p).max())
     return KernelWeights(
         psi=psi,
         sites=system.sites,

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import numpy.random as npr
 import scipy.linalg
+import scipy.optimize
 
 from ibkernel.errors import Infeasible, MaxIterationsExceeded, StencilOutsideDomain
 from ibkernel.ibops import Stencil
@@ -73,6 +74,25 @@ def brute_force_box_qp(problem):
         if obj < best_obj - 1e-13:
             best_obj, best_x = obj, x.copy()
     return best_x, best_obj
+
+
+def bvls_reference(matrix, rhs, lo, hi):
+    """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi, by scipy's ``lsq_linear``.
+
+    Its bounded-variable least squares (method "bvls", tol 1e-14), which
+    rejects entries with lo == hi: they are held at their value and moved
+    to the right-hand side. Returns x and the iteration count.
+    """
+    free = lo < hi
+    x = lo.copy()
+    if not free.any():
+        return x, 0
+    result = scipy.optimize.lsq_linear(
+        matrix[:, free], rhs - matrix[:, ~free] @ lo[~free],
+        bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
+    )
+    x[free] = np.clip(result.x, lo[free], hi[free])
+    return x, int(result.nit)
 
 
 def random_box_problem(n):

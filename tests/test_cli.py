@@ -142,6 +142,39 @@ def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("field", ["rank_pivot", "zero_weight", "feasibility"])
+@pytest.mark.parametrize("value", ["nan", "inf", -5, -1e-3])
+@pytest.mark.parametrize("argv", [
+    ["circle", "--case", "4"], ["kernel", "--eval", "0.31", "-0.17"],
+], ids=["circle", "kernel"])
+def test_tolerance_out_of_range_is_config_error(in_tmp, capsys, argv, field, value):
+    (in_tmp / "cfg.json").write_text(json.dumps({"tolerances": {field: value}}))
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be finite and >= 0" in err
+    assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("coords", [["nan", "0.1"], ["inf", "0.2"], ["0.3", "inf"]])
+def test_non_finite_eval_is_config_error(in_tmp, capsys, coords):
+    assert main(["kernel", "--eval", *coords]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --eval")
+    assert list(in_tmp.iterdir()) == []
+
+
+def test_negative_numbers_in_exponent_form_are_arguments(in_tmp):
+    assert main(["kernel", "--eval", "0.31", "-1e-3", "--out", "e.json"]) == 0
+    assert main(["kernel", "--eval", "0.31", "-0.001", "--out", "d.json"]) == 0
+    assert (in_tmp / "e.json").read_bytes() == (in_tmp / "d.json").read_bytes()
+    assert main(["circle", "--case", "3", "--bounds", "-7E-2", "0.5e+0",
+                 "--table", "e.csv", "--weights", "ew.csv"]) == 0
+    assert main(["circle", "--case", "3", "--bounds", "-0.07", "0.5",
+                 "--table", "d.csv", "--weights", "dw.csv"]) == 0
+    assert (in_tmp / "e.csv").read_bytes() == (in_tmp / "d.csv").read_bytes()
+    assert main(["validate", "e.json", "--tolerance", "-1e-10"]) == 2
+
+
 class TestKernel:
     def test_standard_matches_backus_gilbert(self, in_tmp):
         ev = ["0.31", "-0.17"]

@@ -255,3 +255,20 @@ def test_tolerance_set_defaults():
     assert not hasattr(tol, "residual")
     assert not hasattr(tol, "complementarity")
     assert tol == DEFAULT_TOLERANCES
+
+
+@pytest.mark.parametrize("field", ["rank_pivot", "zero_weight", "feasibility"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
+def test_tolerance_set_rejects_non_finite_and_negative_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ToleranceSet(**{field: value})
+    assert getattr(ToleranceSet(**{field: 0.0}), field) == 0.0
+
+
+def test_qp_problem_scalar_bounds_fill_and_check():
+    p = QPProblem(np.ones(3), np.ones((1, 3)), [1.0], lower=-0.5, upper=2)
+    assert p.lower.tolist() == [-0.5] * 3 and p.upper.tolist() == [2.0] * 3
+    with pytest.raises(ValueError, match="upper contains NaN"):
+        QPProblem(np.ones(3), np.ones((1, 3)), [1.0], upper=np.nan)
+    with pytest.raises(ValueError, match="exceeds"):
+        QPProblem(np.ones(3), np.ones((1, 3)), [1.0], lower=1.0, upper=0.0)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import (
     augmented_soft_qp,
     brute_force_box_qp,
+    bvls_reference,
     closed_form_psi,
     dense_box_qp,
     random_box_problem,
@@ -641,3 +642,80 @@ def test_diagonal_hessian_with_a_non_positive_entry_raises_not_spd(entry):
     p = QPProblem([1.0, entry], np.ones((1, 2)), [1.0], lower=0.0, upper=1.0)
     with pytest.raises(NotSPD):
         solve_box_qp(p)
+
+
+def _case4_box(deg):
+    """The bounded problem solve_generating_qp poses for the case-4 marker."""
+    system = _case4_system(deg)
+    keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+    return QPProblem(1.0 / system.Wdiag[keep], system.A[:, keep], system.p,
+                     lower=0.0, upper=0.75)
+
+
+def test_bounded_lsq_matches_lsq_linear_on_case4_phase1_and_soft_problems():
+    soft = 0
+    for deg in 2.5 * np.arange(144):
+        problem = _case4_box(deg)
+        lo, hi = problem.bounds()
+        c, b = problem.eq_matrix, problem.eq_rhs
+        x, _ = qpsolve._bounded_lsq(c, b, lo, hi)
+        ref, _ = bvls_reference(c, b, lo, hi)
+        assert_allclose(x, ref, rtol=0, atol=1e-12)
+        feasible = np.max(np.abs(c @ x - b)) <= DEFAULT_TOLERANCES.feasibility
+        assert feasible == (np.max(np.abs(c @ ref - b))
+                            <= DEFAULT_TOLERANCES.feasibility), deg
+        if feasible:
+            continue
+        soft += 1
+        root = np.sqrt(qpsolve._PENALTY)
+        matrix = np.vstack([np.diag(np.sqrt(problem.hessian)), root * c])
+        rhs = np.concatenate([np.zeros(problem.n), root * b])
+        x, _ = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
+        assert_allclose(x, bvls_reference(matrix, rhs, lo, hi)[0],
+                        rtol=0, atol=1e-12)
+    assert soft >= 10
+
+
+def test_bounded_lsq_matches_lsq_linear_on_random_boxes():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m, n = rng.integers(1, 8), rng.integers(1, 10)
+        matrix = rng.standard_normal((m, n))
+        rhs = 3.0 * rng.standard_normal(m)
+        lo, hi = -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        fixed = rng.random(n) < 0.2
+        hi[fixed] = lo[fixed]
+        x, _ = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
+        ref, _ = bvls_reference(matrix, rhs, lo, hi)
+        assert_allclose(x, ref, rtol=0, atol=1e-12)
+        assert np.array_equal(x[fixed], lo[fixed])
+
+
+def test_rank_rule_reads_the_condition_number_on_the_case4_sweep(monkeypatch):
+    # Every Gram factor the rank rule sees over the 0.5-degree sweep: its
+    # verdict is cond(R)² > 1e13 by numpy's own SVD, and it refuses only
+    # the eight optima the solver has always refused.
+    seen = []
+    check = qpsolve._check_rank
+
+    def recording(r_eq):
+        try:
+            check(r_eq)
+        except RankDeficientConstraints:
+            seen.append((r_eq.copy(), True))
+            raise
+        seen.append((r_eq.copy(), False))
+
+    monkeypatch.setattr(qpsolve, "_check_rank", recording)
+    refused = []
+    for deg in 0.5 * np.arange(720):
+        try:
+            solve_box_qp(_case4_box(deg))
+        except RankDeficientConstraints:
+            refused.append(deg)
+        except Infeasible:
+            pass
+    assert len(seen) > 720
+    for r_eq, raised in seen:
+        assert raised == (np.linalg.cond(r_eq) ** 2 > 1e13)
+    assert refused == list(RANK_DEFICIENT_DEG)
