@@ -20,12 +20,13 @@ from .errors import (
     RankDeficientConstraints,
     StencilOutsideDomain,
 )
-from .linalg import DEFAULT_TOLERANCES, ToleranceSet, solve_kkt, solve_spd
+from .linalg import solve_kkt, solve_spd
 from .kernels import (
     BasisDegree,
     KernelSource,
     KernelSystem,
     KernelWeights,
+    Peskin4Weights,
     PolynomialBasis,
     SolveMode,
     WeightFunction,
@@ -34,12 +35,12 @@ from .kernels import (
     build_basis,
     eval_psi4,
     eval_psi6,
+    solve_peskin4,
     tensor_weight,
 )
 from .qpsolve import (
     FeasibilityReport,
     KKTReport,
-    Peskin4Weights,
     QPProblem,
     QPSolution,
     check_kkt,
@@ -47,7 +48,6 @@ from .qpsolve import (
     solve_box_qp,
     solve_eq_qp,
     solve_generating_qp,
-    solve_peskin4,
     solve_soft_qp,
 )
 from .onesided import (

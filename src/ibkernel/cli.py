@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .errors import IBKernelError, LengthMismatch
+from .errors import DegenerateDomain, IBKernelError, LengthMismatch
 from .experiments import CircleCaseConfig, run_circle_case, validate_moments
 from .ibops import KernelStrategy, make_grid
 from .kernels import (
@@ -25,10 +25,9 @@ from .kernels import (
     KernelWeights,
     WeightFunction,
     build_basis,
+    solve_peskin4,
 )
-from .linalg import DEFAULT_TOLERANCES, ToleranceSet
 from .onesided import KernelBounds, SignedDistance
-from .qpsolve import solve_peskin4
 
 DEFAULT_CONFIG_NAME = "ibkernel.json"
 
@@ -36,7 +35,6 @@ _CASE_KEYS = {f.name for f in fields(CircleCaseConfig)}
 _CONFIG_KEYS = _CASE_KEYS | {
     "formulation", "weight_kernel", "basis_degree", "shift",
 }
-_TOLERANCE_KEYS = {f.name for f in fields(ToleranceSet)}
 _FORMULATIONS = ("standard", "backus-gilbert", "peskin4", "one-sided")
 # A word argparse takes as a negative number rather than an option flag.
 # Its own rule (Python 3.10-3.12) leaves out the exponent form, -1e-3.
@@ -63,13 +61,6 @@ class RunConfig(dict):
         unknown = set(self) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        tols = self.get("tolerances")
-        if tols is not None:
-            if not isinstance(tols, dict):
-                raise ConfigError("tolerances must be an object")
-            bad = set(tols) - _TOLERANCE_KEYS
-            if bad:
-                raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
 
 
 def fmt(x):
@@ -109,15 +100,6 @@ def load_config(path, required=False):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return RunConfig(raw)
-
-
-def tolerances_from(config):
-    tols = config.get("tolerances") or {}
-    try:
-        values = {k: float(v) for k, v in tols.items()}
-        return replace(DEFAULT_TOLERANCES, **values)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"tolerances must be finite numbers >= 0: {err}") from err
 
 
 def weight_function_from(config):
@@ -181,23 +163,25 @@ def _circle_weights_csv(table):
 
 def cmd_circle(args):
     config = load_config(args.config, required=args.config is not None)
-    # case, bounds and tolerances have their own readers below.
+    # case and bounds have their own readers below.
     overrides = {
         key: config[key]
-        for key in _CASE_KEYS - {"case", "bounds", "tolerances"}
+        for key in _CASE_KEYS - {"case", "bounds"}
         if key in config
     }
     bounds = args.bounds if args.bounds is not None else _bounds_from(config)
     if bounds is not None:
         overrides["bounds"] = bounds
-    overrides["tolerances"] = tolerances_from(config)
     try:
         case = args.case if args.case is not None else int(config.get("case", 1))
         cfg = CircleCaseConfig.for_case(case, **overrides)
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
 
-    table = run_circle_case(cfg)
+    try:
+        table = run_circle_case(cfg)
+    except DegenerateDomain as err:  # raised only where the grid is built
+        raise ConfigError(f"extents/mesh_width: {err}") from err
 
     table_path = args.table or f"circle_case{case}_table.csv"
     weights_path = args.weights or f"circle_case{case}_weights.csv"
@@ -263,7 +247,7 @@ def cmd_kernel(args):
     extents = config.get("extents", ((-1.0, 1.0), (-1.0, 1.0)))
     try:
         grid = make_grid(extents, wf.mesh_width)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, DegenerateDomain) as err:
         raise ConfigError(f"extents must be [lo, hi] pairs: {err}") from err
     if args.eval is None:
         raise ConfigError("kernel generation requires --eval coordinates")
@@ -275,12 +259,11 @@ def cmd_kernel(args):
     if not np.isfinite(eval_point).all():
         raise ConfigError(f"--eval coordinates must be finite, got {args.eval}")
     degree = basis_degree_from(config)
-    tol = tolerances_from(config)
 
     sd = bounds = None
     if formulation == "one-sided":
         sd, bounds = _signed_distance_from(config), _bounds_from(config)
-    strategy = KernelStrategy(wf, degree, sd, bounds, tol)
+    strategy = KernelStrategy(wf, degree, sd, bounds)
     _, weights = strategy.kernel_for(grid, eval_point)
     weights = replace(weights, source=_MOMENT_SOURCES[formulation])
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import LengthMismatch
 from .ibops import KernelStrategy, interpolate, make_grid, sample_field
 from .kernels import BasisDegree, WeightFunction
-from .linalg import DEFAULT_TOLERANCES
 from .onesided import KernelBounds, SignedDistance
 
 __all__ = [
@@ -56,14 +55,16 @@ class CircleCaseConfig:
     marker_angles_deg: tuple = (40.0, 140.0, 230.0, 310.0)
     bounds: KernelBounds = None
     field_coefficients: tuple = (10.0, 5.0)
-    tolerances: object = DEFAULT_TOLERANCES
 
     def __post_init__(self):
         # JSON-shaped input (lists, ints) becomes tuples of floats and
         # floats here, so a malformed value fails when the config is built.
         for name in ("extents", "mesh_width", "center", "radius",
                      "marker_angles_deg", "field_coefficients"):
-            setattr(self, name, _floats(getattr(self, name)))
+            value = _floats(getattr(self, name))
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+            setattr(self, name, value)
         if self.case not in (1, 2, 3, 4):
             raise ValueError(f"case must be 1..4, got {self.case}")
         if self.bounds is not None and not isinstance(self.bounds, KernelBounds):
@@ -75,6 +76,8 @@ class CircleCaseConfig:
             raise ValueError(f"case {self.case} takes no bounds")
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
+        if not (self.mesh_width > 0.0):
+            raise ValueError("mesh_width must be positive")
 
     @classmethod
     def for_case(cls, case, **overrides):
@@ -104,7 +107,6 @@ class CircleCaseConfig:
             degree=BasisDegree.LINEAR,
             signed_distance=sd,
             bounds=self.bounds,
-            tolerances=self.tolerances,
         )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDomain, StencilOutsideDomain
 from .kernels import BasisDegree, as_point, as_sites, build_basis
-from .linalg import DEFAULT_TOLERANCES
+from .linalg import _RANK_PIVOT, _ZERO_WEIGHT
 from .onesided import generate_one_sided_kernel
 
 __all__ = [
@@ -219,10 +219,11 @@ def support_stencil(grid, eval_point, radius_in_cells):
 class KernelStrategy:
     """Bundle of everything needed to turn a marker into kernel weights.
 
-    interpolate/spread stay agnostic to how the weights are produced:
-    side restriction, bounds and tolerances all live here. Frozen, so the
-    weights cannot change between an interpolate and a spread that share
-    one build of them (16 B per stencil site, at most one batch held).
+    interpolate/spread stay agnostic to how the weights are produced: the
+    weight function, basis degree, side restriction and bounds all live
+    here. Frozen, so the weights cannot change between an interpolate and
+    a spread that share one build of them (16 B per stencil site, at most
+    one batch held).
     ``kernel_for`` builds one marker's kernel; the operators build a
     batch, which for several two-sided unbounded markers agrees with
     ``kernel_for`` to rounding and otherwise bitwise.
@@ -232,7 +233,6 @@ class KernelStrategy:
     degree: BasisDegree = BasisDegree.LINEAR
     signed_distance: object = None
     bounds: object = None
-    tolerances: object = DEFAULT_TOLERANCES
 
     def kernel_for(self, grid, marker):
         stencil = support_stencil(
@@ -246,7 +246,6 @@ class KernelStrategy:
             basis,
             sd=self.signed_distance,
             bounds=self.bounds,
-            tol=self.tolerances,
         )
         return stencil, weights
 
@@ -276,8 +275,7 @@ class KernelStrategy:
         elif (len(markers) > 1 and self.signed_distance is None
               and self.bounds is None):
             batch = _closed_form_batch(
-                grid, markers, self.weight_function, self.degree,
-                self.tolerances,
+                grid, markers, self.weight_function, self.degree
             )
         if batch is None:
             indices, psi = [np.empty(0, np.intp)], [np.empty(0)]
@@ -302,14 +300,14 @@ class KernelStrategy:
 _BATCH_COND_LIMIT = 1e3
 
 
-def _closed_form_batch(grid, markers, wf, degree, tol):
+def _closed_form_batch(grid, markers, wf, degree):
     """Two-sided unbounded kernels of many markers in one closed-form pass.
 
     On a full tensor stencil W is a product of 1D profiles, so each entry
     of the Gram matrix A W Aᵀ is a product of per-axis sums Σφ, Σφr and
     Σφr² (r the physical offset from the marker, as ``PolynomialBasis``
     takes it). The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p. Sites at or
-    below ``tol.zero_weight`` are eliminated as ``solve_generating_qp``
+    below ``linalg._ZERO_WEIGHT`` are eliminated as ``solve_generating_qp``
     eliminates them: their terms are taken out of the Gram, and Ψ = 0
     there. The tensor spans each axis's run of cells inside the support
     (6 for ψ6, not the window's 8); a shorter run's extra cells, as at a
@@ -318,7 +316,7 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
     Returns the flat indices, weights and per-marker counts in the C
     order of ``support_stencil``, or None if any marker is within the
     support of an edge, has fewer than m supported sites, or has a Gram
-    matrix whose Cholesky pivots fail the ``tol.rank_pivot`` rule (the
+    matrix whose Cholesky pivots fail the ``linalg._RANK_PIVOT`` rule (the
     R of ``solve_kkt``'s QR is that Cholesky factor) or whose scaled
     condition number exceeds ``_BATCH_COND_LIMIT``. Weights agree with
     ``KernelStrategy.kernel_for`` to rounding, not bitwise.
@@ -357,7 +355,7 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
         inside = inside & ok[ax].reshape(shape)
         flat = flat * grid.counts[ax] + idx[ax].reshape(shape)
         weight = weight * phi[ax].reshape(shape)
-    kept = weight > tol.zero_weight
+    kept = weight > _ZERO_WEIGHT
     if np.any(np.count_nonzero(kept.reshape(-1, n), axis=0) < m):
         return None
 
@@ -382,7 +380,7 @@ def _closed_form_batch(grid, markers, wf, degree, tol):
     chol = np.ascontiguousarray(chol.transpose(1, 2, 0))  # (m, m, n)
     pivots = chol[np.arange(m), np.arange(m)]  # positive
     if not np.all(pivots.min(axis=0)
-                  >= tol.rank_pivot * np.abs(chol).max(axis=(0, 1))):
+                  >= _RANK_PIVOT * np.abs(chol).max(axis=(0, 1))):
         return None
     # D·chol is the Cholesky factor of D·G·D. The squared ratio of its
     # extreme pivots is a lower bound on that matrix's condition number.

@@ -6,7 +6,9 @@ compactly supported 1D profile in tensor-product form, and the basis
 values p at the evaluation point. The generating function (the vector of
 kernel weights) is the minimizer of ½ΨᵀW⁻¹Ψ subject to AΨ = p, whose
 closed form is Ψ = W Aᵀ(A W Aᵀ)⁻¹p. qpsolve.solve_generating_qp solves
-that problem and its bounded variant; this module only assembles it.
+that problem and its bounded variant; this module only assembles it. The
+four-point kernel's per-axis weights, which are exactly determined up to
+one quadratic root, come in closed form from ``solve_peskin4``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientSupport
-from .linalg import DEFAULT_TOLERANCES
+from .linalg import _ZERO_WEIGHT
 
 __all__ = [
     "WeightKind",
@@ -28,6 +30,8 @@ __all__ = [
     "KernelWeights",
     "eval_psi6",
     "eval_psi4",
+    "Peskin4Weights",
+    "solve_peskin4",
     "tensor_weight",
     "build_basis",
     "assemble_system",
@@ -95,6 +99,60 @@ def eval_psi4(r):
     out[m] = (5.0 - 2.0 * am - np.sqrt(-7.0 + 12.0 * am - 4.0 * am**2)) / 8.0
 
     return float(out[0]) if scalar else out.reshape(r.shape)
+
+
+@dataclass
+class Peskin4Weights:
+    """Per-axis four-point kernel weights at integer offsets (-1, 0, 1, 2).
+
+    ``shift`` is the marker position within its cell, per axis, in [0, 1).
+    ``weights`` has shape (dimension, 4). Multi-dimensional weights are the
+    tensor product of the per-axis rows.
+    """
+
+    shift: np.ndarray
+    weights: np.ndarray
+    dimension: int
+
+    OFFSETS = (-1, 0, 1, 2)
+
+    def tensor(self):
+        t = self.weights[0]
+        for k in range(1, self.dimension):
+            t = np.multiply.outer(t, self.weights[k])
+        return t
+
+
+def solve_peskin4(shift, dimension=None):
+    """Closed-form four-point kernel weights for a fractional shift.
+
+    Per axis, the four weights at offsets (-1, 0, 1, 2) are pinned down by
+    the even-sum, odd-sum, and first-moment conditions plus the sum-of-
+    squares condition; the last is quadratic and the root is chosen so all
+    weights stay non-negative, which also makes the map shift → weights
+    continuous:
+
+        w0  = (3 - 2s + sqrt(1 + 4s - 4s²)) / 8       (offset 0)
+        w1  = (1 + 2s + sqrt(1 + 4s - 4s²)) / 8       (offset 1)
+        w-1 = 1/2 - w1,   w2 = 1/2 - w0
+
+    Multi-axis weights are tensor products.
+    """
+    s = np.asarray(shift, dtype=float).reshape(-1)
+    if dimension is None:
+        dimension = s.shape[0]
+    if s.shape[0] == 1 and dimension > 1:
+        s = np.full(dimension, s[0])
+    if s.shape[0] != dimension:
+        raise ValueError(f"{s.shape[0]} shifts given for dimension {dimension}")
+    if not np.all((s >= 0.0) & (s < 1.0)):  # also rejects NaN
+        raise ValueError("shift must lie in [0, 1) per axis")
+
+    root = np.sqrt(1.0 + 4.0 * s - 4.0 * s * s)
+    w0 = (3.0 - 2.0 * s + root) / 8.0
+    w1 = (1.0 + 2.0 * s + root) / 8.0
+    weights = np.stack([0.5 - w1, w0, w1, 0.5 - w0], axis=1)
+    return Peskin4Weights(shift=s, weights=weights, dimension=int(dimension))
 
 
 class WeightKind(Enum):
@@ -316,7 +374,7 @@ class KernelWeights:
         return self.psi[self.support]
 
 
-def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
+def assemble_system(sites, eval_point, wf, basis):
     """Build the kernel system (A, Wdiag, p) for one evaluation point.
 
     Parameters
@@ -326,13 +384,12 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
     eval_point : (d,) array_like
     wf : WeightFunction
     basis : PolynomialBasis
-    tol : ToleranceSet
 
     Raises
     ------
     InsufficientSupport
         Fewer than ``basis.size`` sites carry weight above
-        ``tol.zero_weight``.
+        ``linalg._ZERO_WEIGHT``.
     """
     sites = as_sites(sites, basis.dimension)
     eval_point = as_point(eval_point, basis.dimension)
@@ -351,10 +408,10 @@ def assemble_system(sites, eval_point, wf, basis, tol=DEFAULT_TOLERANCES):
     wdiag = per_axis[:, 0]
     for ax in range(1, basis.dimension):
         wdiag = wdiag * per_axis[:, ax]
-    supported = int(np.count_nonzero(wdiag > tol.zero_weight))
+    supported = int(np.count_nonzero(wdiag > _ZERO_WEIGHT))
     if supported < basis.size:
         raise InsufficientSupport(
-            f"only {supported} sites carry weight above {tol.zero_weight:g}, "
+            f"only {supported} sites carry weight above {_ZERO_WEIGHT:g}, "
             f"need {basis.size}"
         )
     return KernelSystem(

@@ -19,10 +19,13 @@ factorizations from LAPACK are both the simplest and the most accurate
 choice. ``solve_spd`` is a checked Cholesky solve of a dense SPD matrix
 with a relative pivot floor of 1e-14; no kernel path calls it, and it
 stays while bench/tracing.py looks it up.
+
+The thresholds the kernel pipeline shares are fixed constants here: the
+relative rank pivot, the weight at or below which a site has no support,
+and the violation up to which phase-1 calls a box feasible.
 """
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,46 +34,25 @@ import scipy.linalg.lapack
 from .errors import NotSPD, RankDeficientConstraints
 
 __all__ = [
-    "ToleranceSet",
-    "DEFAULT_TOLERANCES",
     "QPProblem",
     "solve_spd",
     "solve_kkt",
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
-    """Numerical thresholds used across the solvers.
+# Constraint rows count as rank deficient when a constraint matrix's
+# smallest singular value (a restricted moment matrix), or the smallest
+# pivot of its R factor (L⁻¹Cᵀ in ``solve_kkt``), is below this times its
+# largest.
+_RANK_PIVOT = 1e-12
 
-    Attributes
-    ----------
-    rank_pivot : float
-        Constraint rows are rank deficient when a constraint matrix's
-        smallest singular value (a restricted moment matrix), or the
-        smallest pivot of its R factor (L⁻¹Cᵀ in ``solve_kkt``), is below
-        ``rank_pivot`` times its largest.
-    zero_weight : float
-        Sites whose weight-function value is at or below this are treated
-        as having no support and are eliminated from solves.
-    feasibility : float
-        Phase-1 max constraint violation at or below this counts as feasible.
+# Sites whose weight-function value is at or below this carry no support:
+# W⁻¹ is undefined there, so they are eliminated from every solve.
+_ZERO_WEIGHT = 1e-14
 
-    Each must be finite and >= 0; ValueError otherwise.
-    """
-
-    rank_pivot: float = 1e-12
-    zero_weight: float = 1e-14
-    feasibility: float = 1e-9
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
-
-
-DEFAULT_TOLERANCES = ToleranceSet()
+# A phase-1 max equality violation at or below this counts as feasible, so
+# a failed bounded solve on such a box is raised, not made soft.
+_FEASIBILITY = 1e-9
 
 # Relative symmetry slack accepted on ``solve_spd``'s matrix, and its
 # relative Cholesky pivot floor.
@@ -288,7 +270,7 @@ def solve_spd(matrix, rhs):
     return scipy.linalg.cho_solve((chol, True), b)
 
 
-def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
+def solve_kkt(problem):
     """Solve an equality-constrained QP in range space.
 
     With L = diag(√h) and L⁻¹Cᵀ = QR, R is the Cholesky factor of the
@@ -299,7 +281,6 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     Parameters
     ----------
     problem : QPProblem without bounds.
-    tol : ToleranceSet
 
     Returns
     -------
@@ -316,7 +297,7 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     NotSPD
         The Hessian is not positive definite.
     RankDeficientConstraints
-        Dependent constraint rows: a pivot of R is below ``tol.rank_pivot``
+        Dependent constraint rows: a pivot of R is below ``_RANK_PIVOT``
         times the largest entry of R.
     """
     if problem.has_bounds:
@@ -327,7 +308,7 @@ def solve_kkt(problem, tol=DEFAULT_TOLERANCES):
     if problem.m:
         smallest = float(np.abs(r.diagonal()).min())
         r_scale = float(np.abs(r).max())
-        if r_scale == 0.0 or smallest < tol.rank_pivot * r_scale:
+        if r_scale == 0.0 or smallest < _RANK_PIVOT * r_scale:
             raise RankDeficientConstraints(
                 f"constraint rows dependent: smallest R pivot "
                 f"{smallest:.3e} vs scale {r_scale:.3e}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientSupport, RankDeficientConstraints
 from .kernels import KernelSystem, as_sites, assemble_system
-from .linalg import DEFAULT_TOLERANCES, _singular_values
+from .linalg import _RANK_PIVOT, _ZERO_WEIGHT, _singular_values
 from .qpsolve import KernelSource, solve_generating_qp
 
 __all__ = [
@@ -41,8 +41,8 @@ class SignedDistance:
     @classmethod
     def circle(cls, center, radius):
         center = np.asarray(center, dtype=float).reshape(-1)
-        if not (radius > 0.0):
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(center).all() and 0.0 < radius < np.inf):
+            raise ValueError("center must be finite, radius positive and finite")
 
         def evaluator(point):
             point = np.asarray(point, dtype=float)
@@ -105,7 +105,7 @@ def classify_side(sd, sites):
     return SideMask(sd.evaluate(sites) > 0.0)
 
 
-def restrict_weights(system, mask, tol=DEFAULT_TOLERANCES):
+def restrict_weights(system, mask):
     """Zero the weights of Minus sites, keeping everything else.
 
     Raises
@@ -121,7 +121,7 @@ def restrict_weights(system, mask, tol=DEFAULT_TOLERANCES):
             f"mask length {len(mask)} != site count {system.n_sites}"
         )
     wdiag = np.where(mask.plus, system.Wdiag, 0.0)
-    keep = wdiag > tol.zero_weight
+    keep = wdiag > _ZERO_WEIGHT
     if int(np.count_nonzero(keep)) < system.n_basis:
         raise InsufficientSupport(
             f"restriction leaves {int(np.count_nonzero(keep))} supported "
@@ -129,7 +129,7 @@ def restrict_weights(system, mask, tol=DEFAULT_TOLERANCES):
         )
     a_keep = system.A[:, keep]
     sv = _singular_values(a_keep)
-    if sv[-1] < tol.rank_pivot * sv[0]:
+    if sv[-1] < _RANK_PIVOT * sv[0]:
         raise RankDeficientConstraints(
             "restricted moment matrix lost row rank "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
@@ -138,7 +138,7 @@ def restrict_weights(system, mask, tol=DEFAULT_TOLERANCES):
 
 
 def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
-                              bounds=None, tol=DEFAULT_TOLERANCES):
+                              bounds=None):
     """Full pipeline: assemble, restrict to one side, minimize.
 
     With ``sd`` omitted the support is two-sided; with ``bounds`` omitted
@@ -146,9 +146,7 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     exactly zero; the solve mode records whether the equalities were met
     exactly or via the penalty fallback.
     """
-    system = assemble_system(sites, eval_point, wf, basis, tol)
+    system = assemble_system(sites, eval_point, wf, basis)
     if sd is not None:
-        system = restrict_weights(system, classify_side(sd, system.sites), tol)
-    return solve_generating_qp(
-        system, bounds=bounds, tol=tol, source=KernelSource.PROBLEM_D
-    )
+        system = restrict_weights(system, classify_side(sd, system.sites))
+    return solve_generating_qp(system, bounds=bounds, source=KernelSource.PROBLEM_D)

@@ -1,8 +1,8 @@
 """Constrained quadratic minimization engines.
 
-Four routes to a kernel's minimizer of ½ xᵀHx with H = W⁻¹ diagonal; the
-first three take a ``QPProblem`` (defined and validated in linalg,
-re-exported here), which holds H as the vector of its diagonal:
+Three routes to a kernel's minimizer of ½ xᵀHx with H = W⁻¹ diagonal; each
+takes a ``QPProblem`` (defined and validated in linalg, re-exported here),
+which holds H as the vector of its diagonal:
 
 - solve_eq_qp: equality constraints only, one range-space solve
   (linalg.solve_kkt), whose only factorization is the QR of H^-½Cᵀ.
@@ -13,8 +13,6 @@ re-exported here), which holds H as the vector of its diagonal:
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
   empty. With a diagonal H this is bounded least squares.
-- solve_peskin4: the four-point kernel's per-axis system, which is exactly
-  determined up to one quadratic root and needs no iteration at all.
 
 plus phase1_feasible (a bounded least-squares feasibility probe) and
 check_kkt (residual audit of any solution against any problem). Phase-1
@@ -45,7 +43,8 @@ from .kernels import KernelSource, KernelWeights, SolveMode
 # solve_spd has no caller in the package; it is imported here only because
 # bench/tracing.py wraps it where this module would look it up.
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    _FEASIBILITY,
+    _ZERO_WEIGHT,
     QPProblem,
     _diagonal_root,
     _divide,
@@ -61,12 +60,10 @@ __all__ = [
     "QPSolution",
     "FeasibilityReport",
     "KKTReport",
-    "Peskin4Weights",
     "solve_eq_qp",
     "solve_box_qp",
     "phase1_feasible",
     "solve_soft_qp",
-    "solve_peskin4",
     "check_kkt",
     "solve_generating_qp",
     "SolveMode",
@@ -111,13 +108,13 @@ class KKTReport:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
-def solve_eq_qp(problem, tol=DEFAULT_TOLERANCES):
+def solve_eq_qp(problem):
     """Solve an equality-constrained QP (no bounds allowed).
 
     Returns a QPSolution whose KKT residuals are at the direct-solve level
     (≤ 1e-10 for well-scaled inputs).
     """
-    x, lam = solve_kkt(problem, tol)
+    x, lam = solve_kkt(problem)
     eq_res = _eq_residual(problem, x)
     return QPSolution(
         x=x,
@@ -151,6 +148,10 @@ _GRAM_COND_LIMIT = 1e13
 # fraction of its length.
 _DEPENDENT = 1e-12
 
+# solve_box_qp raises MaxIterationsExceeded after this many dual active-set
+# steps per variable.
+_STEPS_PER_VARIABLE = 50
+
 
 def _check_rank(r_eq):
     """Apply the rank rule to the Gram matrix r_eqᵀ r_eq.
@@ -170,7 +171,7 @@ def _check_rank(r_eq):
         )
 
 
-def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
+def solve_box_qp(problem):
     """Goldfarb–Idnani dual active-set solver for equality + bound QPs.
 
     The iterate starts at the equality-constrained minimizer and stays
@@ -194,9 +195,6 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
     Parameters
     ----------
     problem : QPProblem with bounds.
-    tol : ToleranceSet
-    max_iterations : int, optional
-        Cap on dual active-set steps; defaults to 50·n.
 
     Raises
     ------
@@ -212,12 +210,13 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
         The equality rows restricted to the free variables at the optimum
         fail the rank rule (see ``_GRAM_COND_LIMIT``).
     MaxIterationsExceeded
+        More than 50·n dual active-set steps.
     """
     if not problem.has_bounds:
         raise ValueError("problem has no bounds; use solve_eq_qp")
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
-    cap = 50 * n if max_iterations is None else int(max_iterations)
+    cap = _STEPS_PER_VARIABLE * n
     root = _diagonal_root(problem.hessian)
 
     # Working set: the k pinned bounds in the order they joined, then the
@@ -282,7 +281,7 @@ def solve_box_qp(problem, tol=DEFAULT_TOLERANCES, max_iterations=None):
                 )
                 t_part = float(ratios.min())
             if t_full == np.inf and t_part == np.inf:
-                violation = phase1_feasible(problem, tol).violation
+                violation = phase1_feasible(problem).violation
                 raise Infeasible(
                     "equality constraints unreachable within bounds "
                     f"(best violation {violation:.3e})",
@@ -430,12 +429,12 @@ def _bounded_lsq(matrix, rhs, lo, hi):
     return x, iteration + 1
 
 
-def phase1_feasible(problem, tol=DEFAULT_TOLERANCES):
+def phase1_feasible(problem):
     """Feasibility probe: minimize equality violation subject to bounds.
 
     Solves min ‖eq_matrix·x − eq_rhs‖ over the box (bounded-variable
     least squares) and reports the max-norm violation of the minimizer.
-    Feasible iff that violation is at most ``tol.feasibility``.
+    Feasible iff that violation is at most ``linalg._FEASIBILITY``.
 
     Always returns a FeasibilityReport; never raises on infeasibility.
     """
@@ -447,10 +446,10 @@ def phase1_feasible(problem, tol=DEFAULT_TOLERANCES):
         return FeasibilityReport(True, witness, 0.0)
     witness, _ = _bounded_lsq(problem.eq_matrix, problem.eq_rhs, lo, hi)
     violation = _eq_residual(problem, witness)
-    return FeasibilityReport(violation <= tol.feasibility, witness, violation)
+    return FeasibilityReport(violation <= _FEASIBILITY, witness, violation)
 
 
-def solve_soft_qp(problem, tol=DEFAULT_TOLERANCES):
+def solve_soft_qp(problem):
     """Penalty fallback: fold equalities into the objective, keep bounds hard.
 
     Minimizes ½ xᵀHx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box, with
@@ -481,62 +480,6 @@ def solve_soft_qp(problem, tol=DEFAULT_TOLERANCES):
         iterations=iterations,
         mode=SolveMode.SOFT_CONSTRAINT,
     )
-
-
-@dataclass
-class Peskin4Weights:
-    """Per-axis four-point kernel weights at integer offsets (-1, 0, 1, 2).
-
-    ``shift`` is the marker position within its cell, per axis, in [0, 1).
-    ``weights`` has shape (dimension, 4). Multi-dimensional weights are the
-    tensor product of the per-axis rows.
-    """
-
-    shift: np.ndarray
-    weights: np.ndarray
-    dimension: int
-
-    OFFSETS = (-1, 0, 1, 2)
-
-    def tensor(self):
-        t = self.weights[0]
-        for k in range(1, self.dimension):
-            t = np.multiply.outer(t, self.weights[k])
-        return t
-
-
-def solve_peskin4(shift, dimension=None):
-    """Closed-form four-point kernel weights for a fractional shift.
-
-    Per axis, the four weights at offsets (-1, 0, 1, 2) are pinned down by
-    the even-sum, odd-sum, and first-moment conditions plus the sum-of-
-    squares condition; the last is quadratic and the root is chosen so all
-    weights stay non-negative, which also makes the map shift → weights
-    continuous:
-
-        w0  = (3 - 2s + sqrt(1 + 4s - 4s²)) / 8       (offset 0)
-        w1  = (1 + 2s + sqrt(1 + 4s - 4s²)) / 8       (offset 1)
-        w-1 = 1/2 - w1,   w2 = 1/2 - w0
-
-    Multi-axis weights are tensor products.
-    """
-    s = np.asarray(shift, dtype=float).reshape(-1)
-    if dimension is None:
-        dimension = s.shape[0]
-    if s.shape[0] == 1 and dimension > 1:
-        s = np.full(dimension, s[0])
-    if s.shape[0] != dimension:
-        raise ValueError(
-            f"{s.shape[0]} shifts given for dimension {dimension}"
-        )
-    if not np.all((s >= 0.0) & (s < 1.0)):  # also rejects NaN
-        raise ValueError("shift must lie in [0, 1) per axis")
-
-    root = np.sqrt(1.0 + 4.0 * s - 4.0 * s * s)
-    w0 = (3.0 - 2.0 * s + root) / 8.0
-    w1 = (1.0 + 2.0 * s + root) / 8.0
-    weights = np.stack([0.5 - w1, w0, w1, 0.5 - w0], axis=1)
-    return Peskin4Weights(shift=s, weights=weights, dimension=int(dimension))
 
 
 def check_kkt(problem, solution):
@@ -589,11 +532,10 @@ def check_kkt(problem, solution):
     return KKTReport(stationarity, primal, dual, complementarity)
 
 
-def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
-                        source=KernelSource.PROBLEM_B):
+def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
     """Kernel weights by constrained minimization of ½ ΨᵀW⁻¹Ψ.
 
-    Sites whose weight is at or below ``tol.zero_weight`` make W⁻¹
+    Sites whose weight is at or below ``linalg._ZERO_WEIGHT`` make W⁻¹
     undefined; they are eliminated with Ψ := 0 before solving, which
     preserves the minimizer of the remaining coordinates. Without bounds
     this is a single equality-QP solve. With bounds the dual active-set
@@ -607,11 +549,11 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
     (alpha, beta) pair.
     """
     w = system.Wdiag
-    keep = w > tol.zero_weight
+    keep = w > _ZERO_WEIGHT
     n_keep = int(np.count_nonzero(keep))
     if n_keep < system.n_basis:
         raise InsufficientSupport(
-            f"only {n_keep} sites carry weight above {tol.zero_weight:g}"
+            f"only {n_keep} sites carry weight above {_ZERO_WEIGHT:g}"
         )
     # With every site kept, Ψ and its residual are the solve's x and residual.
     everywhere = n_keep == keep.size
@@ -620,7 +562,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
 
     if bounds is None:
         problem = QPProblem(hessian, a_keep, system.p)
-        sol = solve_eq_qp(problem, tol)
+        sol = solve_eq_qp(problem)
     else:
         alpha, beta = (
             (bounds.alpha, bounds.beta) if hasattr(bounds, "alpha") else bounds
@@ -632,7 +574,7 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
             )
         problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta)
         try:
-            sol = solve_box_qp(problem, tol)
+            sol = solve_box_qp(problem)
         except (Infeasible, RankDeficientConstraints,
                 MaxIterationsExceeded) as exc:
             # Phase-1 decides whether the soft kernel replaces a failed
@@ -642,10 +584,10 @@ def solve_generating_qp(system, bounds=None, tol=DEFAULT_TOLERANCES,
             if isinstance(exc, Infeasible):
                 violation = exc.violation
             else:
-                violation = phase1_feasible(problem, tol).violation
-            if violation <= tol.feasibility:
+                violation = phase1_feasible(problem).violation
+            if violation <= _FEASIBILITY:
                 raise
-            sol = solve_soft_qp(problem, tol)
+            sol = solve_soft_qp(problem)
 
     psi, residual = sol.x, sol.eq_residual
     if not everywhere:

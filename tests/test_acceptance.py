@@ -31,21 +31,21 @@ from ibkernel.ibops import (
 )
 from ibkernel.kernels import (
     BasisDegree,
+    Peskin4Weights,
     WeightFunction,
     assemble_system,
     build_basis,
     eval_psi6,
+    solve_peskin4,
     tensor_weight,
 )
-from ibkernel.linalg import DEFAULT_TOLERANCES
+from ibkernel.linalg import _FEASIBILITY, _ZERO_WEIGHT
 from ibkernel.onesided import classify_side, restrict_weights
 from ibkernel.qpsolve import (
-    Peskin4Weights,
     QPProblem,
     phase1_feasible,
     solve_box_qp,
     solve_generating_qp,
-    solve_peskin4,
 )
 
 
@@ -148,19 +148,18 @@ def _case4_phase1_reports(marker_angles_deg):
     grid = make_grid(cfg.extents, cfg.mesh_width)
     strategy = cfg.strategy()
     basis = build_basis(2, strategy.degree)
-    tol = DEFAULT_TOLERANCES
     reports = []
     for deg, pos in zip(cfg.marker_angles_deg, cfg.marker_positions()):
         stencil = support_stencil(
             grid, pos, strategy.weight_function.radius_in_cells
         )
         system = assemble_system(
-            stencil.sites, pos, strategy.weight_function, basis, tol
+            stencil.sites, pos, strategy.weight_function, basis
         )
         system = restrict_weights(
-            system, classify_side(strategy.signed_distance, stencil.sites), tol
+            system, classify_side(strategy.signed_distance, stencil.sites)
         )
-        keep = system.Wdiag > tol.zero_weight
+        keep = system.Wdiag > _ZERO_WEIGHT
         problem = QPProblem(
             1.0 / system.Wdiag[keep],
             system.A[:, keep],
@@ -169,7 +168,7 @@ def _case4_phase1_reports(marker_angles_deg):
             upper=cfg.bounds.beta,
         )
         reports.append(
-            (deg, phase1_feasible(problem, tol), _box_margin(problem))
+            (deg, phase1_feasible(problem), _box_margin(problem))
         )
     return reports
 
@@ -190,7 +189,6 @@ def test_criterion_4_case4_reproduction():
     # The mode agrees with phase-1: on the paper's four markers the box is
     # strictly feasible by LP (margins 1.7e-3 to 7.0e-3), so phase-1 must
     # agree and every row must finish Exact with the moments met.
-    tol = DEFAULT_TOLERANCES
     reports = _case4_phase1_reports([row.marker_deg for row in table.rows])
     paper_ok = all(
         margin > 1e-6
@@ -213,7 +211,7 @@ def test_criterion_4_case4_reproduction():
         soft_margin < -1e-6
         and not soft_rep.feasible
         and soft_row.mode == "SoftConstraint"
-        and soft_row.eq_residual > tol.feasibility
+        and soft_row.eq_residual > _FEASIBILITY
         and float(np.min(soft_row.weights.psi)) >= -1e-10
         and float(np.max(soft_row.weights.psi)) <= 0.75 + 1e-10
     )
@@ -243,7 +241,7 @@ def test_criterion_4_case4_reproduction():
     assert soft_margin < -1e-6
     assert not soft_rep.feasible, soft_rep.violation
     assert soft_row.mode == "SoftConstraint"
-    assert soft_row.eq_residual > tol.feasibility
+    assert soft_row.eq_residual > _FEASIBILITY
     assert float(np.min(soft_row.weights.psi)) >= -1e-10
     assert float(np.max(soft_row.weights.psi)) <= 0.75 + 1e-10
 

@@ -121,6 +121,10 @@ class TestCircle:
             assert row["mode"] == ref.mode
 
 
+NAN, INF = float("nan"), float("inf")
+ONE_SIDED = ["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"]
+
+
 @pytest.mark.parametrize("argv, cfg", [
     (["circle"], {"tolerances": {"zero_weight": "x"}}),
     (["circle"], {"case": "x"}),
@@ -130,15 +134,25 @@ class TestCircle:
     (["kernel", "--eval", "0.31", "-0.17"], {"tolerances": {"spd_pivot": 1e-14}}),
     (["kernel", "--eval", "0.31", "-0.17"], {"mesh_width": "abc"}),
     (["kernel", "--eval", "0.31", "-0.17"], {"extents": [["a", 1], [-1, 1]]}),
-    (["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"],
-     {"radius": "x"}),
+    (ONE_SIDED, {"radius": "x"}),
     (["kernel", "--formulation", "peskin4"], {"shift": ["a"]}),
+    (["circle"], {"field_coefficients": [NAN, 1]}),
+    (["circle"], {"marker_angles_deg": [INF]}),
+    (["circle"], {"center": [NAN, 0]}),
+    (["circle"], {"mesh_width": NAN}),
+    (["circle"], {"mesh_width": -0.1}),
+    (["circle"], {"extents": [[1, -1], [-1, 1]]}),
+    (["kernel", "--eval", "0.31", "-0.17"], {"extents": [[1, -1], [-1, 1]]}),
+    (ONE_SIDED, {"center": [NAN, 0]}),
 ], ids=["tolerance", "case", "penalty", "residual", "complementarity",
-     "spd_pivot", "mesh_width", "extents", "radius", "shift"])
+     "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
+     "inf_angle", "nan_center", "nan_mesh_width", "negative_mesh_width",
+     "inverted_extents", "kernel_inverted_extents", "one_sided_nan_center"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     (in_tmp / "cfg.json").write_text(json.dumps(cfg))
     assert main([*argv, "--config", "cfg.json"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 
@@ -148,10 +162,12 @@ def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     ["circle", "--case", "4"], ["kernel", "--eval", "0.31", "-0.17"],
 ], ids=["circle", "kernel"])
 def test_tolerance_out_of_range_is_config_error(in_tmp, capsys, argv, field, value):
+    # The thresholds are constants now, so a config that still sets one is
+    # refused before any run, whatever its value.
     (in_tmp / "cfg.json").write_text(json.dumps({"tolerances": {field: value}}))
     assert main([*argv, "--config", "cfg.json"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{field} must be finite and >= 0" in err
+    assert err.startswith("error: unknown config keys: ['tolerances']")
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 
@@ -395,12 +411,11 @@ class TestRunConfig:
             RunConfig({"mesh": 0.1})
 
     def test_tolerance_keys_checked(self):
-        with pytest.raises(ConfigError):
-            RunConfig({"tolerances": {"spd": 1e-14}})
-        with pytest.raises(ConfigError):
-            RunConfig({"tolerances": [1e-14]})
-        cfg = RunConfig({"tolerances": {"zero_weight": 1e-13}})
-        assert cfg.get("tolerances") == {"zero_weight": 1e-13}
+        # The solver thresholds are constants: a tolerances key of any
+        # shape, the former defaults included, is unknown.
+        for tols in ({"spd": 1e-14}, [1e-14], {"zero_weight": 1e-14}, {}):
+            with pytest.raises(ConfigError, match="tolerances"):
+                RunConfig({"tolerances": tols})
 
     def test_empty(self):
         cfg = RunConfig()

@@ -200,7 +200,7 @@ def _supported_system(cfg, row):
     strategy = cfg.strategy()
     system = assemble_system(
         row.stencil.sites, row.position, strategy.weight_function,
-        build_basis(2, strategy.degree), cfg.tolerances,
+        build_basis(2, strategy.degree),
     )
     keep = row.weights.support
     return system.A[:, keep], system.Wdiag[keep], system.p
@@ -221,7 +221,7 @@ class TestSweeps:
         for row in table.rows:
             a, w, p = _supported_system(cfg, row)
             problem = QPProblem(np.ones(w.size), a, p, lower=0.0, upper=0.75)
-            feasible = phase1_feasible(problem, cfg.tolerances).feasible
+            feasible = phase1_feasible(problem).feasible
             want = "Exact" if feasible else "SoftConstraint"
             assert row.mode == want, row.marker_deg
             if feasible:
@@ -234,7 +234,7 @@ class TestSweeps:
         for row in run_circle_case(cfg).rows:
             a, w, p = _supported_system(cfg, row)
             problem = QPProblem(np.ones(w.size), a, p, lower=-0.07, upper=0.5)
-            feasible = phase1_feasible(problem, cfg.tolerances).feasible
+            feasible = phase1_feasible(problem).feasible
             assert row.mode == ("Exact" if feasible else "SoftConstraint")
 
     def test_case3_every_2_5_degrees_is_kkt_optimal(self):

@@ -32,7 +32,7 @@ from ibkernel.kernels import (
     eval_psi6,
     tensor_weight,
 )
-from ibkernel.linalg import DEFAULT_TOLERANCES, ToleranceSet
+from ibkernel.linalg import _ZERO_WEIGHT
 from ibkernel.onesided import KernelBounds, SignedDistance
 
 
@@ -454,7 +454,6 @@ def test_closed_form_batch_matches_kernel_for(dim, profile, degree, builds):
     indices, psi, counts = strategy._batch("interpolate", grid, markers)
     assert builds == []
     basis = build_basis(dim, degree)
-    zero_weight = DEFAULT_TOLERANCES.zero_weight
     dropped = 0
     ends = np.cumsum(counts)
     for x, end, count in zip(markers, ends, counts):
@@ -467,8 +466,8 @@ def test_closed_form_batch_matches_kernel_for(dim, profile, degree, builds):
         _, want = strategy.kernel_for(grid, x)
         assert np.max(np.abs(got - want.psi)) <= 1e-12 * np.max(np.abs(want.psi))
         w = np.array([tensor_weight(site, x, wf) for site in stencil.sites])
-        assert np.all(got[w <= zero_weight] == 0.0)
-        dropped += np.count_nonzero((w > 0.0) & (w <= zero_weight))
+        assert np.all(got[w <= _ZERO_WEIGHT] == 0.0)
+        dropped += np.count_nonzero((w > 0.0) & (w <= _ZERO_WEIGHT))
         moments = basis.rows(stencil.sites, x) @ got - basis.at_eval()
         assert np.max(np.abs(moments)) <= 1e-12
     if profile in ("custom-array", "custom-scaled") and dim > 1:
@@ -558,8 +557,7 @@ def test_closed_form_batch_peak_memory_in_3d():
     markers = npr.default_rng(0).uniform(0.2, 0.8, (2000, 3))
     tracemalloc.start()
     try:
-        batch = _closed_form_batch(grid, markers, wf, BasisDegree.LINEAR,
-                                   DEFAULT_TOLERANCES)
+        batch = _closed_form_batch(grid, markers, wf, BasisDegree.LINEAR)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,13 +570,15 @@ def _failing_batch(case):
 
     edge: a marker inside the edge margin. support: a profile that covers
     one site of a marker on a cell center, two per axis of one on a face.
-    rank: a rank_pivot that every linear Gram on this grid fails.
+    rank: a profile that is 1 on |r| < 0.6 and on 1.4 < |r| < 1.6 and 0
+    elsewhere. A marker on a face in x and a center in y has its supported
+    sites on one line, so its moment rows lose rank; on faces in both axes
+    it has 16.
     """
     h = 0.075
     grid = make_grid([(-1.0, 1.0)] * 2, h)
     faces = grid.origin[0] + h * np.array([[12, 14], [15, 11], [13, 13]])
-    wf, tol, markers, bad = (WeightFunction.six_point_spline(h),
-                             DEFAULT_TOLERANCES, faces, 2)
+    wf, markers, bad = WeightFunction.six_point_spline(h), faces, 2
     if case == "edge":
         markers = np.vstack([faces[:2], [[0.99, 0.0]], faces[2:]])
     elif case == "support":
@@ -587,8 +587,14 @@ def _failing_batch(case):
         )
         markers = np.vstack([faces[:2], grid.centers()[300], faces[2:]])
     else:
-        tol, bad = ToleranceSet(rank_pivot=0.5), 0
-    return grid, KernelStrategy(wf, tolerances=tol), markers, bad
+        def bands(r):
+            r = np.abs(r)
+            return ((r < 0.6) | ((r > 1.4) & (r < 1.6))).astype(float)
+
+        wf = WeightFunction.custom1d(h, bands, 1.6)
+        line = grid.origin[0] + h * np.array([14, 12.5])
+        markers = np.vstack([faces[:2], line, faces[2:]])
+    return grid, KernelStrategy(wf), markers, bad
 
 
 @pytest.mark.parametrize("op", ["I", "S"])

@@ -4,6 +4,8 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import saddle_solve
 
+import ibkernel
+from ibkernel import linalg
 from ibkernel.errors import NotSPD, RankDeficientConstraints
 from ibkernel.ibops import make_grid, support_stencil
 from ibkernel.kernels import (
@@ -12,13 +14,7 @@ from ibkernel.kernels import (
     assemble_system,
     build_basis,
 )
-from ibkernel.linalg import (
-    DEFAULT_TOLERANCES,
-    QPProblem,
-    ToleranceSet,
-    solve_kkt,
-    solve_spd,
-)
+from ibkernel.linalg import _ZERO_WEIGHT, QPProblem, solve_kkt, solve_spd
 from ibkernel.onesided import SignedDistance, classify_side, restrict_weights
 
 
@@ -182,7 +178,7 @@ def test_solve_kkt_matches_saddle_solve_on_one_sided_stencils(dimension):
         stencil = support_stencil(grid, marker, wf.radius_in_cells)
         system = assemble_system(stencil.sites, marker, wf, basis)
         system = restrict_weights(system, classify_side(sd, stencil.sites))
-        keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+        keep = system.Wdiag > _ZERO_WEIGHT
         _assert_matches_saddle_solve(
             1.0 / system.Wdiag[keep], system.A[:, keep], system.p
         )
@@ -205,7 +201,7 @@ def test_diagonal_solve_kkt_matches_saddle_solve_on_stencils(dimension):
         two_sided = assemble_system(stencil.sites, marker, wf, basis)
         one_sided = restrict_weights(two_sided, classify_side(sd, stencil.sites))
         for system in (two_sided, one_sided):
-            keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+            keep = system.Wdiag > _ZERO_WEIGHT
             _assert_matches_saddle_solve(
                 1.0 / system.Wdiag[keep], system.A[:, keep], system.p, rtol=1e-14
             )
@@ -247,22 +243,13 @@ def test_kkt_system_validation():
 
 
 def test_tolerance_set_defaults():
-    tol = ToleranceSet()
-    assert tol.rank_pivot == 1e-12
-    assert tol.zero_weight == 1e-14
-    assert tol.feasibility == 1e-9
-    assert not hasattr(tol, "spd_pivot")
-    assert not hasattr(tol, "residual")
-    assert not hasattr(tol, "complementarity")
-    assert tol == DEFAULT_TOLERANCES
-
-
-@pytest.mark.parametrize("field", ["rank_pivot", "zero_weight", "feasibility"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
-def test_tolerance_set_rejects_non_finite_and_negative_values(field, value):
-    with pytest.raises(ValueError, match=field):
-        ToleranceSet(**{field: value})
-    assert getattr(ToleranceSet(**{field: 0.0}), field) == 0.0
+    # The thresholds are constants with the values the former ToleranceSet
+    # defaulted to, and no tolerance set is exported any more.
+    assert linalg._RANK_PIVOT == 1e-12
+    assert linalg._ZERO_WEIGHT == 1e-14
+    assert linalg._FEASIBILITY == 1e-9
+    assert not hasattr(ibkernel, "ToleranceSet")
+    assert not hasattr(ibkernel, "DEFAULT_TOLERANCES")
 
 
 def test_qp_problem_scalar_bounds_fill_and_check():

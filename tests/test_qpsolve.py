@@ -25,25 +25,25 @@ from ibkernel.kernels import (
     BasisDegree,
     KernelSource,
     KernelSystem,
+    Peskin4Weights,
     SolveMode,
     WeightFunction,
     assemble_system,
     build_basis,
     eval_psi4,
+    solve_peskin4,
 )
 from ibkernel.experiments import CircleCaseConfig
 from ibkernel.ibops import make_grid, support_stencil
-from ibkernel.linalg import DEFAULT_TOLERANCES, solve_kkt
+from ibkernel.linalg import _FEASIBILITY, _ZERO_WEIGHT, solve_kkt
 from ibkernel.onesided import SignedDistance, classify_side, restrict_weights
 from ibkernel.qpsolve import (
-    Peskin4Weights,
     QPProblem,
     check_kkt,
     phase1_feasible,
     solve_box_qp,
     solve_eq_qp,
     solve_generating_qp,
-    solve_peskin4,
     solve_soft_qp,
 )
 
@@ -157,12 +157,13 @@ class TestBoxQP:
             solve_box_qp(p)
         assert err.value.violation == pytest.approx(0.4, abs=1e-10)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         p = QPProblem(
             np.ones(2), np.ones((1, 2)), [1.0], lower=0.0, upper=[0.3, 1.0]
         )
+        monkeypatch.setattr(qpsolve, "_STEPS_PER_VARIABLE", 0)
         with pytest.raises(MaxIterationsExceeded):
-            solve_box_qp(p, max_iterations=0)
+            solve_box_qp(p)
 
     def test_matches_enumeration(self):
         npr.seed(31)
@@ -452,9 +453,9 @@ class TestGeneratingQP:
             system = _case4_system(deg)
         calls = []
 
-        def counted(problem, tol=DEFAULT_TOLERANCES):
+        def counted(problem):
             calls.append(problem)
-            return phase1_feasible(problem, tol)
+            return phase1_feasible(problem)
 
         monkeypatch.setattr(qpsolve, "phase1_feasible", counted)
         kw = solve_generating_qp(system, bounds=bounds)
@@ -480,10 +481,10 @@ class TestGeneratingQP:
     def test_infeasible_goes_soft_only_past_phase1s_tolerance(
         self, violation, mode, monkeypatch
     ):
-        # A box phase-1 finds feasible (violation within tol.feasibility)
+        # A box phase-1 finds feasible (violation within _FEASIBILITY)
         # that the dual solver calls infeasible raises, as it did when
         # phase-1 chose the mode; only a phase-1-infeasible box goes soft.
-        def infeasible(problem, tol=DEFAULT_TOLERANCES):
+        def infeasible(problem):
             raise Infeasible("stand-in", violation=violation)
 
         monkeypatch.setattr(qpsolve, "solve_box_qp", infeasible)
@@ -503,7 +504,7 @@ class TestGeneratingQP:
     ):
         # Phase-1 judges the box the failed dual solve leaves: [-1, 1] can
         # be met, so the failure is raised; [0, 0.3] cannot, so it is soft.
-        def failing(problem, tol=DEFAULT_TOLERANCES):
+        def failing(problem):
             raise error("stand-in")
 
         monkeypatch.setattr(qpsolve, "solve_box_qp", failing)
@@ -557,7 +558,7 @@ def _diagonal_and_dense(grid, marker, sd, alpha, beta):
     system = restrict_weights(
         assemble_system(sites, marker, wf, basis), classify_side(sd, sites)
     )
-    keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+    keep = system.Wdiag > _ZERO_WEIGHT
     problem = QPProblem(
         1.0 / system.Wdiag[keep], system.A[:, keep], system.p,
         lower=alpha, upper=beta,
@@ -647,7 +648,7 @@ def test_diagonal_hessian_with_a_non_positive_entry_raises_not_spd(entry):
 def _case4_box(deg):
     """The bounded problem solve_generating_qp poses for the case-4 marker."""
     system = _case4_system(deg)
-    keep = system.Wdiag > DEFAULT_TOLERANCES.zero_weight
+    keep = system.Wdiag > _ZERO_WEIGHT
     return QPProblem(1.0 / system.Wdiag[keep], system.A[:, keep], system.p,
                      lower=0.0, upper=0.75)
 
@@ -661,9 +662,9 @@ def test_bounded_lsq_matches_lsq_linear_on_case4_phase1_and_soft_problems():
         x, _ = qpsolve._bounded_lsq(c, b, lo, hi)
         ref, _ = bvls_reference(c, b, lo, hi)
         assert_allclose(x, ref, rtol=0, atol=1e-12)
-        feasible = np.max(np.abs(c @ x - b)) <= DEFAULT_TOLERANCES.feasibility
+        feasible = np.max(np.abs(c @ x - b)) <= _FEASIBILITY
         assert feasible == (np.max(np.abs(c @ ref - b))
-                            <= DEFAULT_TOLERANCES.feasibility), deg
+                            <= _FEASIBILITY), deg
         if feasible:
             continue
         soft += 1
