@@ -26,13 +26,16 @@ class Infeasible(IBKernelError):
     """Bound + equality constraint set is empty.
 
     Raised by the dual active-set solver when a violated bound depends on
-    its working set and no multiplier can fall; ``violation`` is then the
-    phase-1 (bounded least-squares) minimum of the equality violation.
+    its working set and no multiplier can fall. ``certificate`` is then a
+    Farkas vector y that proves the box empty, and ``violation`` the lower
+    bound it certifies on the max-norm equality miss of every point in
+    the box; both are None where that last step proves nothing.
     """
 
-    def __init__(self, message, violation=None):
+    def __init__(self, message, violation=None, certificate=None):
         super().__init__(message)
         self.violation = violation
+        self.certificate = certificate
 
 
 class MaxIterationsExceeded(IBKernelError):

@@ -176,10 +176,10 @@ class WeightFunction:
     profile: object = None
 
     def __post_init__(self):
-        if not (self.mesh_width > 0.0):
-            raise ValueError("mesh_width must be positive")
-        if not (self.radius_in_cells > 0.0):
-            raise ValueError("radius_in_cells must be positive")
+        if not (0.0 < self.mesh_width < np.inf):
+            raise ValueError("mesh_width must be positive and finite")
+        if not (0.0 < self.radius_in_cells < np.inf):
+            raise ValueError("radius_in_cells must be positive and finite")
         if self.kind is WeightKind.CUSTOM_1D and not callable(self.profile):
             raise ValueError("Custom1D requires a callable profile")
 

@@ -22,7 +22,7 @@ stays while bench/tracing.py looks it up.
 
 The thresholds the kernel pipeline shares are fixed constants here: the
 relative rank pivot, the weight at or below which a site has no support,
-and the violation up to which phase-1 calls a box feasible.
+and the equality violation past which a box counts as empty.
 """
 
 from dataclasses import dataclass
@@ -50,8 +50,9 @@ _RANK_PIVOT = 1e-12
 # W⁻¹ is undefined there, so they are eliminated from every solve.
 _ZERO_WEIGHT = 1e-14
 
-# A phase-1 max equality violation at or below this counts as feasible, so
-# a failed bounded solve on such a box is raised, not made soft.
+# A box counts as empty only past this max equality violation, certified
+# by the dual solver or found by phase-1; a failed solve is raised, not
+# made soft, on a box within it.
 _FEASIBILITY = 1e-9
 
 # Relative symmetry slack accepted on ``solve_spd``'s matrix, and its

@@ -9,28 +9,25 @@ which holds H as the vector of its diagonal:
 - solve_box_qp: equalities plus bound constraints, the dual active-set
   method of Goldfarb & Idnani (Math. Programming 27, 1983), started from
   the equality-constrained minimizer. It detects an empty constraint set
-  itself and raises Infeasible.
+  itself and raises Infeasible with a Farkas certificate read off its
+  last step.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
   empty. With a diagonal H this is bounded least squares.
 
 plus phase1_feasible (a bounded least-squares feasibility probe) and
 check_kkt (residual audit of any solution against any problem). Phase-1
-and the soft fallback share one bounded-variable least-squares solve,
-scipy's BVLS loop run here step for step with LAPACK's dgelsd called
-directly, so importing this module does not load ``scipy.optimize``.
-Phase-1 does not gate the bounded solve: it runs only when solve_box_qp
-fails, to report the violation that Infeasible carries or to decide
-whether a rank or iteration failure falls back to the soft solve, and
-the tests hold it as an independent oracle that the solve mode agrees
-with.
+and the soft fallback share scipy's BVLS (``lsq_linear``), imported on
+first use so that importing this module does not load ``scipy.optimize``.
+The dual solver's certificate decides the soft fallback; phase-1 runs only
+where a failed solve left no certificate, and the tests hold it as an
+independent oracle that the solve mode agrees with.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import (
     Infeasible,
@@ -203,9 +200,11 @@ def solve_box_qp(problem):
     NotSPD
         The Hessian is not positive definite.
     Infeasible
-        No point meets the equalities within the bounds: the bound to add
-        depends on the working set and no multiplier can fall. Only then
-        does phase-1 run, to report its violation.
+        The bound to add depends on the working set and no multiplier can
+        fall. The equality part y of that last step direction is tested as
+        a Farkas certificate (see ``_farkas_bound``): where it proves the
+        box empty, ``certificate`` holds it and ``violation`` the bound it
+        gives; otherwise both are None.
     RankDeficientConstraints
         The equality rows restricted to the free variables at the optimum
         fail the rank rule (see ``_GRAM_COND_LIMIT``).
@@ -281,12 +280,9 @@ def solve_box_qp(problem):
                 )
                 t_part = float(ratios.min())
             if t_full == np.inf and t_part == np.inf:
-                violation = phase1_feasible(problem).violation
-                raise Infeasible(
-                    "equality constraints unreachable within bounds "
-                    f"(best violation {violation:.3e})",
-                    violation=violation,
-                )
+                y, violation = _farkas_bound(problem, lo, hi, r[k:])
+                raise Infeasible("equality constraints unreachable within bounds",
+                                 violation=violation, certificate=y)
             if t_full <= t_part:
                 unit[p] = w_p
                 q_fac, r_fac = _qr_insert(
@@ -330,103 +326,47 @@ def solve_box_qp(problem):
     )
 
 
+def _farkas_bound(problem, lo, hi, y):
+    """(±y, bound) where ±y proves the box empty, or (None, None).
+
+    For c = Cᵀy, every x in the box has cᵀx between the sums of
+    min(loᵢcᵢ, hiᵢcᵢ) and of max(loᵢcᵢ, hiᵢcᵢ). Where yᵀb lies outside
+    that range by a gap g, |yᵀ(b − Cx)| ≥ g, so ‖Cx − b‖∞ ≥ g / ‖y‖₁ on the
+    whole box (Farkas). Returns the sign of y with the positive gap and
+    that lower bound.
+    """
+    c = problem.eq_matrix.T @ y
+    up, down = c > 0.0, c < 0.0
+    most = hi[up] @ c[up] + lo[down] @ c[down]
+    least = lo[up] @ c[up] + hi[down] @ c[down]
+    target = float(y @ problem.eq_rhs)
+    gap = max(target - most, least - target)
+    if not gap > 0.0:
+        return None, None
+    return (y if target > most else -y), gap / float(np.abs(y).sum())
+
+
 def _bounded_lsq(matrix, rhs, lo, hi):
     """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi, and its iteration count.
 
-    Bounded-variable least squares (Stark & Parker, Comput. Stat. 10,
-    1995), step for step as ``scipy.optimize.lsq_linear(method="bvls",
-    tol=1e-14)`` runs it, on the same floating-point operations. Each
-    least-squares solve is LAPACK's dgelsd called directly, with the
-    workspace it asks for and the cutoff numpy's ``lstsq`` gives it.
-    Entries with lower == upper are constants: they move to the
-    right-hand side and the solve runs on the free entries only. The
-    unconstrained minimizer is returned when it lies in the box (0
-    iterations). Otherwise an initial pass pins every entry whose free
-    least-squares value leaves the box, until none does; then each main
-    step frees the pinned entry whose gradient points into the box the
-    most and re-solves on the free set, stepping back to the box along
-    the segment while the solve leaves it. The main steps stop when the
-    KKT optimality or the relative decrease of the cost falls below
-    1e-14, or after one step per free entry.
+    scipy's bounded-variable least squares (Stark & Parker, Comput. Stat.
+    10, 1995): ``lsq_linear(method="bvls", tol=1e-14)``, imported here so
+    that importing the package does not load ``scipy.optimize``. It takes
+    no entry with lo == hi, so those are held at their value and moved to
+    the right-hand side.
     """
-    tol = 1e-14
-
-    def lstsq(a, b, rcond=None):
-        """Minimum-norm argmin ‖a·z − b‖; rcond < 0 means machine precision."""
-        m, n = a.shape
-        if rcond is None:  # numpy's default cutoff
-            rcond = np.finfo(float).eps * max(m, n)
-        work, iwork, _ = scipy.linalg.lapack.dgelsd_lwork(m, n, 1, rcond)
-        if m < n:  # dgelsd writes the n entries of z over b
-            b = np.concatenate([b, np.zeros(n - m)])
-        z, _, _, info = scipy.linalg.lapack.dgelsd(a, b, int(work), iwork, rcond)
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        return z[:n]
+    from scipy.optimize import lsq_linear
 
     free = lo < hi
     x = lo.copy()
-    if not np.any(free):
+    if not free.any():
         return x, 0
-    a, b = matrix[:, free], rhs - matrix[:, ~free] @ lo[~free]
-    lb, ub = lo[free], hi[free]
-    z = lstsq(a, b, -1.0)
-    if np.all((z >= lb) & (z <= ub)):
-        x[free] = np.clip(z, lb, ub)
-        return x, 0
-
-    on_bound = np.zeros(a.shape[1])  # -1 at lower, +1 at upper, 0 free
-    at = z <= lb
-    z[at], on_bound[at] = lb[at], -1.0
-    at = z >= ub
-    z[at], on_bound[at] = ub[at], 1.0
-    free_set = np.flatnonzero(on_bound == 0)
-    iteration = 0
-    while free_set.size:
-        iteration += 1
-        y = lstsq(a[:, free_set], b - a.dot(z * (on_bound != 0)))
-        below, above = y < lb[free_set], y > ub[free_set]
-        z[free_set[below]], on_bound[free_set[below]] = lb[free_set[below]], -1.0
-        z[free_set[above]], on_bound[free_set[above]] = ub[free_set[above]], 1.0
-        out = below | above
-        z[free_set[~out]] = y[~out]
-        if not out.any():
-            break
-        free_set = free_set[~out]
-
-    r = a.dot(z) - b
-    cost = 0.5 * np.dot(r, r)
-    g = a.T.dot(r)
-    stop = False
-    for iteration in range(iteration, iteration + a.shape[1]):
-        if stop or np.where(on_bound == 0, np.abs(g), g * on_bound).max() < tol:
-            break
-        on_bound[np.argmax(g * on_bound)] = 0
-        while True:
-            unpinned = on_bound == 0
-            free_set = np.flatnonzero(unpinned)
-            z_free, lb_free, ub_free = z[free_set], lb[free_set], ub[free_set]
-            y = lstsq(a[:, free_set], b - a.dot(z * ~unpinned))
-            low, = np.nonzero(y < lb_free)
-            high, = np.nonzero(y > ub_free)
-            out = np.hstack((low, high))
-            if not out.size:
-                z[free_set] = y
-                break
-            alphas = np.hstack((lb_free[low] - z_free[low],
-                                ub_free[high] - z_free[high])) / (y[out] - z_free[out])
-            i = np.argmin(alphas)
-            z_free *= 1 - alphas[i]
-            z_free += alphas[i] * y
-            z[free_set] = z_free
-            on_bound[free_set[out[i]]] = -1 if i < low.size else 1
-        r = a.dot(z) - b
-        cost_new = 0.5 * np.dot(r, r)
-        stop = cost - cost_new < tol * cost
-        cost = cost_new
-        g = a.T.dot(r)
-    x[free] = np.clip(z, lb, ub)
-    return x, iteration + 1
+    result = lsq_linear(
+        matrix[:, free], rhs - matrix[:, ~free] @ lo[~free],
+        bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
+    )
+    x[free] = np.clip(result.x, lo[free], hi[free])
+    return x, int(result.nit)
 
 
 def phase1_feasible(problem):
@@ -539,11 +479,11 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
     undefined; they are eliminated with Ψ := 0 before solving, which
     preserves the minimizer of the remaining coordinates. Without bounds
     this is a single equality-QP solve. With bounds the dual active-set
-    solver runs first. Phase-1 runs only when that solve raises
-    Infeasible, RankDeficientConstraints or MaxIterationsExceeded: if it
-    finds the box empty the soft-constraint penalty takes over, and
-    otherwise the exception is raised. A box the dual solver meets never
-    reaches phase-1.
+    solver runs first. An Infeasible it raises with a certified violation
+    above ``linalg._FEASIBILITY`` hands the kernel to the soft-constraint
+    penalty. Any other Infeasible, RankDeficientConstraints or
+    MaxIterationsExceeded goes soft only where phase-1 finds the box
+    empty, and is raised otherwise.
 
     ``bounds`` may be anything with ``alpha``/``beta`` attributes or an
     (alpha, beta) pair.
@@ -577,15 +517,10 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
             sol = solve_box_qp(problem)
         except (Infeasible, RankDeficientConstraints,
                 MaxIterationsExceeded) as exc:
-            # Phase-1 decides whether the soft kernel replaces a failed
-            # solve: it does on a box phase-1 finds empty, whatever the
-            # dual solver raised there, and any failure on a box phase-1
-            # can meet stands.
-            if isinstance(exc, Infeasible):
-                violation = exc.violation
-            else:
-                violation = phase1_feasible(problem).violation
-            if violation <= _FEASIBILITY:
+            # A certified bound past the tolerance implies a phase-1
+            # violation past it, so phase-1 would choose soft there too.
+            certified = getattr(exc, "violation", None) or 0.0
+            if certified <= _FEASIBILITY and phase1_feasible(problem).feasible:
                 raise
             sol = solve_soft_qp(problem)
 

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import numpy.random as npr
 import scipy.linalg
-import scipy.optimize
 
 from ibkernel.errors import Infeasible, MaxIterationsExceeded, StencilOutsideDomain
 from ibkernel.ibops import Stencil
@@ -76,23 +75,42 @@ def brute_force_box_qp(problem):
     return best_x, best_obj
 
 
-def bvls_reference(matrix, rhs, lo, hi):
-    """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi, by scipy's ``lsq_linear``.
+def bounded_lsq_optimality(matrix, rhs, lo, hi, x, at_bound=1e-14):
+    """How far x is from argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi.
 
-    Its bounded-variable least squares (method "bvls", tol 1e-14), which
-    rejects entries with lo == hi: they are held at their value and moved
-    to the right-hand side. Returns x and the iteration count.
+    With g = matrixᵀ(matrix·x − rhs), x is the minimizer exactly when it
+    lies in the box with g = 0 on free entries, g ≥ 0 at a lower bound and
+    g ≤ 0 at an upper bound (the problem is convex). Returns the largest
+    violation of these sign conditions relative to ‖matrix‖₂‖rhs‖₂, which
+    bounds |g| at any point no worse than x = 0; inf where x leaves the
+    box or moves an entry with lo == hi. An entry within ``at_bound`` of
+    a bound counts as on it: BVLS steps back to the box along a segment
+    and can stop that close to a bound it holds.
     """
-    free = lo < hi
-    x = lo.copy()
-    if not free.any():
-        return x, 0
-    result = scipy.optimize.lsq_linear(
-        matrix[:, free], rhs - matrix[:, ~free] @ lo[~free],
-        bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
-    )
-    x[free] = np.clip(result.x, lo[free], hi[free])
-    return x, int(result.nit)
+    fixed = lo == hi
+    if np.any(x < lo) or np.any(x > hi) or not np.array_equal(x[fixed], lo[fixed]):
+        return np.inf
+    g = matrix.T @ (matrix @ x - rhs)
+    lower = ~fixed & (x - lo <= at_bound)
+    upper = ~fixed & (hi - x <= at_bound)
+    free = ~(fixed | lower | upper)
+    worst = max(np.max(np.abs(g[free]), initial=0.0),
+                np.max(-g[lower], initial=0.0), np.max(g[upper], initial=0.0))
+    return worst / (np.linalg.norm(matrix, 2) * np.linalg.norm(rhs))
+
+
+def farkas_margin(problem, y):
+    """Lower bound that y certifies on ‖Cx − b‖∞ over the box, from scratch.
+
+    With c = Cᵀy, the box's vertex v with vᵢ = hiᵢ where cᵢ > 0 and loᵢ
+    where cᵢ < 0 maximizes cᵀx over the box, so every x in it has
+    yᵀ(b − Cx) ≥ yᵀb − cᵀv, and ‖Cx − b‖∞ ≥ (yᵀb − cᵀv) / ‖y‖₁. A positive
+    result proves the box empty. O(nm).
+    """
+    c = problem.eq_matrix.T @ y
+    lo, hi = problem.bounds()
+    vertex = np.where(c > 0.0, hi, np.where(c < 0.0, lo, 0.0))
+    return (float(y @ problem.eq_rhs) - float(c @ vertex)) / float(np.abs(y).sum())
 
 
 def random_box_problem(n):

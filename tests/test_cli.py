@@ -144,15 +144,21 @@ ONE_SIDED = ["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"]
     (["circle"], {"extents": [[1, -1], [-1, 1]]}),
     (["kernel", "--eval", "0.31", "-0.17"], {"extents": [[1, -1], [-1, 1]]}),
     (ONE_SIDED, {"center": [NAN, 0]}),
+    (["circle"], {"mesh_width": INF}),
+    (["kernel", "--eval", "0.31", "-0.17"], {"mesh_width": INF}),
 ], ids=["tolerance", "case", "penalty", "residual", "complementarity",
      "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
      "inf_angle", "nan_center", "nan_mesh_width", "negative_mesh_width",
-     "inverted_extents", "kernel_inverted_extents", "one_sided_nan_center"])
+     "inverted_extents", "kernel_inverted_extents", "one_sided_nan_center",
+     "inf_mesh_width", "kernel_inf_mesh_width"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     (in_tmp / "cfg.json").write_text(json.dumps(cfg))
     assert main([*argv, "--config", "cfg.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    # The message names the key at fault.
+    if list(cfg) == ["mesh_width"]:
+        assert err.startswith("error: mesh_width")
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 

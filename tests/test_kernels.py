@@ -116,6 +116,12 @@ class TestWeightFunction:
             WeightFunction.six_point_spline(0.0)
         with pytest.raises(ValueError):
             WeightFunction(WeightKind.CUSTOM_1D, 0.1, 2.0, profile=None)
+        # Infinite sizes are refused when built, not later by math.ceil in
+        # support_stencil or by make_grid.
+        with pytest.raises(ValueError, match="mesh_width"):
+            WeightFunction.six_point_spline(np.inf)
+        with pytest.raises(ValueError, match="radius_in_cells"):
+            WeightFunction.custom1d(0.1, eval_psi6, np.inf)
 
     def test_tabulated_profile(self):
         wf = WeightFunction.from_table(

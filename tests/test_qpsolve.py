@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
 from oracles import (
     augmented_soft_qp,
+    bounded_lsq_optimality,
     brute_force_box_qp,
-    bvls_reference,
     closed_form_psi,
     dense_box_qp,
+    farkas_margin,
     random_box_problem,
 )
 
@@ -31,6 +38,7 @@ from ibkernel.kernels import (
     assemble_system,
     build_basis,
     eval_psi4,
+    eval_psi6,
     solve_peskin4,
 )
 from ibkernel.experiments import CircleCaseConfig
@@ -155,7 +163,9 @@ class TestBoxQP:
         )
         with pytest.raises(Infeasible) as err:
             solve_box_qp(p)
+        # x₀ + x₁ ≤ 0.6 on the box, so the sum misses 1 by at least 0.4.
         assert err.value.violation == pytest.approx(0.4, abs=1e-10)
+        assert farkas_margin(p, err.value.certificate) == pytest.approx(0.4, abs=1e-10)
 
     def test_iteration_cap(self, monkeypatch):
         p = QPProblem(
@@ -392,12 +402,15 @@ def _line_system(wdiag, h=1.0):
     )
 
 
-def _case4_system(deg):
-    """The one-sided moment system of the case-4 circle marker at ``deg``."""
+def _case4_system(deg, wf=None):
+    """The one-sided moment system of the case-4 circle marker at ``deg``.
+
+    ``wf`` defaults to ψ6 at the case's mesh width.
+    """
     cfg = CircleCaseConfig.for_case(4, marker_angles_deg=(deg,))
     marker = cfg.marker_positions()[0]
     grid = make_grid(cfg.extents, cfg.mesh_width)
-    wf = WeightFunction.six_point_spline(cfg.mesh_width)
+    wf = wf or WeightFunction.six_point_spline(cfg.mesh_width)
     sites = support_stencil(grid, marker, wf.radius_in_cells).sites
     sd = SignedDistance.circle(cfg.center, cfg.radius)
     system = assemble_system(sites, marker, wf, build_basis(2, BasisDegree.LINEAR))
@@ -437,30 +450,42 @@ class TestGeneratingQP:
     @pytest.mark.parametrize(
         "deg, bounds, mode, phase1_calls",
         [(None, (-1.0, 1.0), "Exact", 0),
-         (None, (0.0, 0.3), "SoftConstraint", 1),
+         (None, (0.0, 0.3), "SoftConstraint", 0),
          (40.0, (0.0, 0.75), "Exact", 0),
-         (0.0, (0.0, 0.75), "SoftConstraint", 1)],
+         (0.0, (0.0, 0.75), "SoftConstraint", 0)],
     )
     def test_phase1_runs_only_on_an_infeasible_box(
         self, deg, bounds, mode, phase1_calls, monkeypatch
     ):
-        # The dual solver runs first; phase-1 only reports the violation
-        # once it has raised Infeasible. deg: a case-4 circle marker, or
-        # None for the three-site line.
+        # The dual solver runs first. Where it raises Infeasible with a
+        # certificate past _FEASIBILITY, the kernel goes soft without
+        # phase-1. deg: a case-4 circle marker, or None for the three-site
+        # line.
         if deg is None:
             system = _line_system([0.4, 0.8, 0.4])
         else:
             system = _case4_system(deg)
-        calls = []
+        calls, raised = [], []
 
         def counted(problem):
             calls.append(problem)
             return phase1_feasible(problem)
 
+        def recorded(problem):
+            try:
+                return solve_box_qp(problem)
+            except Infeasible as exc:
+                raised.append((problem, exc))
+                raise
+
         monkeypatch.setattr(qpsolve, "phase1_feasible", counted)
+        monkeypatch.setattr(qpsolve, "solve_box_qp", recorded)
         kw = solve_generating_qp(system, bounds=bounds)
         assert kw.mode.value == mode
         assert len(calls) == phase1_calls
+        assert len(raised) == (mode == "SoftConstraint")
+        for problem, exc in raised:
+            assert farkas_margin(problem, exc.certificate) > _FEASIBILITY
 
     def test_rank_refusal_on_an_infeasible_box_goes_soft(self):
         # The weighted Gram is diag(1 + 4e-14, 4e-14), past the rank rule,
@@ -477,13 +502,14 @@ class TestGeneratingQP:
         assert kw.mode is SolveMode.SOFT_CONSTRAINT
         assert np.all((kw.psi >= 0.0) & (kw.psi <= 0.3))
 
-    @pytest.mark.parametrize("violation, mode", [(0.0, None), (0.4, "SoftConstraint")])
+    @pytest.mark.parametrize("violation, mode", [(0.0, None), (0.4, "SoftConstraint"),
+                                                 (None, None)])
     def test_infeasible_goes_soft_only_past_phase1s_tolerance(
         self, violation, mode, monkeypatch
     ):
-        # A box phase-1 finds feasible (violation within _FEASIBILITY)
-        # that the dual solver calls infeasible raises, as it did when
-        # phase-1 chose the mode; only a phase-1-infeasible box goes soft.
+        # Only a certified violation past _FEASIBILITY sends the kernel
+        # soft. Without one (None, or a bound within it) phase-1 judges
+        # the box, and [-1, 1] can be met, so Infeasible is raised.
         def infeasible(problem):
             raise Infeasible("stand-in", violation=violation)
 
@@ -495,6 +521,26 @@ class TestGeneratingQP:
         else:
             kw = solve_generating_qp(system, bounds=(-1.0, 1.0))
             assert kw.mode.value == mode
+
+    def test_uncertified_infeasible_box_goes_soft_where_phase1_finds_it_empty(
+        self, monkeypatch
+    ):
+        # An Infeasible whose last step certified nothing leaves the
+        # decision to phase-1, which finds [0, 0.3] empty.
+        calls = []
+
+        def infeasible(problem):
+            raise Infeasible("stand-in")
+
+        def counted(problem):
+            calls.append(problem)
+            return phase1_feasible(problem)
+
+        monkeypatch.setattr(qpsolve, "solve_box_qp", infeasible)
+        monkeypatch.setattr(qpsolve, "phase1_feasible", counted)
+        kw = solve_generating_qp(_line_system([0.4, 0.8, 0.4]), bounds=(0.0, 0.3))
+        assert kw.mode is SolveMode.SOFT_CONSTRAINT
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("error", [RankDeficientConstraints, MaxIterationsExceeded])
     @pytest.mark.parametrize("bounds, mode", [((-1.0, 1.0), None),
@@ -653,31 +699,28 @@ def _case4_box(deg):
                      lower=0.0, upper=0.75)
 
 
-def test_bounded_lsq_matches_lsq_linear_on_case4_phase1_and_soft_problems():
+def test_bounded_lsq_is_optimal_on_case4_phase1_and_soft_problems():
+    # Phase-1's problem on every box, and the soft fallback's on each box
+    # phase-1 finds empty, against the sign conditions on the gradient.
     soft = 0
     for deg in 2.5 * np.arange(144):
         problem = _case4_box(deg)
         lo, hi = problem.bounds()
         c, b = problem.eq_matrix, problem.eq_rhs
         x, _ = qpsolve._bounded_lsq(c, b, lo, hi)
-        ref, _ = bvls_reference(c, b, lo, hi)
-        assert_allclose(x, ref, rtol=0, atol=1e-12)
-        feasible = np.max(np.abs(c @ x - b)) <= _FEASIBILITY
-        assert feasible == (np.max(np.abs(c @ ref - b))
-                            <= _FEASIBILITY), deg
-        if feasible:
+        assert bounded_lsq_optimality(c, b, lo, hi, x) <= 1e-12, deg
+        if np.max(np.abs(c @ x - b)) <= _FEASIBILITY:
             continue
         soft += 1
         root = np.sqrt(qpsolve._PENALTY)
         matrix = np.vstack([np.diag(np.sqrt(problem.hessian)), root * c])
         rhs = np.concatenate([np.zeros(problem.n), root * b])
         x, _ = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
-        assert_allclose(x, bvls_reference(matrix, rhs, lo, hi)[0],
-                        rtol=0, atol=1e-12)
+        assert bounded_lsq_optimality(matrix, rhs, lo, hi, x) <= 1e-12, deg
     assert soft >= 10
 
 
-def test_bounded_lsq_matches_lsq_linear_on_random_boxes():
+def test_bounded_lsq_is_optimal_on_random_boxes():
     rng = np.random.default_rng(11)
     for _ in range(300):
         m, n = rng.integers(1, 8), rng.integers(1, 10)
@@ -687,9 +730,17 @@ def test_bounded_lsq_matches_lsq_linear_on_random_boxes():
         fixed = rng.random(n) < 0.2
         hi[fixed] = lo[fixed]
         x, _ = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
-        ref, _ = bvls_reference(matrix, rhs, lo, hi)
-        assert_allclose(x, ref, rtol=0, atol=1e-12)
+        assert bounded_lsq_optimality(matrix, rhs, lo, hi, x) <= 1e-12
         assert np.array_equal(x[fixed], lo[fixed])
+
+
+def test_importing_the_package_does_not_load_scipy_optimize():
+    # The bounded least squares imports scipy.optimize on first use only.
+    src = str(Path(qpsolve.__file__).resolve().parents[1])
+    code = "import sys, ibkernel; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_rank_rule_reads_the_condition_number_on_the_case4_sweep(monkeypatch):
@@ -720,3 +771,68 @@ def test_rank_rule_reads_the_condition_number_on_the_case4_sweep(monkeypatch):
     for r_eq, raised in seen:
         assert raised == (np.linalg.cond(r_eq) ** 2 > 1e13)
     assert refused == list(RANK_DEFICIENT_DEG)
+
+
+def test_every_empty_case4_box_carries_a_farkas_certificate():
+    # Over the 0.5-degree sweep, each Infeasible from the dual solver
+    # proves its box empty by a bound that the O(nm) oracle recomputes
+    # from the certificate alone. The bound is a lower bound on every
+    # point's equality miss, so phase-1's minimizer misses by at least it.
+    bounds = []
+    for deg in 0.5 * np.arange(720):
+        problem = _case4_box(deg)
+        try:
+            solve_box_qp(problem)
+        except Infeasible as exc:
+            margin = farkas_margin(problem, exc.certificate)
+            assert margin == pytest.approx(exc.violation, rel=1e-9), deg
+            assert _FEASIBILITY < margin <= phase1_feasible(problem).violation, deg
+            bounds.append(margin)
+        except RankDeficientConstraints:
+            assert deg in RANK_DEFICIENT_DEG
+    assert len(bounds) == 236
+    assert min(bounds) > 1e-4
+
+
+def test_phase1_runs_only_on_the_case4_rank_refusals(monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(deg)
+        return phase1_feasible(problem)
+
+    monkeypatch.setattr(qpsolve, "phase1_feasible", counted)
+    modes = Counter()
+    for deg in 0.5 * np.arange(720):
+        try:
+            kw = solve_generating_qp(_case4_system(deg), bounds=(0.0, 0.75))
+        except RankDeficientConstraints:
+            modes["RankDeficientConstraints"] += 1
+        else:
+            modes[kw.mode.value] += 1
+    assert calls == list(RANK_DEFICIENT_DEG)
+    assert modes == {"Exact": 476, "SoftConstraint": 236,
+                     "RankDeficientConstraints": 8}
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e2, 1e4])
+def test_certified_modes_match_phase1s_under_a_scaled_weight_profile(scale):
+    # With c·ψ6 the zero-weight cut keeps other sites, so the boxes and
+    # their modes differ from ψ6's; each must still be the mode that
+    # phase-1 alone would choose: soft where it finds the box empty, and
+    # the dual solver's outcome where it does not.
+    wf = WeightFunction.custom1d(0.075, lambda r: scale * eval_psi6(r), 3.0)
+    for deg in 2.5 * np.arange(144):
+        system = _case4_system(deg, wf)
+        keep = system.Wdiag > _ZERO_WEIGHT
+        problem = QPProblem(1.0 / system.Wdiag[keep], system.A[:, keep],
+                            system.p, lower=0.0, upper=0.75)
+        if phase1_feasible(problem).feasible:
+            want = _mode_and_solution(solve_box_qp, problem)[0]
+        else:
+            want = "SoftConstraint"
+        try:
+            got = solve_generating_qp(system, bounds=(0.0, 0.75)).mode.value
+        except IBKernelError as exc:
+            got = type(exc).__name__
+        assert got == want, deg
