@@ -1,4 +1,4 @@
-"""The QP problem type and its SPD and equality-constrained solvers.
+"""The QP problem type, its equality-constrained solver and shared factorizations.
 
 Every quadratic program in this package is a kernel's, min ½ xᵀHx subject
 to Cx = b and optional bounds, with H = W⁻¹ diagonal. It is a
@@ -13,12 +13,13 @@ is a division that costs O(n). An equality QP is solved in range space:
 the m×m Cholesky factor of the constraint Gram matrix is taken as the R
 of a QR factorization of L⁻¹Cᵀ, so that its condition number is not
 squared, and its pivots are verified against a relative rank threshold
-(RankDeficientConstraints). All systems are small
-(a few dozen unknowns, at most a handful of constraints), so dense
-factorizations from LAPACK are both the simplest and the most accurate
-choice. ``solve_spd`` is a checked Cholesky solve of a dense SPD matrix
-with a relative pivot floor of 1e-14; no kernel path calls it, and it
-stays while bench/tracing.py looks it up.
+(RankDeficientConstraints). The bounded solver in qpsolve factors the
+free rows of L⁻¹Cᵀ the same way, through the same economic QR. All
+systems are small (a few dozen unknowns, at most a handful of
+constraints), so dense factorizations from LAPACK are both the simplest
+and the most accurate choice. ``solve_spd`` is a checked Cholesky solve of
+a dense SPD matrix with a relative pivot floor of 1e-14; no kernel path
+calls it, and it stays while bench/tracing.py looks it up.
 
 The thresholds the kernel pipeline shares are fixed constants here: the
 relative rank pivot, the weight at or below which a site has no support,
@@ -126,23 +127,20 @@ def _divide(v, root):
     return v / (root if v.ndim == 1 else root[:, None])
 
 
-def _householder_qr(a, full=False):
-    """Q and R of the (n, m) matrix ``a``, n ≥ m, as ``scipy.linalg.qr``.
+def _householder_qr(a):
+    """Economic Q (n×m) and R (m×m) of the (n, m) matrix ``a``, n ≥ m.
 
-    Economic (Q n×m, R m×m) by default; with ``full``, Q is n×n and R is
-    n×m. These are the two LAPACK calls ``scipy.linalg.qr`` makes, dgeqrf
-    and dorgqr, without its workspace queries and argument handling: 4 µs
-    against 34 on 36×3 economic, 7 against 45 on 216×4 full. R is copied
-    out before dorgqr overwrites the factored matrix.
+    The two LAPACK calls ``scipy.linalg.qr`` makes, dgeqrf and dorgqr,
+    without its workspace queries and argument handling: 4 µs against 34
+    on 36×3. R is copied out in Fortran order, the layout ``_solve_tri``
+    passes to LAPACK, and its strictly lower entries are zeroed (at m ≤ 4
+    that costs a third of ``np.triu``), before dorgqr overwrites the
+    factored matrix.
     """
     qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a)
-    if full:
-        r = np.triu(qr)
-        square = np.empty((a.shape[0], a.shape[0]), order="F")
-        square[:, :a.shape[1]] = qr
-        qr = square
-    else:
-        r = np.triu(qr[:a.shape[1]])
+    r = qr[:a.shape[1]].copy(order="F")
+    for j in range(1, r.shape[0]):
+        r[j, :j] = 0.0
     q, _, _ = scipy.linalg.lapack.dorgqr(qr, tau, overwrite_a=1)
     return q, r
 

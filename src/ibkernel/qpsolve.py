@@ -7,27 +7,28 @@ which holds H as the vector of its diagonal:
 - solve_eq_qp: equality constraints only, one range-space solve
   (linalg.solve_kkt), whose only factorization is the QR of H^-½Cᵀ.
 - solve_box_qp: equalities plus bound constraints, the dual active-set
-  method of Goldfarb & Idnani (Math. Programming 27, 1983), started from
-  the equality-constrained minimizer. It detects an empty constraint set
-  itself and raises Infeasible with a Farkas certificate read off its
-  last step.
+  method of Goldfarb & Idnani (Math. Programming 27, 1983) on the free
+  variables, whose only factorization is the m×m R of the free rows of
+  H^-½Cᵀ. It starts from a guessed active set (a hot start) and detects an
+  empty constraint set itself, raising Infeasible with a Farkas
+  certificate read off its last step.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
-  empty. With a diagonal H this is bounded least squares.
+  empty. The residual joins the variables, unbounded, and the same dual
+  active-set method solves the result.
 
-plus phase1_feasible (a bounded least-squares feasibility probe) and
-check_kkt (residual audit of any solution against any problem). Phase-1
-and the soft fallback share scipy's BVLS (``lsq_linear``), imported on
-first use so that importing this module does not load ``scipy.optimize``.
-The dual solver's certificate decides the soft fallback; phase-1 runs only
-where a failed solve left no certificate, and the tests hold it as an
-independent oracle that the solve mode agrees with.
+plus phase1_feasible (a bounded least-squares feasibility probe, scipy's
+BVLS ``lsq_linear``, imported on first use so that importing this module
+does not load ``scipy.optimize``) and check_kkt (residual audit of any
+solution against any problem). The dual solver's certificate decides the
+soft fallback; phase-1 runs only where a failed solve left no
+certificate, and the tests hold it as an independent oracle that the
+solve mode agrees with.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     Infeasible,
@@ -68,12 +69,6 @@ __all__ = [
 
 # Weight ρ of the soft fallback's penalty on the equality residual.
 _PENALTY = 1e8
-
-# scipy's QR column updates, called past the array-API batch wrapper that
-# recent scipy puts around them (23 and 13 µs a call through it, against
-# 5.9 and 2.4 µs). Where there is no wrapper these are the functions.
-_qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
-_qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 
 @dataclass
@@ -140,9 +135,10 @@ def _eq_residual(problem, x):
 # ones lie above 2.8e13.
 _GRAM_COND_LIMIT = 1e13
 
-# A bound normal counts as dependent on the working set when its part
-# outside the working set's span, in the L⁻¹ metric, is below this
-# fraction of its length.
+# A free set F counts as dependent, and the equality rows on it as not of
+# full rank, when it has fewer than m sites or a pivot of the R factor of
+# its rows √wᵢaᵢᵀ is at or below this fraction of the largest. A bound whose
+# pinning would leave F dependent joins the working set only by exchange.
 _DEPENDENT = 1e-12
 
 # solve_box_qp raises MaxIterationsExceeded after this many dual active-set
@@ -151,12 +147,8 @@ _STEPS_PER_VARIABLE = 50
 
 
 def _check_rank(r_eq):
-    """Apply the rank rule to the Gram matrix r_eqᵀ r_eq.
-
-    With the pinned bounds ordered before the equality rows, the trailing
-    m×m block of R in the QR factorization of L⁻¹N is such a factor of
-    C_F H_FF⁻¹ C_Fᵀ (a Schur complement of NᵀH⁻¹N).
-    """
+    """Apply the rank rule to r_eqᵀ r_eq = C_F H_FF⁻¹ C_Fᵀ, where r_eq is
+    the R factor of the rows √wᵢcᵢᵀ over the free variables F."""
     if not r_eq.size:
         return
     sv = _singular_values(r_eq)
@@ -171,23 +163,31 @@ def _check_rank(r_eq):
 def solve_box_qp(problem):
     """Goldfarb–Idnani dual active-set solver for equality + bound QPs.
 
-    The iterate starts at the equality-constrained minimizer and stays
-    dual feasible throughout: each pass picks the most violated bound and
-    moves along the direction that keeps every working-set constraint
-    satisfied while raising that bound's multiplier. A full step reaches
-    the bound, which joins the working set; a partial step stops where a
-    working-set bound's multiplier reaches zero, and that bound leaves.
-    A bound whose normal depends on the working set only exchanges
-    multipliers; when no multiplier can fall, the problem is infeasible.
+    The iterate stays dual feasible throughout: each pass picks the most
+    violated bound and moves along the direction that keeps the working
+    set satisfied while raising that bound's multiplier. A full step
+    reaches the bound, which joins the working set; a partial step stops
+    where a pinned bound's multiplier reaches zero, and that bound leaves.
+    A bound whose pinning would leave the free rows dependent (see
+    ``_DEPENDENT``) only exchanges multipliers; when no multiplier can
+    fall, the problem is infeasible.
 
-    The working set's normals N (a signed unit vector per pinned bound,
-    then the equality rows) enter through a full QR factorization of
-    L⁻¹N with L = diag(√h), kept current by scipy's ``qr_insert`` and
-    ``qr_delete``. L⁻¹ is a division, and Qᵀ applied to the scaled unit
-    normal of bound p is row p of Q, scaled. After each full step the
-    iterate and the multipliers are recomputed from that factorization, so
-    rounding does not build up over the steps, and pinned variables sit
-    exactly on their bounds.
+    With W = H⁻¹, a working set is the free variables F and the values of
+    the pinned ones. Its minimizer has x_F = W_F C_Fᵀλ with C_F W_F C_Fᵀλ =
+    b − C_P x_P, and pinned j the multiplier sⱼ(xⱼ/wⱼ − cⱼᵀλ), sⱼ = +1 at a
+    lower bound and −1 at an upper one. Adding bound q moves λ by
+    −s_q w_q (C_F W_F C_Fᵀ)⁻¹c_q at curvature w_q / (1 + w_q‖R′⁻ᵀc_q‖²),
+    with R′ the R factor of the rows √wᵢcᵢᵀ over F∖{q}. Each factorization
+    is such an m×m R, so no condition number is squared.
+
+    The start is hot: two primal-dual active-set passes (solve on the
+    free set, then pin every variable that clip(W Cᵀλ) moves) guess the
+    working set, and each pinned bound whose multiplier has the wrong sign
+    is released until none is; a dependent guess falls back to the
+    equality-constrained minimizer. The start and every full step compute
+    the iterate from F and the pinned values alone, by one fixed sequence
+    with one refinement step, so the result does not depend on the path
+    and pinned variables sit exactly on their bounds.
 
     Parameters
     ----------
@@ -201,128 +201,133 @@ def solve_box_qp(problem):
         The Hessian is not positive definite.
     Infeasible
         The bound to add depends on the working set and no multiplier can
-        fall. The equality part y of that last step direction is tested as
-        a Farkas certificate (see ``_farkas_bound``): where it proves the
-        box empty, ``certificate`` holds it and ``violation`` the bound it
-        gives; otherwise both are None.
+        fall. The λ part of that last step direction is tested as a Farkas
+        certificate (see ``_farkas_bound``): where it proves the box empty,
+        ``certificate`` holds it and ``violation`` the bound it gives;
+        otherwise both are None.
     RankDeficientConstraints
-        The equality rows restricted to the free variables at the optimum
-        fail the rank rule (see ``_GRAM_COND_LIMIT``).
+        The equality rows on every variable, or on the free variables at
+        the optimum, fail the rank rule (see ``_GRAM_COND_LIMIT``).
     MaxIterationsExceeded
         More than 50·n dual active-set steps.
     """
     if not problem.has_bounds:
         raise ValueError("problem has no bounds; use solve_eq_qp")
+    return _free_set_qp(problem, rank_rule=True)
+
+
+def _free_set_qp(problem, rank_rule, start=None):
+    """``solve_box_qp``'s method, with the rank rule only if ``rank_rule``.
+
+    ``start``, a side per variable (+1 at its lower bound, −1 at its upper
+    one, 0 free), replaces the primal-dual passes' guess.
+    """
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
-    cap = _STEPS_PER_VARIABLE * n
-    root = _diagonal_root(problem.hessian)
+    c, b, h = problem.eq_matrix, problem.eq_rhs, problem.hessian
+    root = _diagonal_root(h)
+    rows = _divide(c.T, root)
 
-    # Working set: the k pinned bounds in the order they joined, then the
-    # m equality rows. Pinned bound j holds site pinned[j] at fixed[0, j],
-    # from side fixed[1, j] (+1 at lower, -1 at upper); fixed[2, j] is
-    # their product, the bound's row of the working set's right-hand side.
-    pinned = np.empty(n, dtype=np.intp)
-    fixed = np.empty((3, n))
-    k = 0
-    q_fac, r_fac = _householder_qr(_divide(problem.eq_matrix.T, root), full=True)
-    _check_rank(r_fac[:m])
-    # The leading (k + m)-square block of R, copied once into the layout
-    # LAPACK takes for all the triangular solves until R changes.
-    r_top = np.asfortranarray(r_fac[:m])
+    def factor(side):
+        """Q and R of the rows on the free set, or None where it is dependent."""
+        free = side == 0.0
+        count = int(np.count_nonzero(free))
+        if count < m:
+            return None
+        if not m:
+            return np.empty((count, 0)), np.empty((0, 0))
+        q, r = _householder_qr(rows[free])
+        pivots = np.abs(r.diagonal())
+        return (q, r) if pivots.min() > _DEPENDENT * pivots.max() else None
 
-    def minimizer():
-        """Minimizer and multipliers with every working-set row active."""
-        rhs = np.concatenate([fixed[2, :k], problem.eq_rhs]) if k else problem.eq_rhs
-        a = _solve_tri(r_top, rhs, trans=1)
-        x = _divide(q_fac[:, :k + m] @ a, root)
-        if k:
-            x[pinned[:k]] = fixed[0, :k]
-        return x, _solve_tri(r_top, a)
+    def held(side):
+        """x with the pinned variables on their bounds and 0 on the free set."""
+        return np.where(side > 0.0, lo, np.where(side < 0.0, hi, 0.0))
 
-    x, u = minimizer()
-    steps = 0
-    # Work buffers: bound violations, and qr_insert's column (its full-Q
-    # column insert copies it, so it is zero again once entry p is).
-    viol, above, unit = np.empty(n), np.empty(n), np.zeros(n)
-    while True:
-        np.subtract(lo, x, out=viol)
-        np.subtract(x, hi, out=above)
-        np.maximum(viol, above, out=viol)
-        viol[pinned[:k]] = 0.0
-        p = int(viol.argmax())
-        if not viol[p] > 0.0:
+    def working_set(side, qr=None):
+        """(side, Q and R, x, λ) of a working set, or of the cold start if F is dependent."""
+        qr = qr or factor(side)
+        if qr is None:
+            return working_set(np.zeros(n), cold)
+        q, r = qr
+        free = side == 0.0
+        x = held(side)
+        rhs = b - c @ x
+        a = _solve_tri(r, rhs, trans=1)
+        x[free] = (q @ a) / root[free]
+        a += _solve_tri(r, rhs - c[:, free] @ x[free], trans=1)
+        x[free] = (q @ a) / root[free]
+        return side, qr, x, _solve_tri(r, a)
+
+    cold = _householder_qr(rows)
+    if rank_rule:
+        _check_rank(cold[1])
+    side, qr = (np.zeros(n), cold) if start is None else (np.array(start, float), None)
+    for _ in range(2 if start is None else 0):
+        # A primal-dual active-set pass: λ on the guess (unrefined), then
+        # pin every variable that clip(W Cᵀλ) moves.
+        lam = _solve_tri(qr[1], _solve_tri(qr[1], b - c @ held(side), trans=1))
+        v = (c.T @ lam) / h
+        guess = (v < lo) - (v > hi).astype(float)
+        if np.array_equal(guess, side):
             break
-        lo_p, hi_p, x_p = float(lo[p]), float(hi[p]), float(x[p])
-        s_p = 1.0 if lo_p - x_p >= x_p - hi_p else -1.0
-        bound = lo_p if s_p > 0 else hi_p
-        w_p = s_p / float(root[p])  # w = L⁻¹ times the unit normal is zero but at p
+        side, qr = guess, factor(guess)
+        if qr is None:
+            break
+    side, qr, x, lam = working_set(side, qr)
+    while True:
+        u = side * (h * x - c.T @ lam)
+        if not (u < 0.0).any():
+            break
+        side, qr, x, lam = working_set(np.where(u < 0.0, 0.0, side))
+
+    steps, cap = 0, _STEPS_PER_VARIABLE * n
+    while True:
+        viol = np.where(side == 0.0, np.maximum(lo - x, x - hi), 0.0)
+        j = int(viol.argmax())
+        if not viol[j] > 0.0:
+            break
+        s_j = 1.0 if lo[j] - x[j] >= x[j] - hi[j] else -1.0
+        bound, w_j = (lo[j] if s_j > 0.0 else hi[j]), 1.0 / h[j]
         while True:
             steps += 1
             if steps > cap:
-                raise MaxIterationsExceeded(
-                    f"dual active-set iteration cap {cap} reached"
-                )
-            q = k + m
-            d = q_fac[p] * w_p  # Qᵀw
-            r = _solve_tri(r_top, d[:q])
-            dz = d[q:]
-            curvature = float(dz @ dz)
+                raise MaxIterationsExceeded(f"dual active-set iteration cap {cap} reached")
+            r = qr[1]
+            d_lam = (-s_j * w_j) * _solve_tri(r, _solve_tri(r, c[:, j], trans=1))
+            pinned = side.copy()
+            pinned[j] = s_j
+            qr_pinned = factor(pinned)
             t_full = np.inf
-            if curvature > _DEPENDENT**2 * (w_p * w_p):
-                t_full = s_p * (bound - float(x[p])) / curvature
-            t_part = np.inf
-            falling = r[:k] > 0.0
-            if falling.any():
-                ratios = np.divide(
-                    np.maximum(u[:k], 0.0), r[:k],
-                    out=np.full(k, np.inf), where=falling,
-                )
-                t_part = float(ratios.min())
+            if qr_pinned is not None:
+                v = _solve_tri(qr_pinned[1], c[:, j], trans=1)
+                curvature = w_j / (1.0 + w_j * float(v @ v))
+                t_full = s_j * (bound - x[j]) / curvature
+            rate = side * (c.T @ d_lam)
+            ratios = np.divide(np.maximum(u, 0.0), rate,
+                               out=np.full(n, np.inf), where=rate > 0.0)
+            drop = int(ratios.argmin())
+            t_part = ratios[drop]
             if t_full == np.inf and t_part == np.inf:
-                y, violation = _farkas_bound(problem, lo, hi, r[k:])
+                y, violation = _farkas_bound(problem, lo, hi, d_lam)
                 raise Infeasible("equality constraints unreachable within bounds",
                                  violation=violation, certificate=y)
             if t_full <= t_part:
-                unit[p] = w_p
-                q_fac, r_fac = _qr_insert(
-                    q_fac, r_fac, unit, k, which="col", overwrite_qru=True,
-                    check_finite=False,
-                )
-                unit[p] = 0.0
-                pinned[k] = p
-                fixed[0, k] = bound
-                fixed[1, k] = s_p
-                fixed[2, k] = s_p * bound
-                k += 1
-                r_top = np.asfortranarray(r_fac[:k + m])
-                x, u = minimizer()
+                side, qr, x, lam = working_set(pinned, qr_pinned)
+                u = side * (h * x - c.T @ lam)
                 break
             if t_full < np.inf:
-                z = _divide(q_fac[:, q:] @ dz, root)
-                x = x + t_part * z
-            drop = int(np.argmin(ratios))
-            u = np.delete(u - t_part * r, drop)
-            q_fac, r_fac = _qr_delete(
-                q_fac, r_fac, drop, which="col", overwrite_qr=True,
-                check_finite=False,
-            )
-            pinned[drop:k - 1] = pinned[drop + 1:k]
-            fixed[:, drop:k - 1] = fixed[:, drop + 1:k]
-            k -= 1
-            r_top = np.asfortranarray(r_fac[:k + m])
+                x[j] += t_part * s_j * curvature
+            u -= t_part * rate
+            u[drop] = side[drop] = 0.0
+            qr = _householder_qr(rows[side == 0.0])
 
-    _check_rank(r_fac[k:k + m, k:k + m])
-    bound_mult = np.zeros(n)
-    bound_mult[pinned[:k]] = fixed[1, :k] * u[:k]
+    if rank_rule:
+        _check_rank(qr[1])
     return QPSolution(
-        x=x,
-        multipliers=u[k:],
-        bound_multipliers=bound_mult,
-        active_set=tuple(sorted(pinned[:k].tolist())),
-        eq_residual=_eq_residual(problem, x),
-        iterations=1 + steps,
-        mode=SolveMode.EXACT,
+        x=x, multipliers=lam, bound_multipliers=side * u,
+        active_set=tuple(np.flatnonzero(side).tolist()),
+        eq_residual=_eq_residual(problem, x), iterations=1 + steps, mode=SolveMode.EXACT,
     )
 
 
@@ -393,33 +398,30 @@ def solve_soft_qp(problem):
     """Penalty fallback: fold equalities into the objective, keep bounds hard.
 
     Minimizes ½ xᵀHx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box, with
-    the fixed ρ = 1e8. With H = diag(h) that is the bounded least-squares
-    problem min ‖[H^½; √ρC]x − [0; √ρb]‖, solved as phase-1's is. The
-    returned multipliers are the penalty estimates λ = ρ(b − Cx), the
-    bound multipliers are Hx − Cᵀλ at the sites on a bound, the equality
-    residual is reported honestly, and the mode is SoftConstraint so
-    callers cannot mistake the result for an exact solve.
+    the fixed ρ = 1e8. The residual r = Cx − b joins x as m unbounded
+    variables of Hessian ρ under the equality [C, −I][x; r] = b, and
+    ``solve_box_qp``'s method solves that problem without the rank rule:
+    its Gram matrix C_F H_FF⁻¹ C_Fᵀ + I/ρ is never singular. Sites on a
+    bound sit exactly on it. The multipliers are the augmented problem's
+    λ = ρ(b − Cx), the bound multipliers Hx − Cᵀλ on the active set, the
+    equality residual is reported honestly, and the mode is SoftConstraint
+    so callers cannot mistake the result for an exact solve.
     """
     if not problem.has_bounds:
         raise ValueError("soft solve requires bounds")
-    c, b = problem.eq_matrix, problem.eq_rhs
+    n, m = problem.n, problem.m
     lo, hi = problem.bounds()
-    scale = np.sqrt(_PENALTY)
-    x, iterations = _bounded_lsq(
-        np.vstack([np.diag(_diagonal_root(problem.hessian)), scale * c]),
-        np.concatenate([np.zeros(problem.n), scale * b]), lo, hi,
-    )
-    lam = _PENALTY * (b - c @ x)
-    active = (x <= lo) | (x >= hi)
-    return QPSolution(
-        x=x,
-        multipliers=lam,
-        bound_multipliers=np.where(active, problem.hessian * x - c.T @ lam, 0.0),
-        active_set=tuple(np.flatnonzero(active).tolist()),
-        eq_residual=_eq_residual(problem, x),
-        iterations=iterations,
-        mode=SolveMode.SOFT_CONSTRAINT,
-    )
+    unbounded = np.full(m, np.inf)
+    sol = _free_set_qp(QPProblem(
+        np.concatenate([problem.hessian, np.full(m, _PENALTY)]),
+        np.hstack([problem.eq_matrix, -np.eye(m)]), problem.eq_rhs,
+        lower=np.concatenate([lo, -unbounded]),
+        upper=np.concatenate([hi, unbounded]),
+    ), rank_rule=False)
+    x = sol.x[:n]
+    return replace(sol, x=x, bound_multipliers=sol.bound_multipliers[:n],
+                   eq_residual=_eq_residual(problem, x),
+                   mode=SolveMode.SOFT_CONSTRAINT)
 
 
 def check_kkt(problem, solution):

@@ -10,7 +10,6 @@ from ibkernel.errors import Infeasible, MaxIterationsExceeded, StencilOutsideDom
 from ibkernel.ibops import Stencil
 from ibkernel.kernels import SolveMode, as_point, as_sites
 from ibkernel.qpsolve import (
-    _DEPENDENT,
     _PENALTY,
     QPProblem,
     QPSolution,
@@ -131,15 +130,24 @@ def random_box_problem(n):
     return QPProblem(h, c, b, lower=lo, upper=hi)
 
 
-def dense_box_qp(problem):
-    """``qpsolve.solve_box_qp``'s dual active-set method with H as a matrix.
+# dense_box_qp's own test of a dependent bound normal: its part outside
+# the working set's span, in the L⁻¹ metric, is below this fraction of its
+# length.
+DENSE_DEPENDENT = 1e-12
 
-    Where the solver divides by √h, this factors H = diag(h) as a dense
-    (n, n) matrix, H = LLᵀ, applies L⁻¹ by triangular solves, and forms
-    Qᵀ(L⁻¹e_p) as a full product. The working set's QR factorization of
-    L⁻¹N is kept by ``scipy.linalg.qr_insert``/``qr_delete``, with the
-    solver's rank rule and its cap of 50·n steps; it raises as the solver
-    does.
+
+def dense_box_qp(problem):
+    """The dual active-set method of Goldfarb & Idnani with H as a matrix.
+
+    ``qpsolve.solve_box_qp`` works on the free variables with an m×m
+    factor and a hot start. This factors H = diag(h) as a dense (n, n)
+    matrix, H = LLᵀ, applies L⁻¹ by triangular solves, starts cold from
+    the equality-constrained minimizer, and keeps the full n×n QR
+    factorization of L⁻¹N over the working set's normals N by
+    ``scipy.linalg.qr_insert``/``qr_delete``. Each minimizer on a working
+    set takes one step of refinement on those dense factors. It applies
+    the solver's rank rule and its cap of 50·n steps, and raises as the
+    solver does.
     """
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
@@ -157,6 +165,12 @@ def dense_box_qp(problem):
         q = len(pinned) + m
         rhs = np.concatenate([np.multiply(side, at), problem.eq_rhs])
         a = scipy.linalg.solve_triangular(r_fac[:q], rhs, trans=1)
+        x = solve(q_fac[:, :q] @ a, trans=1)
+        # Nᵀx = Rᵀa in exact arithmetic, so the working set's residual
+        # corrects a through the same triangular factor.
+        miss = rhs - np.concatenate([np.multiply(side, x[pinned]),
+                                     problem.eq_matrix @ x])
+        a += scipy.linalg.solve_triangular(r_fac[:q], miss, trans=1)
         x = solve(q_fac[:, :q] @ a, trans=1)
         x[pinned] = at
         return x, scipy.linalg.solve_triangular(r_fac[:q], a)
@@ -184,7 +198,7 @@ def dense_box_qp(problem):
             dz = d[q:]
             curvature = float(dz @ dz)
             t_full = np.inf
-            if curvature > _DEPENDENT**2 * float(w @ w):
+            if curvature > DENSE_DEPENDENT**2 * float(w @ w):
                 t_full = s_p * (bound - x[p]) / curvature
             ratios = np.full(k, np.inf)
             falling = r[:k] > 0.0
@@ -228,8 +242,9 @@ def augmented_soft_qp(problem):
 
     The residual r = Cx − b joins x as m unbounded variables of Hessian ρ
     under the equality [C, −I][x; r] = b, so ½ xᵀHx + (ρ/2)‖Cx − b‖² over
-    the box becomes a hard-constrained QP that shares no arithmetic with
-    the soft solver's bounded least squares. Returns x.
+    the box becomes a hard-constrained QP. The soft solver poses the same
+    problem; this solves it cold, on dense n×n factors, so the two share
+    no factorization. Returns x.
     """
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()

@@ -23,18 +23,19 @@ from ibkernel.onesided import KernelBounds, SignedDistance
 # pairs, which must raise alike.
 RANK_DEFICIENT_DEG = (115.0, 115.5, 125.0, 125.5, 324.5, 325.0, 334.5, 335.0)
 
-# Bounds on the mirror reading, about twice what the solvers read today
-# (in brackets), which leaves room for another BLAS's rounding. The case-4
-# bounds belong to the bounded solver: a more accurate one (ROADMAP items
-# 3 and 5) lowers them, and no change may raise them.
+# Bounds on the mirror reading, with what the solvers read today in
+# brackets; most leave room for another BLAS's rounding. The case-4 bounds
+# belong to the bounded solver: a more accurate one lowers them, and no
+# change may raise them. At 187.5° and 225° the float data fix the kernel
+# only to about 1e-9 and 1e-10 of max|Ψ|, so their readings are rounding.
 CASE_BOUND = {1: 1e-14, 2: 1e-14, 3: 1e-14}  # [6.0e-15, 4.7e-15, 4.2e-15]
 CASE4_BOUND = {
-    29.0: 5e-11,  # [2.5e-11]
-    187.5: 5e-9,  # [2.7e-9]
-    225.0: 1.5e-10,  # [7.6e-11], its own mirror
+    29.0: 5e-15,  # [5.7e-16]
+    187.5: 5e-9,  # [8.1e-10]
+    225.0: 1.5e-10,  # [2.6e-11], its own mirror
 }
 # Every other case-4 angle of the subset, Exact or SoftConstraint
-# [2.9e-12, soft at 170° and 280°; 1.7e-12 Exact at 30° and 60°].
+# [5.2e-12, soft at 0° and 90°; 1.1e-14 Exact at 55°].
 CASE4_OTHER_BOUND = 6e-12
 
 
