@@ -132,13 +132,16 @@ def _bounds_from(config):
         raise ConfigError(f"bounds must be [alpha, beta]: {err}") from err
 
 
-def _signed_distance_from(config):
+def _signed_distance_from(config, dimension):
     try:
-        return SignedDistance.circle(
+        sd = SignedDistance.circle(
             config.get("center", (0.0, 0.0)), float(config.get("radius", 0.5))
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"center/radius: {err}") from err
+    if len(sd.center) != dimension:
+        raise ConfigError(f"center needs {dimension} coordinates for this domain")
+    return sd
 
 
 def _circle_table_csv(table):
@@ -262,7 +265,7 @@ def cmd_kernel(args):
 
     sd = bounds = None
     if formulation == "one-sided":
-        sd, bounds = _signed_distance_from(config), _bounds_from(config)
+        sd, bounds = _signed_distance_from(config, grid.dimension), _bounds_from(config)
     strategy = KernelStrategy(wf, degree, sd, bounds)
     _, weights = strategy.kernel_for(grid, eval_point)
     weights = replace(weights, source=_MOMENT_SOURCES[formulation])

@@ -15,11 +15,11 @@ class NotSPD(IBKernelError):
 
 
 class RankDeficientConstraints(IBKernelError):
-    """Equality constraint rows are linearly dependent."""
+    """Dependent equality rows, as a solver's rank rule finds them."""
 
 
 class InsufficientSupport(IBKernelError):
-    """Too few sites with nonzero weight to satisfy the moment conditions."""
+    """Too few weighted sites; raised only by ``solve_generating_qp``."""
 
 
 class Infeasible(IBKernelError):

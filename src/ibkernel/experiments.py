@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch
-from .ibops import KernelStrategy, interpolate, make_grid, sample_field
+from .ibops import KernelStrategy, make_grid, sample_field
 from .kernels import BasisDegree, WeightFunction
 from .onesided import KernelBounds, SignedDistance
 
@@ -59,9 +59,12 @@ class CircleCaseConfig:
     def __post_init__(self):
         # JSON-shaped input (lists, ints) becomes tuples of floats and
         # floats here, so a malformed value fails when the config is built.
-        for name in ("extents", "mesh_width", "center", "radius",
-                     "marker_angles_deg", "field_coefficients"):
+        shapes = {"extents": (2, 2), "mesh_width": (), "center": (2,), "radius": (),
+                  "marker_angles_deg": None, "field_coefficients": (2,)}
+        for name, shape in shapes.items():
             value = _floats(getattr(self, name))
+            if shape not in (None, np.shape(value)):
+                raise ValueError(f"{name} must have shape {shape}, got {value}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
             setattr(self, name, value)

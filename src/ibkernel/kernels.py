@@ -16,9 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InsufficientSupport
-from .linalg import _ZERO_WEIGHT
-
 __all__ = [
     "WeightKind",
     "WeightFunction",
@@ -377,27 +374,19 @@ class KernelWeights:
 def assemble_system(sites, eval_point, wf, basis):
     """Build the kernel system (A, Wdiag, p) for one evaluation point.
 
+    Checks only its input; ``qpsolve.solve_generating_qp`` decides
+    whether the system has enough support and independent moment rows.
+
     Parameters
     ----------
     sites : (N, d) array_like
-        Distinct data sites; N must be at least the basis size.
+        Finite, pairwise distinct data sites.
     eval_point : (d,) array_like
     wf : WeightFunction
     basis : PolynomialBasis
-
-    Raises
-    ------
-    InsufficientSupport
-        Fewer than ``basis.size`` sites carry weight above
-        ``linalg._ZERO_WEIGHT``.
     """
     sites = as_sites(sites, basis.dimension)
     eval_point = as_point(eval_point, basis.dimension)
-    n = sites.shape[0]
-    if n < basis.size:
-        raise InsufficientSupport(
-            f"{n} sites cannot support a basis of size {basis.size}"
-        )
     ordered = sites[np.lexsort(sites.T)]
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("sites must be pairwise distinct")
@@ -408,12 +397,6 @@ def assemble_system(sites, eval_point, wf, basis):
     wdiag = per_axis[:, 0]
     for ax in range(1, basis.dimension):
         wdiag = wdiag * per_axis[:, ax]
-    supported = int(np.count_nonzero(wdiag > _ZERO_WEIGHT))
-    if supported < basis.size:
-        raise InsufficientSupport(
-            f"only {supported} sites carry weight above {_ZERO_WEIGHT:g}, "
-            f"need {basis.size}"
-        )
     return KernelSystem(
         A=basis._rows_at(offsets),
         Wdiag=wdiag,

@@ -41,10 +41,8 @@ __all__ = [
 ]
 
 
-# Constraint rows count as rank deficient when a constraint matrix's
-# smallest singular value (a restricted moment matrix), or the smallest
-# pivot of its R factor (L⁻¹Cᵀ in ``solve_kkt``), is below this times its
-# largest.
+# Constraint rows count as rank deficient when the smallest pivot of the
+# R factor of L⁻¹Cᵀ (``solve_kkt``) is below this times its largest.
 _RANK_PIVOT = 1e-12
 
 # Sites whose weight-function value is at or below this carry no support:

@@ -5,16 +5,15 @@ A signed-distance function splits the support sites into a Plus region
 Restricting the weight matrix to the Plus side and re-solving the
 constrained minimization yields kernels whose support never crosses the
 interface; optional scalar bounds on the weights tame the resulting
-over/undershoot.
+over/undershoot. This module only builds the restricted system;
+``qpsolve.solve_generating_qp`` decides whether it can be solved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSupport, RankDeficientConstraints
 from .kernels import KernelSystem, as_sites, assemble_system
-from .linalg import _RANK_PIVOT, _ZERO_WEIGHT, _singular_values
 from .qpsolve import KernelSource, solve_generating_qp
 
 __all__ = [
@@ -63,7 +62,7 @@ class _Circle(SignedDistance):
     radius: float
 
     def evaluate(self, sites):
-        rel = as_sites(sites) - self.center
+        rel = as_sites(sites, len(self.center)) - self.center
         return np.sqrt((rel * rel).sum(axis=1)) - self.radius
 
 
@@ -108,32 +107,14 @@ def classify_side(sd, sites):
 def restrict_weights(system, mask):
     """Zero the weights of Minus sites, keeping everything else.
 
-    Raises
-    ------
-    InsufficientSupport
-        Fewer surviving sites than basis functions.
-    RankDeficientConstraints
-        Surviving sites are geometrically degenerate (e.g. collinear for a
-        linear basis), so the moment conditions lose row rank.
+    Too few surviving sites, or survivors whose moment rows are dependent
+    (collinear ones for a linear basis), are refused by the solve.
     """
     if len(mask) != system.n_sites:
         raise ValueError(
             f"mask length {len(mask)} != site count {system.n_sites}"
         )
     wdiag = np.where(mask.plus, system.Wdiag, 0.0)
-    keep = wdiag > _ZERO_WEIGHT
-    if int(np.count_nonzero(keep)) < system.n_basis:
-        raise InsufficientSupport(
-            f"restriction leaves {int(np.count_nonzero(keep))} supported "
-            f"sites, need {system.n_basis}"
-        )
-    a_keep = system.A[:, keep]
-    sv = _singular_values(a_keep)
-    if sv[-1] < _RANK_PIVOT * sv[0]:
-        raise RankDeficientConstraints(
-            "restricted moment matrix lost row rank "
-            f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
-        )
     return KernelSystem(system.A, wdiag, system.p, system.eval, system.sites)
 
 

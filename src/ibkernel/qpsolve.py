@@ -479,7 +479,8 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
 
     Sites whose weight is at or below ``linalg._ZERO_WEIGHT`` make W⁻¹
     undefined; they are eliminated with Ψ := 0 before solving, which
-    preserves the minimizer of the remaining coordinates. Without bounds
+    preserves the minimizer of the remaining coordinates; fewer of them
+    than moment rows raise InsufficientSupport. Without bounds
     this is a single equality-QP solve. With bounds the dual active-set
     solver runs first. An Infeasible it raises with a certified violation
     above ``linalg._FEASIBILITY`` hands the kernel to the soft-constraint

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import numpy.random as npr
 import scipy.linalg
+import scipy.optimize
 
 from ibkernel.errors import Infeasible, MaxIterationsExceeded, StencilOutsideDomain
 from ibkernel.ibops import Stencil
@@ -110,6 +111,30 @@ def farkas_margin(problem, y):
     lo, hi = problem.bounds()
     vertex = np.where(c > 0.0, hi, np.where(c < 0.0, lo, 0.0))
     return (float(y @ problem.eq_rhs) - float(c @ vertex)) / float(np.abs(y).sum())
+
+
+def box_margin(problem):
+    """Largest t with A·x = p and lower + t <= x <= upper - t, by LP.
+
+    Independent of phase-1: positive means the box holds a strictly
+    interior point satisfying the moment conditions, negative means no
+    point of the box satisfies them.
+    """
+    n = problem.n
+    lo, hi = problem.bounds()
+    eye = np.eye(n)
+    ones = np.ones((n, 1))
+    result = scipy.optimize.linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.block([[-eye, ones], [eye, ones]]),
+        b_ub=np.r_[-lo, hi],
+        A_eq=np.hstack([problem.eq_matrix, np.zeros((problem.m, 1))]),
+        b_eq=problem.eq_rhs,
+        bounds=[(None, None)] * (n + 1),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return float(result.x[-1])
 
 
 def random_box_problem(n):

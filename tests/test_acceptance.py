@@ -14,8 +14,12 @@ import time
 
 import numpy as np
 import numpy.random as npr
-import scipy.optimize
-from oracles import brute_force_box_qp, closed_form_psi, random_box_problem
+from oracles import (
+    box_margin,
+    brute_force_box_qp,
+    closed_form_psi,
+    random_box_problem,
+)
 
 from ibkernel.experiments import (
     CircleCaseConfig,
@@ -115,30 +119,6 @@ def test_criterion_3_case3_reproduction():
     assert first_moment <= 1e-10
 
 
-def _box_margin(problem):
-    """Largest t with A·x = p and lower + t <= x <= upper - t, by LP.
-
-    Independent of phase-1: positive means the box holds a strictly
-    interior point satisfying the moment conditions, negative means no
-    point of the box satisfies them.
-    """
-    n = problem.n
-    lo, hi = problem.bounds()
-    eye = np.eye(n)
-    ones = np.ones((n, 1))
-    result = scipy.optimize.linprog(
-        c=np.r_[np.zeros(n), -1.0],
-        A_ub=np.block([[-eye, ones], [eye, ones]]),
-        b_ub=np.r_[-lo, hi],
-        A_eq=np.hstack([problem.eq_matrix, np.zeros((problem.m, 1))]),
-        b_eq=problem.eq_rhs,
-        bounds=[(None, None)] * (n + 1),
-        method="highs",
-    )
-    assert result.status == 0, result.message
-    return float(result.x[-1])
-
-
 def _case4_phase1_reports(marker_angles_deg):
     """Phase-1 report and LP margin of the exact Case 4 subproblem.
 
@@ -168,7 +148,7 @@ def _case4_phase1_reports(marker_angles_deg):
             upper=cfg.bounds.beta,
         )
         reports.append(
-            (deg, phase1_feasible(problem), _box_margin(problem))
+            (deg, phase1_feasible(problem), box_margin(problem))
         )
     return reports
 

@@ -123,6 +123,7 @@ class TestCircle:
 
 NAN, INF = float("nan"), float("inf")
 ONE_SIDED = ["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"]
+CASE_2 = ["circle", "--case", "2"]
 
 
 @pytest.mark.parametrize("argv, cfg", [
@@ -146,11 +147,19 @@ ONE_SIDED = ["kernel", "--formulation", "one-sided", "--eval", "0.383", "0.321"]
     (ONE_SIDED, {"center": [NAN, 0]}),
     (["circle"], {"mesh_width": INF}),
     (["kernel", "--eval", "0.31", "-0.17"], {"mesh_width": INF}),
+    (CASE_2, {"field_coefficients": [1, 2, 3]}),
+    (CASE_2, {"field_coefficients": 5}),
+    (CASE_2, {"center": [0, 0, 0]}),
+    (CASE_2, {"extents": [[-1, 1]]}),
+    (ONE_SIDED, {"center": [0, 0, 0]}),
+    (ONE_SIDED, {"center": [0]}),
 ], ids=["tolerance", "case", "penalty", "residual", "complementarity",
      "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
      "inf_angle", "nan_center", "nan_mesh_width", "negative_mesh_width",
      "inverted_extents", "kernel_inverted_extents", "one_sided_nan_center",
-     "inf_mesh_width", "kernel_inf_mesh_width"])
+     "inf_mesh_width", "kernel_inf_mesh_width", "three_field_coefficients",
+     "scalar_field_coefficients", "3d_center", "one_extent",
+     "one_sided_3d_center", "one_sided_1d_center"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     (in_tmp / "cfg.json").write_text(json.dumps(cfg))
     assert main([*argv, "--config", "cfg.json"]) == 2

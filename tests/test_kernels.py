@@ -204,14 +204,17 @@ class TestAssemble:
             assemble_system(sites, [0.01, 0.01], self.wf, basis2)
         assemble_system(sites[:-1], [0.01, 0.01], self.wf, basis2)
 
+    # Assembly checks only its input; the solve refuses too little support.
     def test_insufficient_support(self):
         far = np.array([[10.0], [11.0], [12.0]])
+        system = assemble_system(far, [0.0], self.wf, self.basis)
         with pytest.raises(InsufficientSupport):
-            assemble_system(far, [0.0], self.wf, self.basis)
+            solve_generating_qp(system)
 
     def test_too_few_sites(self):
+        system = assemble_system([[0.0]], [0.0], self.wf, self.basis)
         with pytest.raises(InsufficientSupport):
-            assemble_system([[0.0]], [0.0], self.wf, self.basis)
+            solve_generating_qp(system)
 
 
 def _uniform_wf():

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from oracles import kernel_kkt_residuals
 
 from ibkernel.errors import InsufficientSupport, RankDeficientConstraints
+from ibkernel.experiments import CircleCaseConfig
 from ibkernel.kernels import (
     BasisDegree,
     KernelSource,
@@ -43,6 +44,12 @@ class TestSignedDistance:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             SignedDistance.circle([0.0, 0.0], 0.0)
+
+    def test_center_dimension_must_match_sites(self):
+        # A one-entry center is not broadcast over both axes.
+        for center in ([0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                SignedDistance.circle(center, 0.5).evaluate([[0.6, 0.0]])
 
     def test_custom_evaluator(self):
         # half-plane x > 0.25
@@ -147,17 +154,21 @@ class TestRestrict:
     def test_all_minus_insufficient(self):
         system, sites = _square_system()
         sd = SignedDistance(lambda p: -1.0)
+        restricted = restrict_weights(system, classify_side(sd, sites))
         with pytest.raises(InsufficientSupport):
-            restrict_weights(system, classify_side(sd, sites))
+            solve_generating_qp(restricted)
 
     def test_collinear_survivors_lose_rank(self):
         system, sites = _square_system()
         # keep the single row of sites through the evaluation point: the
-        # y-moment row is then identically zero and the system loses rank
+        # y-moment row is then identically zero and the system loses rank,
+        # which the solve refuses with or without a box
         mask = SideMask(np.abs(sites[:, 1] - 0.05) < 1e-12)
         assert mask.n_plus >= system.n_basis
-        with pytest.raises(RankDeficientConstraints):
-            restrict_weights(system, mask)
+        restricted = restrict_weights(system, mask)
+        for bounds in (None, (0.0, 0.75), (-0.07, 0.5)):
+            with pytest.raises(RankDeficientConstraints):
+                solve_generating_qp(restricted, bounds=bounds)
 
     def test_mask_length_checked(self):
         system, _ = _square_system()
@@ -364,3 +375,27 @@ def test_scaled_weight_profile_in_the_case4_box(scale):
             assert np.all(kw.psi >= 0.0) and np.all(kw.psi <= 0.75)
             assert np.all(kw.psi[~classify_side(sd, stencil.sites).plus] == 0.0)
     assert modes == {"Exact": 92, "RankDeficientConstraints": 4, "SoftConstraint": 48}
+
+
+def _circle_kernels(case, unit):
+    """kernel_for over a circle case every 2.5 degrees, in lengths scaled by ``unit``."""
+    cfg = CircleCaseConfig.for_case(
+        case, marker_angles_deg=2.5 * np.arange(144), radius=0.5 * unit,
+        mesh_width=0.075 * unit, extents=((-unit, unit), (-unit, unit)),
+    )
+    grid, strategy = make_grid(cfg.extents, cfg.mesh_width), cfg.strategy()
+    return [strategy.kernel_for(grid, m) for m in cfg.marker_positions()]
+
+
+@pytest.mark.parametrize("unit", [1e-3, 1e3])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_kernels_do_not_depend_on_the_length_unit(case, unit):
+    # Radius, mesh width and extents in another unit give the same
+    # stencils, every kernel Exact, and Ψ to rounding (at most 1.7e-14 of
+    # max|Ψ|). Case 4 is left out: its rank rule reads the Gram matrix and
+    # its penalty the residual, both of which carry the length unit.
+    for (stencil, kw), (ref_stencil, ref) in zip(_circle_kernels(case, unit),
+                                                _circle_kernels(case, 1.0)):
+        assert kw.mode is SolveMode.EXACT
+        assert np.array_equal(stencil.indices, ref_stencil.indices)
+        assert np.max(np.abs(kw.psi - ref.psi)) <= 1e-12 * np.max(np.abs(ref.psi))

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import (
     augmented_soft_qp,
+    box_margin,
     bounded_lsq_optimality,
     brute_force_box_qp,
     closed_form_psi,
@@ -958,3 +959,34 @@ def test_exact_bounded_kernels_meet_their_moments_to_rounding():
                 exact += 1
                 assert weights.equality_residual <= 1e-14, marker
     assert exact == 720 + 476 + 300
+
+
+def test_mode_follows_the_sign_of_the_lp_box_margin():
+    # The LP margin is computed apart from phase-1 and the dual solver's
+    # certificate: the largest t with A·Ψ = p and α + t ≤ Ψ ≤ β − t on the
+    # supported sites. Below zero the box holds no kernel, so the mode
+    # must be SoftConstraint; above zero it holds a strictly interior
+    # one, so the kernel is Exact or refused by the rank rule. Case 3 and
+    # case 4 every 2.5 degrees, and the 150 sphere markers in each box.
+    runs = [(case, *_circle_markers(case, 2.5 * np.arange(144))) for case in (3, 4)]
+    grid, sd, markers = _sphere_markers()
+    runs += [("sphere", grid, sd, KernelBounds(*box), markers) for box in SPHERE_BOXES]
+    tallies = Counter()
+    for group, grid, sd, bounds, markers in runs:
+        strategy = KernelStrategy(WeightFunction.six_point_spline(grid.spacing[0]),
+                                  BasisDegree.LINEAR, sd, bounds)
+        for marker in markers:
+            margin = box_margin(
+                _bounded_problem(grid, marker, sd, bounds.alpha, bounds.beta))
+            assert abs(margin) > 1e-9, (group, marker, margin)
+            try:
+                mode = strategy.kernel_for(grid, marker)[1].mode.value
+            except RankDeficientConstraints:
+                mode = "RankDeficientConstraints"
+            if margin < 0.0:
+                assert mode == "SoftConstraint", (group, marker, margin)
+            else:
+                assert mode in ("Exact", "RankDeficientConstraints"), (group, marker)
+            tallies[group, mode] += 1
+    assert tallies == {(3, "Exact"): 144, (4, "Exact"): 92, (4, "SoftConstraint"): 48,
+                       (4, "RankDeficientConstraints"): 4, ("sphere", "Exact"): 300}
