@@ -59,11 +59,13 @@ class CircleCaseConfig:
     def __post_init__(self):
         # JSON-shaped input (lists, ints) becomes tuples of floats and
         # floats here, so a malformed value fails when the config is built.
+        # A shape of None takes any number of entries in one dimension.
         shapes = {"extents": (2, 2), "mesh_width": (), "center": (2,), "radius": (),
                   "marker_angles_deg": None, "field_coefficients": (2,)}
         for name, shape in shapes.items():
             value = _floats(getattr(self, name))
-            if shape not in (None, np.shape(value)):
+            shape = (np.size(value),) if shape is None else shape
+            if np.shape(value) != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")

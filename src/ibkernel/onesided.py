@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSystem, as_sites, assemble_system
+from .kernels import KernelSystem, as_point, as_sites, assemble_system
 from .qpsolve import KernelSource, solve_generating_qp
 
 __all__ = [
@@ -44,8 +44,7 @@ class SignedDistance:
             raise ValueError("center must be finite, radius positive and finite")
 
         def evaluator(point):
-            point = np.asarray(point, dtype=float)
-            return float(np.linalg.norm(point - center)) - radius
+            return float(np.linalg.norm(as_point(point, center.size) - center)) - radius
 
         return _Circle(evaluator, tuple(center.tolist()), radius)
 

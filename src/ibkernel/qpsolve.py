@@ -9,9 +9,10 @@ which holds H as the vector of its diagonal:
 - solve_box_qp: equalities plus bound constraints, the dual active-set
   method of Goldfarb & Idnani (Math. Programming 27, 1983) on the free
   variables, whose only factorization is the m×m R of the free rows of
-  H^-½Cᵀ. It starts from a guessed active set (a hot start) and detects an
-  empty constraint set itself, raising Infeasible with a Farkas
-  certificate read off its last step.
+  H^-½Cᵀ. It starts from an active set guessed by primal-dual active-set
+  passes, run past the second only while the last moved more than 2m
+  bounds (a hot start), and detects an empty constraint set itself,
+  raising Infeasible with a Farkas certificate read off its last step.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
   empty. The residual joins the variables, unbounded, and the same dual
@@ -180,14 +181,17 @@ def solve_box_qp(problem):
     with R′ the R factor of the rows √wᵢcᵢᵀ over F∖{q}. Each factorization
     is such an m×m R, so no condition number is squared.
 
-    The start is hot: two primal-dual active-set passes (solve on the
-    free set, then pin every variable that clip(W Cᵀλ) moves) guess the
-    working set, and each pinned bound whose multiplier has the wrong sign
-    is released until none is; a dependent guess falls back to the
-    equality-constrained minimizer. The start and every full step compute
-    the iterate from F and the pinned values alone, by one fixed sequence
-    with one refinement step, so the result does not depend on the path
-    and pinned variables sit exactly on their bounds.
+    The start is hot: primal-dual active-set passes (solve on the free
+    set, then pin every variable that clip(W Cᵀλ) moves) guess the working
+    set, and each pinned bound whose multiplier has the wrong sign is
+    released until none is. Passes after the second run while the last
+    one moved more than 2m bounds, and stop at a guess seen before, at a
+    dependent guess or after eight passes. A dependent guess from the first
+    two passes falls back to the equality-constrained minimizer; a later
+    one leaves the last independent guess. The start and every full step
+    compute the iterate from F and the pinned values alone, by one fixed
+    sequence with one refinement step, so the result does not depend on
+    the path and pinned variables sit exactly on their bounds.
 
     Parameters
     ----------
@@ -220,7 +224,8 @@ def _free_set_qp(problem, rank_rule, start=None):
     """``solve_box_qp``'s method, with the rank rule only if ``rank_rule``.
 
     ``start``, a side per variable (+1 at its lower bound, −1 at its upper
-    one, 0 free), replaces the primal-dual passes' guess.
+    one, 0 free), replaces the primal-dual passes' guess: no pass runs, and
+    a dependent ``start`` falls back to the cold start.
     """
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
@@ -263,17 +268,25 @@ def _free_set_qp(problem, rank_rule, start=None):
     if rank_rule:
         _check_rank(cold[1])
     side, qr = (np.zeros(n), cold) if start is None else (np.array(start, float), None)
-    for _ in range(2 if start is None else 0):
+    seen = [side]
+    for k in range(8 if start is None else 0):
         # A primal-dual active-set pass: λ on the guess (unrefined), then
-        # pin every variable that clip(W Cᵀλ) moves.
+        # pin every variable that clip(W Cᵀλ) moves. Passes after the
+        # second run while the last one moved more than 2m bounds, at most
+        # eight: the benchmark's sphere boxes (seeds 1-5) need no more.
+        if k >= 2 and moved <= 2 * m:
+            break
         lam = _solve_tri(qr[1], _solve_tri(qr[1], b - c @ held(side), trans=1))
         v = (c.T @ lam) / h
         guess = (v < lo) - (v > hi).astype(float)
-        if np.array_equal(guess, side):
+        if any(np.array_equal(guess, s) for s in seen):
             break
-        side, qr = guess, factor(guess)
-        if qr is None:
+        moved, qr_guess = np.count_nonzero(guess != side), factor(guess)
+        if qr_guess is None:
+            side, qr = (np.zeros(n), cold) if k < 2 else (side, qr)
             break
+        side, qr = guess, qr_guess
+        seen.append(side)
     side, qr, x, lam = working_set(side, qr)
     while True:
         u = side * (h * x - c.T @ lam)

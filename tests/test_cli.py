@@ -139,6 +139,8 @@ CASE_2 = ["circle", "--case", "2"]
     (["kernel", "--formulation", "peskin4"], {"shift": ["a"]}),
     (["circle"], {"field_coefficients": [NAN, 1]}),
     (["circle"], {"marker_angles_deg": [INF]}),
+    (["circle"], {"marker_angles_deg": 40}),
+    (["circle"], {"marker_angles_deg": [[40, 140]]}),
     (["circle"], {"center": [NAN, 0]}),
     (["circle"], {"mesh_width": NAN}),
     (["circle"], {"mesh_width": -0.1}),
@@ -155,9 +157,10 @@ CASE_2 = ["circle", "--case", "2"]
     (ONE_SIDED, {"center": [0]}),
 ], ids=["tolerance", "case", "penalty", "residual", "complementarity",
      "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
-     "inf_angle", "nan_center", "nan_mesh_width", "negative_mesh_width",
-     "inverted_extents", "kernel_inverted_extents", "one_sided_nan_center",
-     "inf_mesh_width", "kernel_inf_mesh_width", "three_field_coefficients",
+     "inf_angle", "scalar_angle", "nested_angles", "nan_center",
+     "nan_mesh_width", "negative_mesh_width", "inverted_extents",
+     "kernel_inverted_extents", "one_sided_nan_center", "inf_mesh_width",
+     "kernel_inf_mesh_width", "three_field_coefficients",
      "scalar_field_coefficients", "3d_center", "one_extent",
      "one_sided_3d_center", "one_sided_1d_center"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):

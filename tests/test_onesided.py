@@ -46,10 +46,14 @@ class TestSignedDistance:
             SignedDistance.circle([0.0, 0.0], 0.0)
 
     def test_center_dimension_must_match_sites(self):
-        # A one-entry center is not broadcast over both axes.
+        # A one-entry center is not broadcast over both axes, by either
+        # the all-sites ``evaluate`` or the per-point evaluator.
         for center in ([0.0], [0.0, 0.0, 0.0]):
+            sd = SignedDistance.circle(center, 0.5)
             with pytest.raises(ValueError):
-                SignedDistance.circle(center, 0.5).evaluate([[0.6, 0.0]])
+                sd.evaluate([[0.6, 0.0]])
+            with pytest.raises(ValueError):
+                sd.evaluator([0.6, 0.0])
 
     def test_custom_evaluator(self):
         # half-plane x > 0.25

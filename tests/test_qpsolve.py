@@ -883,12 +883,12 @@ def _sweep_boxes(group):
 @pytest.mark.parametrize("group", [3, 4, "sphere"])
 def test_any_start_gives_the_hot_starts_kernel(group):
     # The start and every full step compute the iterate from the free set
-    # and the pinned values alone. So the two-pass hot start, a cold start
-    # (nothing pinned), every bound pinned at the side nearer the
-    # equality-constrained minimizer (a dependent guess, which falls back
-    # to the cold start) and a seeded random guess all end in the same
-    # mode, with bitwise the same kernel. The two guesses run on every
-    # third box.
+    # and the pinned values alone. So the hot start (primal-dual passes
+    # until few bounds move), a cold start (nothing pinned), every bound
+    # pinned at the side nearer the equality-constrained minimizer (a
+    # dependent guess, which falls back to the cold start) and a seeded
+    # random guess all end in the same mode, with bitwise the same kernel.
+    # The two guesses run on every third box.
     rng = np.random.default_rng(7)
     steps = Counter()
     for k, problem in enumerate(_sweep_boxes(group)):
@@ -911,9 +911,44 @@ def test_any_start_gives_the_hot_starts_kernel(group):
         if hot is not None:
             steps["hot"] += hot.iterations - 1
     # Dual steps over the Exact boxes, hot against cold: 192 against
-    # 3,182 on case 3, 1,064 against 8,222 on case 4, 1,495 against 13,694
+    # 3,182 on case 3, 1,064 against 8,222 on case 4, 675 against 13,694
     # on the sphere.
     assert 4 * steps["hot"] < steps["cold"]
+
+
+@pytest.mark.parametrize("group", [3, 4, "sphere"])
+def test_the_hot_start_passes_until_few_bounds_move(group):
+    # Passes after the second run only while the last one moved more than
+    # 2m bounds. In 2D (m = 3) the second pass never moves more than 4, so
+    # case 3 and case 4 keep the two-pass start and its dual steps over the
+    # Exact boxes: 192 and 1,064. On the sphere (m = 4) the further passes
+    # settle most of what the second one left: 675 steps, where two passes
+    # left 1,495. Each pass that computes a guess checks it against the
+    # earlier ones with one call of the builtin any in _free_set_qp; a
+    # profile hook counts those calls.
+    passes, steps = [], 0
+
+    def count(frame, event, arg):
+        if (event == "c_call" and arg is any
+                and frame.f_code is qpsolve._free_set_qp.__code__):
+            passes[-1] += 1
+
+    for problem in _sweep_boxes(group):
+        passes.append(0)
+        sys.setprofile(count)
+        try:
+            sol = _mode_and_solution(solve_box_qp, problem)[1]
+        finally:
+            sys.setprofile(None)
+        if sol is not None:
+            steps += sol.iterations - 1
+    assert min(passes) >= 1
+    if group == "sphere":
+        assert 2 < max(passes) <= 8
+        assert 2 * steps < 1495
+    else:
+        assert max(passes) == 2
+        assert steps == {3: 192, 4: 1064}[group]
 
 
 def test_soft_case4_kernels_sit_on_their_bounds_and_are_stationary():
