@@ -81,17 +81,15 @@ def atomic_write(path, text):
         raise
 
 
-def load_config(path, required=False):
-    """Read a JSON config into a RunConfig; unknown keys are an error."""
+def load_config(path):
+    """Read a JSON config (``ibkernel.json`` if present without ``path``)."""
     if path is None:
         if os.path.exists(DEFAULT_CONFIG_NAME):
             path = DEFAULT_CONFIG_NAME
         else:
             return RunConfig()
     elif not os.path.exists(path):
-        if required:
-            raise ConfigError(f"config file not found: {path}")
-        return RunConfig()
+        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -165,7 +163,10 @@ def _circle_weights_csv(table):
 
 
 def cmd_circle(args):
-    config = load_config(args.config, required=args.config is not None)
+    config = load_config(args.config)
+    for key, runs in (("weight_kernel", "psi6"), ("basis_degree", "Linear")):
+        if config.get(key, runs) != runs:
+            raise ConfigError(f"{key}: circle runs {runs} only, not {config[key]!r}")
     # case and bounds have their own readers below.
     overrides = {
         key: config[key]
@@ -215,7 +216,7 @@ def _kernel_dump(weights, degree):
 
 
 def cmd_kernel(args):
-    config = load_config(args.config, required=args.config is not None)
+    config = load_config(args.config)
     formulation = args.formulation or config.get("formulation", "standard")
     if formulation not in _FORMULATIONS:
         raise ConfigError(f"unknown formulation: {formulation!r}")

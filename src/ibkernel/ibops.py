@@ -316,8 +316,8 @@ def _closed_form_batch(grid, markers, wf, degree):
     Returns the flat indices, weights and per-marker counts in the C
     order of ``support_stencil``, or None if any marker is within the
     support of an edge, has fewer than m supported sites, or has a Gram
-    matrix whose Cholesky pivots fail the ``linalg._RANK_PIVOT`` rule (the
-    R of ``solve_kkt``'s QR is that Cholesky factor) or whose scaled
+    matrix whose Cholesky pivots fail ``linalg._factor``'s dependence rule
+    (the R of its QR is that Cholesky factor) or whose scaled
     condition number exceeds ``_BATCH_COND_LIMIT``. Weights agree with
     ``KernelStrategy.kernel_for`` to rounding, not bitwise.
     """
@@ -379,8 +379,7 @@ def _closed_form_batch(grid, markers, wf, degree):
         return None
     chol = np.ascontiguousarray(chol.transpose(1, 2, 0))  # (m, m, n)
     pivots = chol[np.arange(m), np.arange(m)]  # positive
-    if not np.all(pivots.min(axis=0)
-                  >= _RANK_PIVOT * np.abs(chol).max(axis=(0, 1))):
+    if not np.all(pivots.min(axis=0) > _RANK_PIVOT * pivots.max(axis=0)):
         return None
     # D·chol is the Cholesky factor of D·G·D. The squared ratio of its
     # extreme pivots is a lower bound on that matrix's condition number.

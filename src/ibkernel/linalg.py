@@ -8,18 +8,17 @@ constraint rows, and bounds that are not NaN and not crossed.
 
 H is SPD when every entry of h is > 0 (NotSPD otherwise), with no
 relative pivot floor: a diagonal has no factorization error, and scaling
-W leaves the kernel unchanged. L = diag(√h) has H = LLᵀ, so applying L⁻¹
-is a division that costs O(n). An equality QP is solved in range space:
-the m×m Cholesky factor of the constraint Gram matrix is taken as the R
-of a QR factorization of L⁻¹Cᵀ, so that its condition number is not
-squared, and its pivots are verified against a relative rank threshold
-(RankDeficientConstraints). The bounded solver in qpsolve factors the
-free rows of L⁻¹Cᵀ the same way, through the same economic QR. All
-systems are small (a few dozen unknowns, at most a handful of
-constraints), so dense factorizations from LAPACK are both the simplest
-and the most accurate choice. ``solve_spd`` is a checked Cholesky solve of
-a dense SPD matrix with a relative pivot floor of 1e-14; no kernel path
-calls it, and it stays while bench/tracing.py looks it up.
+W leaves the kernel unchanged. Every kernel QP, bounded or not, takes
+the economic QR of the rows √wᵢcᵢᵀ of L⁻¹Cᵀ (L = diag(√h)) on a set of
+sites, whose R is the Cholesky factor of the m×m constraint Gram matrix
+without its condition number squared. ``_factor`` computes it and holds
+the one dependence rule; ``_range_space`` gives x and λ with one
+refinement step, for ``solve_kkt`` on every variable and for qpsolve's
+bounded solver on each working set's free ones. Dense LAPACK suits these
+small systems (a few dozen unknowns, at most four rows).
+``solve_spd`` is a checked Cholesky solve of a dense SPD matrix with a
+relative pivot floor of 1e-14; no kernel path calls it, and it stays
+while bench/tracing.py looks it up.
 
 The thresholds the kernel pipeline shares are fixed constants here: the
 relative rank pivot, the weight at or below which a site has no support,
@@ -41,8 +40,9 @@ __all__ = [
 ]
 
 
-# Constraint rows count as rank deficient when the smallest pivot of the
-# R factor of L⁻¹Cᵀ (``solve_kkt``) is below this times its largest.
+# Constraint rows on a set of sites count as dependent (``_factor``) when
+# a pivot of the R factor of their rows √wᵢcᵢᵀ is at or below this times
+# the largest; ``ibops._closed_form_batch`` applies it to Cholesky pivots.
 _RANK_PIVOT = 1e-12
 
 # Sites whose weight-function value is at or below this carry no support:
@@ -111,18 +111,6 @@ def _diagonal_root(hessian):
             f"diagonal Hessian has a non-positive entry {hessian.min():.3e}"
         )
     return np.sqrt(hessian)
-
-
-def _divide(v, root):
-    """diag(root)⁻¹v for ``v`` of shape (n,) or (n, k), in O(n·k).
-
-    Rounds as LAPACK's ``dtrtrs`` rounds a solve with diag(root) in the
-    OpenBLAS that numpy and scipy ship: a single right-hand side is
-    divided by the pivot, several are scaled by the pivot's reciprocal.
-    """
-    if v.ndim == 2 and v.shape[1] > 1:
-        return v * (1.0 / root)[:, None]
-    return v / (root if v.ndim == 1 else root[:, None])
 
 
 def _householder_qr(a):
@@ -267,13 +255,40 @@ def solve_spd(matrix, rhs):
     return scipy.linalg.cho_solve((chol, True), b)
 
 
+def _factor(rows):
+    """Economic Q and R of the (n, m) rows √wᵢcᵢᵀ on a set of sites, or
+    None where they are dependent, the one rule for every kernel QP: fewer
+    sites than rows, or an R pivot at or below ``_RANK_PIVOT`` times the
+    largest."""
+    count, m = rows.shape
+    if count < m:
+        return None
+    if not m:
+        return np.empty((count, 0)), np.empty((0, 0))
+    q, r = _householder_qr(rows)
+    pivots = np.abs(r.diagonal())
+    return (q, r) if pivots.min() > _RANK_PIVOT * pivots.max() else None
+
+
+def _range_space(qr, root, c, rhs):
+    """x = W Cᵀλ and λ with C W Cᵀλ = ``rhs``, W = diag(root)⁻², from the
+    ``_factor`` of Cᵀ / root: x = W^½QR⁻ᵀrhs and λ = R⁻¹R⁻ᵀrhs, with one
+    refinement step on the residual rhs − Cx."""
+    q, r = qr
+    a = _solve_tri(r, rhs, trans=1)
+    x = (q @ a) / root
+    a += _solve_tri(r, rhs - c @ x, trans=1)
+    return (q @ a) / root, _solve_tri(r, a)
+
+
 def solve_kkt(problem):
     """Solve an equality-constrained QP in range space.
 
     With L = diag(√h) and L⁻¹Cᵀ = QR, R is the Cholesky factor of the
     Gram matrix C H⁻¹ Cᵀ. The multipliers solve RᵀR λ = b, and
-    x = H⁻¹Cᵀλ is computed as L⁻¹QR⁻ᵀb, so the only factorization is the
-    QR of H^-½Cᵀ.
+    x = H⁻¹Cᵀλ as L⁻¹QR⁻ᵀb, with one refinement step (``_range_space``).
+    ``_factor`` gives the QR and its dependence rule. This is, to the bit,
+    the bounded solver's working set with nothing pinned.
 
     Parameters
     ----------
@@ -294,21 +309,14 @@ def solve_kkt(problem):
     NotSPD
         The Hessian is not positive definite.
     RankDeficientConstraints
-        Dependent constraint rows: a pivot of R is below ``_RANK_PIVOT``
-        times the largest entry of R.
+        Dependent constraint rows: a pivot of R is at or below
+        ``_RANK_PIVOT`` times the largest pivot.
     """
     if problem.has_bounds:
         raise ValueError("problem has bounds; use solve_box_qp")
-    c, b = problem.eq_matrix, problem.eq_rhs
     root = _diagonal_root(problem.hessian)
-    q, r = _householder_qr(_divide(c.T, root))
-    if problem.m:
-        smallest = float(np.abs(r.diagonal()).min())
-        r_scale = float(np.abs(r).max())
-        if r_scale == 0.0 or smallest < _RANK_PIVOT * r_scale:
-            raise RankDeficientConstraints(
-                f"constraint rows dependent: smallest R pivot "
-                f"{smallest:.3e} vs scale {r_scale:.3e}"
-            )
-    a = _solve_tri(r, b, trans=1)
-    return _divide(q @ a, root), _solve_tri(r, a)
+    qr = _factor(problem.eq_matrix.T * (1.0 / root)[:, None])
+    if qr is None:
+        raise RankDeficientConstraints(
+            f"dependent constraint rows: an R pivot ≤ {_RANK_PIVOT:g} × the largest")
+    return _range_space(qr, root, problem.eq_matrix, problem.eq_rhs)

@@ -43,8 +43,9 @@ class SignedDistance:
         if not (np.isfinite(center).all() and 0.0 < radius < np.inf):
             raise ValueError("center must be finite, radius positive and finite")
 
-        def evaluator(point):
-            return float(np.linalg.norm(as_point(point, center.size) - center)) - radius
+        def evaluator(point):  # evaluate's arithmetic, so the bits agree
+            rel = as_point(point, center.size) - center
+            return float(np.sqrt((rel * rel).sum())) - radius
 
         return _Circle(evaluator, tuple(center.tolist()), radius)
 
@@ -55,7 +56,7 @@ class SignedDistance:
 
 @dataclass(frozen=True)
 class _Circle(SignedDistance):
-    """|x - center| - radius over all sites at once (last bits may differ)."""
+    """|x - center| - radius over all sites at once."""
 
     center: tuple
     radius: float

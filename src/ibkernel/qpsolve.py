@@ -4,15 +4,17 @@ Three routes to a kernel's minimizer of ½ xᵀHx with H = W⁻¹ diagonal; each
 takes a ``QPProblem`` (defined and validated in linalg, re-exported here),
 which holds H as the vector of its diagonal:
 
-- solve_eq_qp: equality constraints only, one range-space solve
-  (linalg.solve_kkt), whose only factorization is the QR of H^-½Cᵀ.
+- solve_eq_qp: equality constraints only (linalg.solve_kkt), which is
+  solve_box_qp's working set with nothing pinned.
 - solve_box_qp: equalities plus bound constraints, the dual active-set
   method of Goldfarb & Idnani (Math. Programming 27, 1983) on the free
-  variables, whose only factorization is the m×m R of the free rows of
-  H^-½Cᵀ. It starts from an active set guessed by primal-dual active-set
-  passes, run past the second only while the last moved more than 2m
-  bounds (a hot start), and detects an empty constraint set itself,
-  raising Infeasible with a Farkas certificate read off its last step.
+  variables. Each working set is one range-space solve with a refinement
+  step on the m×m R of the free rows of H^-½Cᵀ, whose dependence rule is
+  linalg._factor's. It starts from an active set guessed by primal-dual
+  active-set passes, run past the second only while the last moved more
+  than 2m bounds (a hot start), and detects an empty constraint set
+  itself, raising Infeasible with a Farkas certificate read off its last
+  step.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
   empty. The residual joins the variables, unbounded, and the same dual
@@ -46,8 +48,9 @@ from .linalg import (
     _ZERO_WEIGHT,
     QPProblem,
     _diagonal_root,
-    _divide,
+    _factor,
     _householder_qr,
+    _range_space,
     _singular_values,
     _solve_tri,
     solve_kkt,
@@ -136,12 +139,6 @@ def _eq_residual(problem, x):
 # ones lie above 2.8e13.
 _GRAM_COND_LIMIT = 1e13
 
-# A free set F counts as dependent, and the equality rows on it as not of
-# full rank, when it has fewer than m sites or a pivot of the R factor of
-# its rows √wᵢaᵢᵀ is at or below this fraction of the largest. A bound whose
-# pinning would leave F dependent joins the working set only by exchange.
-_DEPENDENT = 1e-12
-
 # solve_box_qp raises MaxIterationsExceeded after this many dual active-set
 # steps per variable.
 _STEPS_PER_VARIABLE = 50
@@ -170,7 +167,7 @@ def solve_box_qp(problem):
     reaches the bound, which joins the working set; a partial step stops
     where a pinned bound's multiplier reaches zero, and that bound leaves.
     A bound whose pinning would leave the free rows dependent (see
-    ``_DEPENDENT``) only exchanges multipliers; when no multiplier can
+    ``linalg._factor``) only exchanges multipliers; when no multiplier can
     fall, the problem is infeasible.
 
     With W = H⁻¹, a working set is the free variables F and the values of
@@ -231,19 +228,7 @@ def _free_set_qp(problem, rank_rule, start=None):
     lo, hi = problem.bounds()
     c, b, h = problem.eq_matrix, problem.eq_rhs, problem.hessian
     root = _diagonal_root(h)
-    rows = _divide(c.T, root)
-
-    def factor(side):
-        """Q and R of the rows on the free set, or None where it is dependent."""
-        free = side == 0.0
-        count = int(np.count_nonzero(free))
-        if count < m:
-            return None
-        if not m:
-            return np.empty((count, 0)), np.empty((0, 0))
-        q, r = _householder_qr(rows[free])
-        pivots = np.abs(r.diagonal())
-        return (q, r) if pivots.min() > _DEPENDENT * pivots.max() else None
+    rows = c.T * (1.0 / root)[:, None]
 
     def held(side):
         """x with the pinned variables on their bounds and 0 on the free set."""
@@ -251,18 +236,13 @@ def _free_set_qp(problem, rank_rule, start=None):
 
     def working_set(side, qr=None):
         """(side, Q and R, x, λ) of a working set, or of the cold start if F is dependent."""
-        qr = qr or factor(side)
+        free = side == 0.0
+        qr = qr or _factor(rows[free])
         if qr is None:
             return working_set(np.zeros(n), cold)
-        q, r = qr
-        free = side == 0.0
         x = held(side)
-        rhs = b - c @ x
-        a = _solve_tri(r, rhs, trans=1)
-        x[free] = (q @ a) / root[free]
-        a += _solve_tri(r, rhs - c[:, free] @ x[free], trans=1)
-        x[free] = (q @ a) / root[free]
-        return side, qr, x, _solve_tri(r, a)
+        x[free], lam = _range_space(qr, root[free], c[:, free], b - c @ x)
+        return side, qr, x, lam
 
     cold = _householder_qr(rows)
     if rank_rule:
@@ -281,7 +261,7 @@ def _free_set_qp(problem, rank_rule, start=None):
         guess = (v < lo) - (v > hi).astype(float)
         if any(np.array_equal(guess, s) for s in seen):
             break
-        moved, qr_guess = np.count_nonzero(guess != side), factor(guess)
+        moved, qr_guess = np.count_nonzero(guess != side), _factor(rows[guess == 0.0])
         if qr_guess is None:
             side, qr = (np.zeros(n), cold) if k < 2 else (side, qr)
             break
@@ -310,7 +290,7 @@ def _free_set_qp(problem, rank_rule, start=None):
             d_lam = (-s_j * w_j) * _solve_tri(r, _solve_tri(r, c[:, j], trans=1))
             pinned = side.copy()
             pinned[j] = s_j
-            qr_pinned = factor(pinned)
+            qr_pinned = _factor(rows[pinned == 0.0])
             t_full = np.inf
             if qr_pinned is not None:
                 v = _solve_tri(qr_pinned[1], c[:, j], trans=1)

@@ -155,6 +155,8 @@ CASE_2 = ["circle", "--case", "2"]
     (CASE_2, {"extents": [[-1, 1]]}),
     (ONE_SIDED, {"center": [0, 0, 0]}),
     (ONE_SIDED, {"center": [0]}),
+    (["circle"], {"weight_kernel": "psi4"}),
+    (["circle"], {"basis_degree": "ConstantOnly"}),
 ], ids=["tolerance", "case", "penalty", "residual", "complementarity",
      "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
      "inf_angle", "scalar_angle", "nested_angles", "nan_center",
@@ -162,15 +164,16 @@ CASE_2 = ["circle", "--case", "2"]
      "kernel_inverted_extents", "one_sided_nan_center", "inf_mesh_width",
      "kernel_inf_mesh_width", "three_field_coefficients",
      "scalar_field_coefficients", "3d_center", "one_extent",
-     "one_sided_3d_center", "one_sided_1d_center"])
+     "one_sided_3d_center", "one_sided_1d_center", "circle_weight_kernel",
+     "circle_basis_degree"])
 def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     (in_tmp / "cfg.json").write_text(json.dumps(cfg))
     assert main([*argv, "--config", "cfg.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     # The message names the key at fault.
-    if list(cfg) == ["mesh_width"]:
-        assert err.startswith("error: mesh_width")
+    if list(cfg) in (["mesh_width"], ["weight_kernel"], ["basis_degree"]):
+        assert err.startswith(f"error: {list(cfg)[0]}")
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 

@@ -101,6 +101,8 @@ def test_vectorised_circle_gives_the_per_point_masks():
         sd = circle if sites.shape[1] == 2 else sphere
         mask = classify_side(sd, sites).plus
         assert mask.tobytes() == _per_point_mask(sd, sites).tobytes()
+        per_point = SignedDistance(sd.evaluator).evaluate(sites)
+        assert sd.evaluate(sites).tobytes() == per_point.tobytes()
         n += 1
     assert n == 720 + 3 * 150
 

@@ -606,13 +606,14 @@ def _mode_and_solution(solve, problem):
 
 
 def _bounded_problem(grid, marker, sd, alpha, beta):
-    """The bounded problem solve_generating_qp poses for one ψ6 marker."""
+    """The bounded problem solve_generating_qp poses for one ψ6 marker,
+    one-sided unless ``sd`` is None."""
     wf = WeightFunction.six_point_spline(grid.spacing[0])
     basis = build_basis(grid.dimension, BasisDegree.LINEAR)
     sites = support_stencil(grid, marker, wf.radius_in_cells).sites
-    system = restrict_weights(
-        assemble_system(sites, marker, wf, basis), classify_side(sd, sites)
-    )
+    system = assemble_system(sites, marker, wf, basis)
+    if sd is not None:
+        system = restrict_weights(system, classify_side(sd, sites))
     keep = system.Wdiag > _ZERO_WEIGHT
     return QPProblem(
         1.0 / system.Wdiag[keep], system.A[:, keep], system.p,
@@ -700,6 +701,30 @@ def _sphere_markers():
 
 
 SPHERE_BOXES = ((-0.07, 0.5), (0.0, 0.75))
+
+
+def test_unbounded_solve_is_the_working_set_with_nothing_pinned():
+    # solve_kkt and the bounded solver's working sets share one
+    # factorization and one refined range-space solve. So under bounds
+    # that never bind, where the working set pins nothing, the bounded
+    # solver returns bitwise the unbounded x and λ: on the two-sided case-1
+    # and one-sided case-2 stencils every 2.5 degrees, and on the 150
+    # one-sided sphere stencils.
+    problems = []
+    for case in (1, 2):
+        grid, sd, _, markers = _circle_markers(case, 2.5 * np.arange(144))
+        problems += [_bounded_problem(grid, marker, sd if case == 2 else None,
+                                      -1e9, 1e9) for marker in markers]
+    grid, sd, markers = _sphere_markers()
+    problems += [_bounded_problem(grid, marker, sd, -1e9, 1e9) for marker in markers]
+    assert len(problems) == 2 * 144 + 150
+    for problem in problems:
+        x, lam = solve_kkt(
+            QPProblem(problem.hessian, problem.eq_matrix, problem.eq_rhs))
+        sol = solve_box_qp(problem)
+        assert sol.active_set == ()
+        assert x.tobytes() == sol.x.tobytes()
+        assert lam.tobytes() == sol.multipliers.tobytes()
 
 
 def test_diagonal_hessian_matches_dense_on_sphere_boxes():

@@ -15,7 +15,11 @@ tool placed in another checkout digests that checkout. Three groups:
   1,280-marker two-sided unbounded batch on a 512² grid.
 
 A kernel enters its digest as its stencil indices, ψ bytes, solve mode
-and equality residual, or as the class of the exception it raised.
+and equality residual, or as the class of the exception it raised. Each
+group's digest hashes the digests of its parts in order, and after the
+three group lines the tool prints each part's own: ``circle/1`` to
+``circle/4`` by case, and ``sphere/unbounded``, ``sphere/[-0.07,0.5]`` and
+``sphere/[0,0.75]`` by strategy. They show which kernels kept their bits.
 """
 
 import hashlib
@@ -52,19 +56,27 @@ def _digest_kernels(strategy, grid, markers, outcomes):
     return sha
 
 
+def _combine(parts):
+    """The group digest: a SHA-256 over its parts' digests, in order."""
+    sha = hashlib.sha256()
+    for part in parts.values():
+        sha.update(part.digest())
+    return sha
+
+
 def circle_group():
-    sha, outcomes = hashlib.sha256(), Counter()
+    parts, outcomes = {}, Counter()
     angles = tuple(np.arange(720) * 0.5)
     for case in (1, 2, 3, 4):
         cfg = CircleCaseConfig.for_case(case, marker_angles_deg=angles)
         grid = ibops.make_grid(cfg.extents, cfg.mesh_width)
-        part = _digest_kernels(cfg.strategy(), grid, cfg.marker_positions(), outcomes)
-        sha.update(part.digest())
-    return sha, outcomes
+        parts[f"circle/{case}"] = _digest_kernels(
+            cfg.strategy(), grid, cfg.marker_positions(), outcomes)
+    return _combine(parts), outcomes, parts
 
 
 def sphere_group():
-    sha, outcomes = hashlib.sha256(), Counter()
+    parts, outcomes = {}, Counter()
     n, radius, h = 150, 0.5, 0.075
     z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
     phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)
@@ -72,12 +84,14 @@ def sphere_group():
     markers = radius * np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=1)
     grid = ibops.make_grid(((-0.9, 0.9),) * 3, h)
     sd = SignedDistance.circle((0.0, 0.0, 0.0), radius)
-    for bounds in (None, KernelBounds(-0.07, 0.5), KernelBounds(0.0, 0.75)):
+    for label, bounds in (("unbounded", None),
+                          ("[-0.07,0.5]", KernelBounds(-0.07, 0.5)),
+                          ("[0,0.75]", KernelBounds(0.0, 0.75))):
         strategy = ibops.KernelStrategy(
             WeightFunction.six_point_spline(h), BasisDegree.LINEAR, sd, bounds,
         )
-        sha.update(_digest_kernels(strategy, grid, markers, outcomes).digest())
-    return sha, outcomes
+        parts[f"sphere/{label}"] = _digest_kernels(strategy, grid, markers, outcomes)
+    return _combine(parts), outcomes, parts
 
 
 def transfer_group():
@@ -96,14 +110,18 @@ def transfer_group():
     spread = ibops.spread(rng.uniform(-2.0, 2.0, len(markers)), markers, grid, strategy)
     sha = hashlib.sha256(values.tobytes())
     sha.update(spread.values.tobytes())
-    return sha, Counter(markers=len(markers))
+    return sha, Counter(markers=len(markers)), {}
 
 
 def main():
+    all_parts = {}
     for name, group in (("circle", circle_group), ("sphere", sphere_group),
                         ("transfer", transfer_group)):
-        sha, outcomes = group()
+        sha, outcomes, parts = group()
         print(f"{name:8s} {sha.hexdigest()}  {dict(sorted(outcomes.items()))}")
+        all_parts.update(parts)
+    for name, part in all_parts.items():
+        print(f"{name:18s} {part.hexdigest()}")
     return 0
 
 
