@@ -3,7 +3,7 @@
 Construct moving-least-squares kernels as minimizers of
 equality-constrained QPs, whose closed form is Ψ = W Aᵀ(A W Aᵀ)⁻¹p,
 restrict their support to one side of an interface, bound the weights
-with a dual active-set box-QP solver, build Peskin-style four-point
+with a dual Newton box-QP solver, build Peskin-style four-point
 kernels per axis in closed form, and drive the whole machinery through
 grid interpolation/spreading operators and a reproducible
 circular-interface experiment.
@@ -36,7 +36,6 @@ from .kernels import (
     eval_psi4,
     eval_psi6,
     solve_peskin4,
-    tensor_weight,
 )
 from .qpsolve import (
     FeasibilityReport,
@@ -75,7 +74,6 @@ from .experiments import (
     CircleCaseConfig,
     ErrorTable,
     MarkerResult,
-    compare_kernels,
     run_circle_case,
     validate_moments,
 )

@@ -36,6 +36,15 @@ _CONFIG_KEYS = _CASE_KEYS | {
     "formulation", "weight_kernel", "basis_degree", "shift",
 }
 _FORMULATIONS = ("standard", "backus-gilbert", "peskin4", "one-sided")
+# The config keys each command reads; it refuses any other.
+_CIRCLE_KEYS = _CASE_KEYS | {"weight_kernel", "basis_degree"}
+_MOMENT_KEYS = {"formulation", "weight_kernel", "mesh_width", "extents", "basis_degree"}
+_KERNEL_KEYS = {
+    "standard": _MOMENT_KEYS,
+    "backus-gilbert": _MOMENT_KEYS,
+    "one-sided": _MOMENT_KEYS | {"center", "radius", "bounds"},
+    "peskin4": {"formulation", "shift"},
+}
 # A word argparse takes as a negative number rather than an option flag.
 # Its own rule (Python 3.10-3.12) leaves out the exponent form, -1e-3.
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
@@ -98,6 +107,12 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return RunConfig(raw)
+
+
+def _refuse_unread(config, reads, command):
+    unread = set(config) - reads
+    if unread:
+        raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
 
 
 def weight_function_from(config):
@@ -164,6 +179,7 @@ def _circle_weights_csv(table):
 
 def cmd_circle(args):
     config = load_config(args.config)
+    _refuse_unread(config, _CIRCLE_KEYS, "circle")
     for key, runs in (("weight_kernel", "psi6"), ("basis_degree", "Linear")):
         if config.get(key, runs) != runs:
             raise ConfigError(f"{key}: circle runs {runs} only, not {config[key]!r}")
@@ -220,6 +236,8 @@ def cmd_kernel(args):
     formulation = args.formulation or config.get("formulation", "standard")
     if formulation not in _FORMULATIONS:
         raise ConfigError(f"unknown formulation: {formulation!r}")
+    _refuse_unread(config, _KERNEL_KEYS[formulation],
+                   f"kernel --formulation {formulation}")
     out_path = args.out or f"kernel_{formulation.replace('-', '_')}.json"
 
     if formulation == "peskin4":

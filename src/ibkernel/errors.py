@@ -25,11 +25,11 @@ class InsufficientSupport(IBKernelError):
 class Infeasible(IBKernelError):
     """Bound + equality constraint set is empty.
 
-    Raised by the dual active-set solver when a violated bound depends on
-    its working set and no multiplier can fall. ``certificate`` is then a
-    Farkas vector y that proves the box empty, and ``violation`` the lower
-    bound it certifies on the max-norm equality miss of every point in
-    the box; both are None where that last step proves nothing.
+    Raised by the dual Newton solver when a direction it tests proves the
+    box empty. ``certificate`` is then a Farkas vector y that proves it,
+    and ``violation`` the lower bound y certifies on the max-norm equality
+    miss of every point in the box; both are None where a raise carries no
+    such proof.
     """
 
     def __init__(self, message, violation=None, certificate=None):
@@ -39,7 +39,8 @@ class Infeasible(IBKernelError):
 
 
 class MaxIterationsExceeded(IBKernelError):
-    """Iterative solver hit its iteration cap without converging."""
+    """The dual Newton solver took its cap of Newton steps without
+    reaching an optimal working set or a certificate."""
 
 
 class LengthMismatch(IBKernelError):

@@ -29,7 +29,6 @@ __all__ = [
     "ErrorTable",
     "run_circle_case",
     "validate_moments",
-    "compare_kernels",
 ]
 
 # Default weight bounds per bounded case.
@@ -208,15 +207,3 @@ def validate_moments(weights, basis):
         )
     rows = basis.rows(weights.sites, weights.eval)
     return np.abs(rows @ psi - basis.at_eval())
-
-
-def compare_kernels(a, b):
-    """(L2, L∞) norms of the difference between a kernel and a vector."""
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape[0] != a.psi.shape[0]:
-        raise LengthMismatch(
-            f"comparison vector has length {b.shape[0]}, kernel has "
-            f"{a.psi.shape[0]}"
-        )
-    diff = a.psi - b
-    return float(np.linalg.norm(diff)), float(np.max(np.abs(diff), initial=0.0))

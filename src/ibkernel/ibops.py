@@ -66,9 +66,6 @@ class CartesianGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def flat_index(self, axis_indices):
-        return int(np.ravel_multi_index(tuple(axis_indices), self.counts))
-
 
 def make_grid(extents, spacing):
     """Grid over ``extents`` with exact cell width ``spacing``.

@@ -29,7 +29,6 @@ __all__ = [
     "eval_psi4",
     "Peskin4Weights",
     "solve_peskin4",
-    "tensor_weight",
     "build_basis",
     "assemble_system",
 ]
@@ -221,19 +220,6 @@ class WeightFunction:
             # scalar-only profiles are fine, just slower
             flat = np.array([float(self.profile(float(v))) for v in r.ravel()])
         return flat.reshape(r.shape)
-
-
-def tensor_weight(site, eval_point, wf):
-    """Tensor-product weight of one site relative to the evaluation point.
-
-    Product over axes of the 1D profile at (site - eval)/h. Zero as soon
-    as any axis offset reaches the support radius.
-    """
-    site = np.asarray(site, dtype=float).reshape(-1)
-    eval_point = np.asarray(eval_point, dtype=float).reshape(-1)
-    r = (site - eval_point) / wf.mesh_width
-    vals = np.atleast_1d(wf.eval1d(r))
-    return float(np.prod(vals))
 
 
 class BasisDegree(Enum):

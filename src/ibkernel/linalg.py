@@ -82,8 +82,8 @@ def _solve_tri(a, v, trans=0):
     """Upper-triangular solve through LAPACK, on inputs already checked.
 
     At these sizes ``scipy.linalg.solve_triangular`` spends about four
-    times as long on argument handling as on the solve, and the dual
-    active-set loop makes several triangular solves per step.
+    times as long on argument handling as on the solve, and each Newton
+    step of the bounded solver makes several triangular solves.
     """
     if not a.size:
         return np.zeros(np.shape(v))

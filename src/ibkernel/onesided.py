@@ -78,14 +78,6 @@ class SideMask:
     def __len__(self):
         return self.plus.shape[0]
 
-    @property
-    def n_plus(self):
-        return int(np.count_nonzero(self.plus))
-
-    @property
-    def n_minus(self):
-        return len(self) - self.n_plus
-
 
 @dataclass(frozen=True)
 class KernelBounds:

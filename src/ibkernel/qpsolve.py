@@ -6,19 +6,17 @@ which holds H as the vector of its diagonal:
 
 - solve_eq_qp: equality constraints only (linalg.solve_kkt), which is
   solve_box_qp's working set with nothing pinned.
-- solve_box_qp: equalities plus bound constraints, the dual active-set
-  method of Goldfarb & Idnani (Math. Programming 27, 1983) on the free
-  variables. Each working set is one range-space solve with a refinement
-  step on the m×m R of the free rows of H^-½Cᵀ, whose dependence rule is
-  linalg._factor's. It starts from an active set guessed by primal-dual
-  active-set passes, run past the second only while the last moved more
-  than 2m bounds (a hot start), and detects an empty constraint set
-  itself, raising Infeasible with a Farkas certificate read off its last
-  step.
+- solve_box_qp: equalities plus bound constraints, a semismooth Newton
+  method with an exact line search on the m-dimensional dual. Each step
+  is one working set of the free variables: a range-space solve with a
+  refinement step on the m×m R of the free rows of H^-½Cᵀ, whose
+  dependence rule is linalg._factor's. It starts from the multipliers of
+  the equality-constrained minimizer and detects an empty constraint set
+  itself, raising Infeasible with a Farkas certificate.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
-  empty. The residual joins the variables, unbounded, and the same dual
-  active-set method solves the result.
+  empty. The residual joins the variables, unbounded, and the same Newton
+  method solves the result.
 
 plus phase1_feasible (a bounded least-squares feasibility probe, scipy's
 BVLS ``lsq_linear``, imported on first use so that importing this module
@@ -45,6 +43,7 @@ from .kernels import KernelSource, KernelWeights, SolveMode
 # bench/tracing.py wraps it where this module would look it up.
 from .linalg import (
     _FEASIBILITY,
+    _RANK_PIVOT,
     _ZERO_WEIGHT,
     QPProblem,
     _diagonal_root,
@@ -139,9 +138,17 @@ def _eq_residual(problem, x):
 # ones lie above 2.8e13.
 _GRAM_COND_LIMIT = 1e13
 
-# solve_box_qp raises MaxIterationsExceeded after this many dual active-set
-# steps per variable.
-_STEPS_PER_VARIABLE = 50
+# solve_box_qp and solve_soft_qp raise MaxIterationsExceeded after this many
+# Newton steps.
+_NEWTON_STEPS = 50
+
+# A pinned bound's multiplier sⱼ(xⱼ/wⱼ − cⱼᵀλ) counts as wrong-signed only
+# below −this × max|C|·‖λ‖₁, past the rounding of cⱼᵀλ. Without it a bound
+# at a degenerate vertex (xⱼ on the bound with a zero multiplier) can be
+# pinned and released in turn for ever: c·ψ6 at c = 1e4 on the case-4 marker
+# at 170 degrees leaves a site 3.3e-10 below its bound when free and its
+# multiplier at −1.9e-8, with ‖λ‖₁ about 2e6, when pinned.
+_SIGN_SLACK = 1e-12
 
 
 def _check_rank(r_eq):
@@ -159,40 +166,41 @@ def _check_rank(r_eq):
 
 
 def solve_box_qp(problem):
-    """Goldfarb–Idnani dual active-set solver for equality + bound QPs.
+    """Semismooth Newton method on the dual of an equality + bound QP.
 
-    The iterate stays dual feasible throughout: each pass picks the most
-    violated bound and moves along the direction that keeps the working
-    set satisfied while raising that bound's multiplier. A full step
-    reaches the bound, which joins the working set; a partial step stops
-    where a pinned bound's multiplier reaches zero, and that bound leaves.
-    A bound whose pinning would leave the free rows dependent (see
-    ``linalg._factor``) only exchanges multipliers; when no multiplier can
-    fall, the problem is infeasible.
+    With W = H⁻¹ the dual is the concave, piecewise quadratic g(λ) =
+    bᵀλ − Σᵢ φᵢ(cᵢᵀλ) in λ ∈ ℝᵐ, maximized where its gradient
+    b − CΨ(λ) vanishes, with Ψ(λ) = clip(W Cᵀλ, lower, upper). Its
+    generalized Hessian is −C_F W_F C_Fᵀ on the variables F that the clip
+    leaves free, so a Newton step is one working set: x_F = W_F C_Fᵀλ with
+    C_F W_F C_Fᵀλ = b − C_P x_P and the pinned variables P on their
+    bounds, one range-space solve with a refinement step on the m×m R of
+    the free rows of H^-½Cᵀ (``linalg._factor`` decides dependence). The
+    working set of the current pattern is the optimum when its x lies in
+    the box and every pinned multiplier sⱼ(xⱼ/wⱼ − cⱼᵀλ) (sⱼ = +1 at a
+    lower bound, −1 at an upper one) is not negative past rounding (see
+    ``_SIGN_SLACK``). Otherwise λ moves toward the working set's
+    multipliers by an exact line search on the piecewise linear slope of
+    g (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2003; Frasch, Sager
+    & Diehl, Math. Prog. Comp. 7, 2015). A full step takes the pattern
+    read off the working set's x and multipliers, so each step either
+    changes the pattern or ends the solve. Where the free rows are
+    dependent, the step solves their Gram matrix plus 1e-12 of the trace
+    of every variable's.
 
-    With W = H⁻¹, a working set is the free variables F and the values of
-    the pinned ones. Its minimizer has x_F = W_F C_Fᵀλ with C_F W_F C_Fᵀλ =
-    b − C_P x_P, and pinned j the multiplier sⱼ(xⱼ/wⱼ − cⱼᵀλ), sⱼ = +1 at a
-    lower bound and −1 at an upper one. Adding bound q moves λ by
-    −s_q w_q (C_F W_F C_Fᵀ)⁻¹c_q at curvature w_q / (1 + w_q‖R′⁻ᵀc_q‖²),
-    with R′ the R factor of the rows √wᵢcᵢᵀ over F∖{q}. Each factorization
-    is such an m×m R, so no condition number is squared.
-
-    The start is hot: primal-dual active-set passes (solve on the free
-    set, then pin every variable that clip(W Cᵀλ) moves) guess the working
-    set, and each pinned bound whose multiplier has the wrong sign is
-    released until none is. Passes after the second run while the last
-    one moved more than 2m bounds, and stop at a guess seen before, at a
-    dependent guess or after eight passes. A dependent guess from the first
-    two passes falls back to the equality-constrained minimizer; a later
-    one leaves the last independent guess. The start and every full step
-    compute the iterate from F and the pinned values alone, by one fixed
-    sequence with one refinement step, so the result does not depend on
-    the path and pinned variables sit exactly on their bounds.
+    The start is the multipliers λ₀ of the equality-constrained minimizer,
+    from the factor of every variable. The result is the working set of
+    the final pattern alone, computed by one fixed sequence, so it does
+    not depend on the path, and pinned variables sit exactly on their
+    bounds. Where the final pattern pins nothing it is that factor's.
 
     Parameters
     ----------
     problem : QPProblem with bounds.
+
+    Returns
+    -------
+    QPSolution whose ``iterations`` is 1 + the Newton steps taken.
 
     Raises
     ------
@@ -201,137 +209,132 @@ def solve_box_qp(problem):
     NotSPD
         The Hessian is not positive definite.
     Infeasible
-        The bound to add depends on the working set and no multiplier can
-        fall. The λ part of that last step direction is tested as a Farkas
-        certificate (see ``_farkas_bound``): where it proves the box empty,
-        ``certificate`` holds it and ``violation`` the bound it gives;
-        otherwise both are None.
+        A direction proves the box empty (see ``_raise_if_certified``): the
+        Newton step where g still rises at the full step, the part of the
+        gradient that dependent free rows cannot reach, or λ − λ₀ when the
+        steps run out. ``certificate`` holds it and ``violation`` the
+        bound it gives.
     RankDeficientConstraints
         The equality rows on every variable, or on the free variables at
         the optimum, fail the rank rule (see ``_GRAM_COND_LIMIT``).
     MaxIterationsExceeded
-        More than 50·n dual active-set steps.
+        More than ``_NEWTON_STEPS`` Newton steps.
     """
     if not problem.has_bounds:
         raise ValueError("problem has no bounds; use solve_eq_qp")
-    return _free_set_qp(problem, rank_rule=True)
+    return _dual_newton(problem, rank_rule=True)
 
 
-def _free_set_qp(problem, rank_rule, start=None):
-    """``solve_box_qp``'s method, with the rank rule only if ``rank_rule``.
-
-    ``start``, a side per variable (+1 at its lower bound, −1 at its upper
-    one, 0 free), replaces the primal-dual passes' guess: no pass runs, and
-    a dependent ``start`` falls back to the cold start.
-    """
-    n, m = problem.n, problem.m
+def _dual_newton(problem, rank_rule, start=None):
+    """``solve_box_qp``'s method, started from the multipliers ``start``
+    instead of λ₀ if given. Without ``rank_rule`` (the soft fallback's
+    problem, which always holds a point) it applies no rank rule and seeks
+    no certificate."""
     lo, hi = problem.bounds()
     c, b, h = problem.eq_matrix, problem.eq_rhs, problem.hessian
     root = _diagonal_root(h)
     rows = c.T * (1.0 / root)[:, None]
-
-    def held(side):
-        """x with the pinned variables on their bounds and 0 on the free set."""
-        return np.where(side > 0.0, lo, np.where(side < 0.0, hi, 0.0))
-
-    def working_set(side, qr=None):
-        """(side, Q and R, x, λ) of a working set, or of the cold start if F is dependent."""
-        free = side == 0.0
-        qr = qr or _factor(rows[free])
-        if qr is None:
-            return working_set(np.zeros(n), cold)
-        x = held(side)
-        x[free], lam = _range_space(qr, root[free], c[:, free], b - c @ x)
-        return side, qr, x, lam
-
     cold = _householder_qr(rows)
     if rank_rule:
         _check_rank(cold[1])
-    side, qr = (np.zeros(n), cold) if start is None else (np.array(start, float), None)
-    seen = [side]
-    for k in range(8 if start is None else 0):
-        # A primal-dual active-set pass: λ on the guess (unrefined), then
-        # pin every variable that clip(W Cᵀλ) moves. Passes after the
-        # second run while the last one moved more than 2m bounds, at most
-        # eight: the benchmark's sphere boxes (seeds 1-5) need no more.
-        if k >= 2 and moved <= 2 * m:
-            break
-        lam = _solve_tri(qr[1], _solve_tri(qr[1], b - c @ held(side), trans=1))
-        v = (c.T @ lam) / h
-        guess = (v < lo) - (v > hi).astype(float)
-        if any(np.array_equal(guess, s) for s in seen):
-            break
-        moved, qr_guess = np.count_nonzero(guess != side), _factor(rows[guess == 0.0])
-        if qr_guess is None:
-            side, qr = (np.zeros(n), cold) if k < 2 else (side, qr)
-            break
-        side, qr = guess, qr_guess
-        seen.append(side)
-    side, qr, x, lam = working_set(side, qr)
-    while True:
-        u = side * (h * x - c.T @ lam)
-        if not (u < 0.0).any():
-            break
-        side, qr, x, lam = working_set(np.where(u < 0.0, 0.0, side))
+    slack = _SIGN_SLACK * np.abs(c).max(initial=0.0)
+    if start is None:
+        start = _solve_tri(cold[1], _solve_tri(cold[1], b, trans=1))
+    lam0 = lam = np.array(start, float)
 
-    steps, cap = 0, _STEPS_PER_VARIABLE * n
-    while True:
-        viol = np.where(side == 0.0, np.maximum(lo - x, x - hi), 0.0)
-        j = int(viol.argmax())
-        if not viol[j] > 0.0:
-            break
-        s_j = 1.0 if lo[j] - x[j] >= x[j] - hi[j] else -1.0
-        bound, w_j = (lo[j] if s_j > 0.0 else hi[j]), 1.0 / h[j]
-        while True:
-            steps += 1
-            if steps > cap:
-                raise MaxIterationsExceeded(f"dual active-set iteration cap {cap} reached")
-            r = qr[1]
-            d_lam = (-s_j * w_j) * _solve_tri(r, _solve_tri(r, c[:, j], trans=1))
-            pinned = side.copy()
-            pinned[j] = s_j
-            qr_pinned = _factor(rows[pinned == 0.0])
-            t_full = np.inf
-            if qr_pinned is not None:
-                v = _solve_tri(qr_pinned[1], c[:, j], trans=1)
-                curvature = w_j / (1.0 + w_j * float(v @ v))
-                t_full = s_j * (bound - x[j]) / curvature
-            rate = side * (c.T @ d_lam)
-            ratios = np.divide(np.maximum(u, 0.0), rate,
-                               out=np.full(n, np.inf), where=rate > 0.0)
-            drop = int(ratios.argmin())
-            t_part = ratios[drop]
-            if t_full == np.inf and t_part == np.inf:
-                y, violation = _farkas_bound(problem, lo, hi, d_lam)
-                raise Infeasible("equality constraints unreachable within bounds",
-                                 violation=violation, certificate=y)
-            if t_full <= t_part:
-                side, qr, x, lam = working_set(pinned, qr_pinned)
-                u = side * (h * x - c.T @ lam)
+    def pattern(v):
+        """+1 where clip(v) pins a variable at its lower bound, −1 at its
+        upper one, 0 where it leaves it free."""
+        return (v < lo) - (v > hi).astype(float)
+
+    v = (c.T @ lam) / h
+    side = pattern(v)
+    # Until a working set's x lies in the box, no certificate is ruled out.
+    may_be_empty = rank_rule
+    # A full step along which g still rose at t = 1 may have gone along a
+    # certificate: its direction is tested once the next working set fails.
+    rose = None
+    for steps in range(_NEWTON_STEPS + 1):
+        free = side == 0.0
+        qr = cold if free.all() else _factor(rows[free])
+        if qr is not None:
+            x = np.where(side > 0.0, lo, hi)
+            x[free] = 0.0  # the pinned values alone, for the right-hand side
+            x[free], lam_ws = _range_space(qr, root[free], c[:, free], b - c @ x)
+            ct_lam = c.T @ lam_ws
+            u = side * (h * x - ct_lam)
+            wrong = u < -slack * np.abs(lam_ws).sum()
+            below, above = x < lo, x > hi
+            outside = (below | above).any()
+            if not (outside or wrong.any()):
                 break
-            if t_full < np.inf:
-                x[j] += t_part * s_j * curvature
-            u -= t_part * rate
-            u[drop] = side[drop] = 0.0
-            qr = _householder_qr(rows[side == 0.0])
-
-    if rank_rule:
+            may_be_empty = may_be_empty and outside
+            d, v_ws = lam_ws - lam, ct_lam / h
+        else:
+            # Dependent free rows: the part of the gradient they cannot
+            # reach may prove the box empty, and the step is regularized.
+            grad = b - c @ np.minimum(np.maximum(v, lo), hi)
+            _, sv, vt = np.linalg.svd(rows[free])
+            sv = np.concatenate([sv, np.zeros(len(b) - sv.size)])
+            if may_be_empty:
+                null = vt[sv <= _RANK_PIVOT * sv.max(initial=0.0)]
+                _raise_if_certified(problem, lo, hi, null.T @ (null @ grad))
+            d = vt.T @ ((vt @ grad) / (sv * sv + 1e-12 * np.vdot(rows, rows)))
+            v_ws = v + (c.T @ d) / h
+        if rose is not None and may_be_empty:
+            _raise_if_certified(problem, lo, hi, rose)
+        t = _line_search(c, b, lo, hi, v, v_ws - v, d)
+        if t < 1.0:
+            v_t = v + t * (v_ws - v)
+            side_t = pattern(v_t)
+            # The same pattern at t < 1 is rounding: take the full step.
+            if qr is None or not np.array_equal(side_t, side):
+                lam, v, side, rose = lam + t * d, v_t, side_t, None
+                continue
+        rose = d if t > 1.0 else None
+        lam, v = lam + d, v_ws
+        # A full step's pattern is read off the working set's x and
+        # multipliers where there is one.
+        side = pattern(v) if qr is None else np.where(wrong, 0.0, side) + below - above
+    else:
+        # Iterates that never settle may have run off along a certificate.
+        if may_be_empty:
+            _raise_if_certified(problem, lo, hi, lam - lam0)
+        raise MaxIterationsExceeded(f"Newton iteration cap {_NEWTON_STEPS} reached")
+    if rank_rule and qr is not cold:
         _check_rank(qr[1])
     return QPSolution(
-        x=x, multipliers=lam, bound_multipliers=side * u,
+        x=x, multipliers=lam_ws, bound_multipliers=side * u,
         active_set=tuple(np.flatnonzero(side).tolist()),
         eq_residual=_eq_residual(problem, x), iterations=1 + steps, mode=SolveMode.EXACT,
     )
 
 
-def _farkas_bound(problem, lo, hi, y):
-    """(±y, bound) where ±y proves the box empty, or (None, None).
+def _line_search(c, b, lo, hi, v, e, d):
+    """The exact step along d from v = W Cᵀλ, with e = W Cᵀd: a t in
+    (0, 1], inf where g still rises at t = 1, or 1 where d does not
+    ascend. g's slope dᵀ(b − C clip(v + t·e)) is piecewise linear and
+    falls with t; it breaks where a variable reaches a bound."""
+    if (b - c @ np.minimum(np.maximum(v + e, lo), hi)) @ d > 0.0:
+        return np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.concatenate([(lo - v) / e, (hi - v) / e])
+    t = np.concatenate([[0.0], np.sort(t[(t > 0.0) & (t < 1.0)]), [1.0]])
+    slopes = (b - np.minimum(np.maximum(v + t[:, None] * e, lo), hi) @ c.T) @ d
+    if not slopes[0] > 0.0:
+        return 1.0
+    k = int(np.argmax(slopes <= 0.0))
+    return t[k - 1] + (t[k] - t[k - 1]) * slopes[k - 1] / (slopes[k - 1] - slopes[k])
+
+
+def _raise_if_certified(problem, lo, hi, y):
+    """Raise Infeasible where ±y proves the box empty (Farkas).
 
     For c = Cᵀy, every x in the box has cᵀx between the sums of
     min(loᵢcᵢ, hiᵢcᵢ) and of max(loᵢcᵢ, hiᵢcᵢ). Where yᵀb lies outside
     that range by a gap g, |yᵀ(b − Cx)| ≥ g, so ‖Cx − b‖∞ ≥ g / ‖y‖₁ on the
-    whole box (Farkas). Returns the sign of y with the positive gap and
-    that lower bound.
+    whole box. The raise carries the sign of y with the positive gap as
+    ``certificate`` and that lower bound as ``violation``.
     """
     c = problem.eq_matrix.T @ y
     up, down = c > 0.0, c < 0.0
@@ -339,9 +342,10 @@ def _farkas_bound(problem, lo, hi, y):
     least = lo[up] @ c[up] + hi[down] @ c[down]
     target = float(y @ problem.eq_rhs)
     gap = max(target - most, least - target)
-    if not gap > 0.0:
-        return None, None
-    return (y if target > most else -y), gap / float(np.abs(y).sum())
+    if gap > 0.0:
+        raise Infeasible("equality constraints unreachable within bounds",
+                         violation=gap / float(np.abs(y).sum()),
+                         certificate=y if target > most else -y)
 
 
 def _bounded_lsq(matrix, rhs, lo, hi):
@@ -393,19 +397,20 @@ def solve_soft_qp(problem):
     Minimizes ½ xᵀHx + (ρ/2)‖eq_matrix·x − eq_rhs‖² over the box, with
     the fixed ρ = 1e8. The residual r = Cx − b joins x as m unbounded
     variables of Hessian ρ under the equality [C, −I][x; r] = b, and
-    ``solve_box_qp``'s method solves that problem without the rank rule:
-    its Gram matrix C_F H_FF⁻¹ C_Fᵀ + I/ρ is never singular. Sites on a
-    bound sit exactly on it. The multipliers are the augmented problem's
-    λ = ρ(b − Cx), the bound multipliers Hx − Cᵀλ on the active set, the
-    equality residual is reported honestly, and the mode is SoftConstraint
-    so callers cannot mistake the result for an exact solve.
+    ``solve_box_qp``'s Newton method solves that problem without the rank
+    rule: its Gram matrix C_F H_FF⁻¹ C_Fᵀ + I/ρ is never singular, and its
+    dual is strongly concave. Sites on a bound sit exactly on it. The
+    multipliers are the augmented problem's λ = ρ(b − Cx), the bound
+    multipliers Hx − Cᵀλ on the active set, the equality residual is
+    reported honestly, and the mode is SoftConstraint so callers cannot
+    mistake the result for an exact solve.
     """
     if not problem.has_bounds:
         raise ValueError("soft solve requires bounds")
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
     unbounded = np.full(m, np.inf)
-    sol = _free_set_qp(QPProblem(
+    sol = _dual_newton(QPProblem(
         np.concatenate([problem.hessian, np.full(m, _PENALTY)]),
         np.hstack([problem.eq_matrix, -np.eye(m)]), problem.eq_rhs,
         lower=np.concatenate([lo, -unbounded]),
@@ -474,7 +479,7 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
     undefined; they are eliminated with Ψ := 0 before solving, which
     preserves the minimizer of the remaining coordinates; fewer of them
     than moment rows raise InsufficientSupport. Without bounds
-    this is a single equality-QP solve. With bounds the dual active-set
+    this is a single equality-QP solve. With bounds the dual Newton
     solver runs first. An Infeasible it raises with a certified violation
     above ``linalg._FEASIBILITY`` hands the kernel to the soft-constraint
     penalty. Any other Infeasible, RankDeficientConstraints or

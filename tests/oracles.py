@@ -7,7 +7,12 @@ import numpy.random as npr
 import scipy.linalg
 import scipy.optimize
 
-from ibkernel.errors import Infeasible, MaxIterationsExceeded, StencilOutsideDomain
+from ibkernel.errors import (
+    Infeasible,
+    LengthMismatch,
+    MaxIterationsExceeded,
+    StencilOutsideDomain,
+)
 from ibkernel.ibops import Stencil
 from ibkernel.kernels import SolveMode, as_point, as_sites
 from ibkernel.qpsolve import (
@@ -118,7 +123,8 @@ def box_margin(problem):
 
     Independent of phase-1: positive means the box holds a strictly
     interior point satisfying the moment conditions, negative means no
-    point of the box satisfies them.
+    point of the box satisfies them, and -inf that no point at all does
+    (the LP is infeasible).
     """
     n = problem.n
     lo, hi = problem.bounds()
@@ -133,6 +139,8 @@ def box_margin(problem):
         bounds=[(None, None)] * (n + 1),
         method="highs",
     )
+    if result.status == 2:
+        return -np.inf
     assert result.status == 0, result.message
     return float(result.x[-1])
 
@@ -164,15 +172,16 @@ DENSE_DEPENDENT = 1e-12
 def dense_box_qp(problem):
     """The dual active-set method of Goldfarb & Idnani with H as a matrix.
 
-    ``qpsolve.solve_box_qp`` works on the free variables with an m×m
-    factor and a hot start. This factors H = diag(h) as a dense (n, n)
-    matrix, H = LLᵀ, applies L⁻¹ by triangular solves, starts cold from
-    the equality-constrained minimizer, and keeps the full n×n QR
+    ``qpsolve.solve_box_qp`` takes Newton steps on the m-dimensional dual
+    with an m×m factor of the free variables. This is a different method:
+    it factors H = diag(h) as a dense (n, n) matrix, H = LLᵀ, applies L⁻¹
+    by triangular solves, starts from the equality-constrained minimizer,
+    adds one violated bound per dual step, and keeps the full n×n QR
     factorization of L⁻¹N over the working set's normals N by
     ``scipy.linalg.qr_insert``/``qr_delete``. Each minimizer on a working
     set takes one step of refinement on those dense factors. It applies
-    the solver's rank rule and its cap of 50·n steps, and raises as the
-    solver does.
+    the solver's rank rule, stops after 50·n dual steps, and raises the
+    solver's error classes.
     """
     n, m = problem.n, problem.m
     lo, hi = problem.bounds()
@@ -386,3 +395,43 @@ def per_marker_spread(values, markers, grid, strategy):
         stencil, weights = strategy.kernel_for(grid, marker)
         np.add.at(field, stencil.indices, values[k] * weights.psi)
     return field
+
+
+def tensor_weight(site, eval_point, wf):
+    """Tensor-product weight of one site relative to the evaluation point.
+
+    Product over axes of the 1D profile at (site - eval)/h. Zero as soon
+    as any axis offset reaches the support radius.
+    """
+    site = np.asarray(site, dtype=float).reshape(-1)
+    eval_point = np.asarray(eval_point, dtype=float).reshape(-1)
+    r = (site - eval_point) / wf.mesh_width
+    vals = np.atleast_1d(wf.eval1d(r))
+    return float(np.prod(vals))
+
+
+def compare_kernels(a, b):
+    """(L2, L∞) norms of the difference between a kernel and a vector."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if b.shape[0] != a.psi.shape[0]:
+        raise LengthMismatch(
+            f"comparison vector has length {b.shape[0]}, kernel has "
+            f"{a.psi.shape[0]}"
+        )
+    diff = a.psi - b
+    return float(np.linalg.norm(diff)), float(np.max(np.abs(diff), initial=0.0))
+
+
+def flat_index(grid, axis_indices):
+    """Flat C-order index of a cell of ``grid`` from its per-axis indices."""
+    return int(np.ravel_multi_index(tuple(axis_indices), grid.counts))
+
+
+def n_plus(mask):
+    """Number of Plus sites of a ``SideMask``."""
+    return int(np.count_nonzero(mask.plus))
+
+
+def n_minus(mask):
+    """Number of Minus sites of a ``SideMask``."""
+    return len(mask) - n_plus(mask)

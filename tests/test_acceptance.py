@@ -19,6 +19,7 @@ from oracles import (
     brute_force_box_qp,
     closed_form_psi,
     random_box_problem,
+    tensor_weight,
 )
 
 from ibkernel.experiments import (
@@ -41,7 +42,6 @@ from ibkernel.kernels import (
     build_basis,
     eval_psi6,
     solve_peskin4,
-    tensor_weight,
 )
 from ibkernel.linalg import _FEASIBILITY, _ZERO_WEIGHT
 from ibkernel.onesided import classify_side, restrict_weights

@@ -177,6 +177,50 @@ def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 
+KERNEL = ["kernel", "--eval", "0.31", "-0.17"]
+
+
+@pytest.mark.parametrize("argv, cfg, unread", [
+    (KERNEL, {"case": 4}, ["case"]),
+    (KERNEL, {"case": 4, "marker_angles_deg": [10], "field_coefficients": [3, 4]},
+     ["case", "field_coefficients", "marker_angles_deg"]),
+    (KERNEL, {"bounds": [0, 0.75], "center": [0, 0], "radius": 0.5},
+     ["bounds", "center", "radius"]),
+    (KERNEL, {"shift": [0.5, 0.5]}, ["shift"]),
+    (["kernel", "--formulation", "peskin4", "--shift", "0.5"], {"mesh_width": 0.1},
+     ["mesh_width"]),
+    (ONE_SIDED, {"case": 2}, ["case"]),
+    (["circle"], {"shift": [0.3, 0.2]}, ["shift"]),
+    (["circle"], {"formulation": "peskin4", "shift": [0.3, 0.2]},
+     ["formulation", "shift"]),
+], ids=["kernel_case", "kernel_circle_keys", "standard_one_sided_keys",
+        "standard_shift", "peskin4_mesh_width", "one_sided_case", "circle_shift",
+        "circle_formulation"])
+def test_config_key_the_command_does_not_read_is_config_error(
+        in_tmp, capsys, argv, cfg, unread):
+    # Each command, and each formulation of kernel, refuses a key it would
+    # not read, naming it, before any run.
+    (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.rstrip().endswith(f"does not read config keys {unread}")
+    assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (KERNEL, {"formulation": "standard", "weight_kernel": "psi4", "mesh_width": 0.1,
+              "extents": [[-1, 1], [-1, 1]], "basis_degree": "Linear"}),
+    (ONE_SIDED, {"center": [0, 0], "radius": 0.5, "bounds": [0, 0.75]}),
+    (["kernel", "--formulation", "peskin4"], {"shift": [0.5, 0.25]}),
+    (["circle"], {"case": 4, "bounds": [0, 0.75], "marker_angles_deg": [40],
+                  "weight_kernel": "psi6", "basis_degree": "Linear"}),
+], ids=["standard", "one_sided", "peskin4", "circle"])
+def test_every_key_a_command_reads_is_accepted(in_tmp, argv, cfg):
+    (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+    assert main([*argv, "--config", "cfg.json"]) == 0
+
+
 @pytest.mark.parametrize("field", ["rank_pivot", "zero_weight", "feasibility"])
 @pytest.mark.parametrize("value", ["nan", "inf", -5, -1e-3])
 @pytest.mark.parametrize("argv", [
@@ -235,7 +279,8 @@ class TestKernel:
         doc = json.loads((in_tmp / "k.json").read_text())
         sites = np.array([[float(v) for v in s] for s in doc["sites"]])
         psi = np.array([float(v) for v in doc["psi"]])
-        from ibkernel.kernels import WeightFunction, tensor_weight
+        from ibkernel.kernels import WeightFunction
+        from oracles import tensor_weight
 
         wf = WeightFunction.six_point_spline(0.075)
         raw = np.array(

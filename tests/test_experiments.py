@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import kernel_kkt_residuals
+from oracles import compare_kernels, kernel_kkt_residuals, tensor_weight
 
 from ibkernel.errors import LengthMismatch, RankDeficientConstraints
 from ibkernel.experiments import (
     CASE_BOUNDS,
     CircleCaseConfig,
-    compare_kernels,
     run_circle_case,
     validate_moments,
 )
@@ -17,7 +16,6 @@ from ibkernel.kernels import (
     BasisDegree,
     assemble_system,
     build_basis,
-    tensor_weight,
 )
 from ibkernel.onesided import KernelBounds
 from ibkernel.qpsolve import QPProblem, phase1_feasible

@@ -5,7 +5,13 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
-from oracles import full_scan_stencil, per_marker_interpolate, per_marker_spread
+from oracles import (
+    flat_index,
+    full_scan_stencil,
+    per_marker_interpolate,
+    per_marker_spread,
+    tensor_weight,
+)
 
 from ibkernel.errors import (
     DegenerateDomain,
@@ -30,7 +36,6 @@ from ibkernel.kernels import (
     build_basis,
     eval_psi4,
     eval_psi6,
-    tensor_weight,
 )
 from ibkernel.linalg import _ZERO_WEIGHT
 from ibkernel.onesided import KernelBounds, SignedDistance
@@ -75,7 +80,7 @@ class TestMakeGrid:
             centers,
             [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]],
         )
-        assert grid.flat_index((1, 0)) == 2
+        assert flat_index(grid, (1, 0)) == 2
 
 
 class TestSampleField:
@@ -87,7 +92,7 @@ class TestSampleField:
     def test_linear_map_frozen_value(self):
         grid = make_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.075)
         field = sample_field(grid, lambda c: 10.0 * c[0] + 5.0 * c[1])
-        i = grid.flat_index((14, 13))
+        i = flat_index(grid, (14, 13))
         assert i == 391
         center = grid.centers()[i]
         assert_allclose(center, [0.0875, 0.0125], atol=1e-15)

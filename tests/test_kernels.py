@@ -2,6 +2,7 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
+from oracles import tensor_weight
 
 from ibkernel.errors import InsufficientSupport
 from ibkernel.kernels import (
@@ -13,7 +14,6 @@ from ibkernel.kernels import (
     build_basis,
     eval_psi4,
     eval_psi6,
-    tensor_weight,
 )
 from ibkernel.qpsolve import solve_generating_qp
 

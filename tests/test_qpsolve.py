@@ -174,11 +174,11 @@ class TestBoxQP:
         assert farkas_margin(p, err.value.certificate) == pytest.approx(0.4, abs=1e-10)
 
     def test_iteration_cap(self, monkeypatch):
-        # The hot start solves small boxes with no dual step; the case-4
-        # box at 40 degrees leaves it three, so a cap of none stops it.
+        # The case-4 box at 40 degrees takes Newton steps from λ₀, so a cap
+        # of none stops it.
         p = _case4_box(40.0)
         assert solve_box_qp(p).iterations > 1
-        monkeypatch.setattr(qpsolve, "_STEPS_PER_VARIABLE", 0)
+        monkeypatch.setattr(qpsolve, "_NEWTON_STEPS", 0)
         with pytest.raises(MaxIterationsExceeded):
             solve_box_qp(p)
 
@@ -703,13 +703,20 @@ def _sphere_markers():
 SPHERE_BOXES = ((-0.07, 0.5), (0.0, 0.75))
 
 
-def test_unbounded_solve_is_the_working_set_with_nothing_pinned():
+def test_unbounded_solve_is_the_working_set_with_nothing_pinned(monkeypatch):
     # solve_kkt and the bounded solver's working sets share one
     # factorization and one refined range-space solve. So under bounds
     # that never bind, where the working set pins nothing, the bounded
     # solver returns bitwise the unbounded x and λ: on the two-sided case-1
     # and one-sided case-2 stencils every 2.5 degrees, and on the 150
-    # one-sided sphere stencils.
+    # one-sided sphere stencils. It reuses the factor of every variable
+    # and its rank verdict there: no second factor and no second check.
+    calls = Counter()
+    for name in ("_factor", "_check_rank"):
+        def counted(*args, _name=name, _wrapped=getattr(qpsolve, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+        monkeypatch.setattr(qpsolve, name, counted)
     problems = []
     for case in (1, 2):
         grid, sd, _, markers = _circle_markers(case, 2.5 * np.arange(144))
@@ -725,6 +732,7 @@ def test_unbounded_solve_is_the_working_set_with_nothing_pinned():
         assert sol.active_set == ()
         assert x.tobytes() == sol.x.tobytes()
         assert lam.tobytes() == sol.multipliers.tobytes()
+    assert calls == {"_check_rank": len(problems)}
 
 
 def test_diagonal_hessian_matches_dense_on_sphere_boxes():
@@ -907,73 +915,32 @@ def _sweep_boxes(group):
 
 @pytest.mark.parametrize("group", [3, 4, "sphere"])
 def test_any_start_gives_the_hot_starts_kernel(group):
-    # The start and every full step compute the iterate from the free set
-    # and the pinned values alone. So the hot start (primal-dual passes
-    # until few bounds move), a cold start (nothing pinned), every bound
-    # pinned at the side nearer the equality-constrained minimizer (a
-    # dependent guess, which falls back to the cold start) and a seeded
-    # random guess all end in the same mode, with bitwise the same kernel.
-    # The two guesses run on every third box.
+    # The result is the working set on the final free set and pinned
+    # values, computed by one fixed sequence, so it does not depend on the
+    # path. solve_box_qp's own start (the multipliers λ₀ of the
+    # equality-constrained minimizer), λ = 0 and a seeded perturbation of
+    # λ₀ all end in the same mode, with bitwise the same kernel.
     rng = np.random.default_rng(7)
     steps = Counter()
-    for k, problem in enumerate(_sweep_boxes(group)):
-        starts = {"cold": np.zeros(problem.n)}
-        if k % 3 == 0:
-            lo, hi = problem.bounds()
-            x_eq = solve_eq_qp(
-                QPProblem(problem.hessian, problem.eq_matrix, problem.eq_rhs)).x
-            starts["nearer"] = np.where(x_eq - lo <= hi - x_eq, 1.0, -1.0)
-            starts["random"] = rng.choice([-1.0, 0.0, 1.0], size=problem.n,
-                                          p=[0.2, 0.6, 0.2])
+    for problem in _sweep_boxes(group):
+        lam0 = solve_eq_qp(
+            QPProblem(problem.hessian, problem.eq_matrix, problem.eq_rhs)).multipliers
+        starts = {"zero": np.zeros(problem.m),
+                  "perturbed": lam0 * (1.0 + rng.normal(size=problem.m))}
         hot_mode, hot = _mode_and_solution(solve_box_qp, problem)
         for name, start in starts.items():
             mode, sol = _mode_and_solution(
-                lambda p: qpsolve._free_set_qp(p, True, start), problem)
+                lambda p: qpsolve._dual_newton(p, True, start), problem)
             assert mode == hot_mode, name
             if sol is not None:
                 assert np.array_equal(sol.x, hot.x), name
                 steps[name] += sol.iterations - 1
         if hot is not None:
             steps["hot"] += hot.iterations - 1
-    # Dual steps over the Exact boxes, hot against cold: 192 against
-    # 3,182 on case 3, 1,064 against 8,222 on case 4, 675 against 13,694
-    # on the sphere.
-    assert 4 * steps["hot"] < steps["cold"]
-
-
-@pytest.mark.parametrize("group", [3, 4, "sphere"])
-def test_the_hot_start_passes_until_few_bounds_move(group):
-    # Passes after the second run only while the last one moved more than
-    # 2m bounds. In 2D (m = 3) the second pass never moves more than 4, so
-    # case 3 and case 4 keep the two-pass start and its dual steps over the
-    # Exact boxes: 192 and 1,064. On the sphere (m = 4) the further passes
-    # settle most of what the second one left: 675 steps, where two passes
-    # left 1,495. Each pass that computes a guess checks it against the
-    # earlier ones with one call of the builtin any in _free_set_qp; a
-    # profile hook counts those calls.
-    passes, steps = [], 0
-
-    def count(frame, event, arg):
-        if (event == "c_call" and arg is any
-                and frame.f_code is qpsolve._free_set_qp.__code__):
-            passes[-1] += 1
-
-    for problem in _sweep_boxes(group):
-        passes.append(0)
-        sys.setprofile(count)
-        try:
-            sol = _mode_and_solution(solve_box_qp, problem)[1]
-        finally:
-            sys.setprofile(None)
-        if sol is not None:
-            steps += sol.iterations - 1
-    assert min(passes) >= 1
-    if group == "sphere":
-        assert 2 < max(passes) <= 8
-        assert 2 * steps < 1495
-    else:
-        assert max(passes) == 2
-        assert steps == {3: 192, 4: 1064}[group]
+    # Newton steps over the Exact boxes from λ₀, against 1,478, 2,053 and
+    # 629 from λ = 0.
+    assert steps["hot"] == {3: 758, 4: 1577, "sphere": 455}[group]
+    assert steps["hot"] < steps["zero"]
 
 
 def test_soft_case4_kernels_sit_on_their_bounds_and_are_stationary():
