@@ -297,25 +297,80 @@ class KernelStrategy:
 _BATCH_COND_LIMIT = 1e3
 
 
+def _solve_grams(gram):
+    """c = G⁻¹e₀ for every marker's Gram at once, or None.
+
+    ``gram`` is (m, m, n) with m ≤ 4 and the markers last; only its lower
+    triangle is read. The factor is Cholesky's without square roots,
+    G = L·D·Lᵀ with L unit lower triangular, unrolled over its m(m+1)/2
+    entries so that each step is one vector operation over the markers;
+    then L z = e₀, and Lᵀc = D⁻¹z. The Cholesky pivots of G are √D.
+
+    Returns c as a list of m arrays of n, or None if any marker's Gram has
+    a pivot that is not positive (NaN included), a pivot at or below
+    ``linalg._RANK_PIVOT`` times its largest (``linalg._factor``'s
+    dependence rule: the R of its QR is that Cholesky factor), or pivots
+    scaled by diag(G)^-½ whose squared extreme ratio, a lower bound on the
+    condition number of D·G·D, exceeds ``_BATCH_COND_LIMIT``.
+    """
+    m = len(gram)
+    low = [[None] * m for _ in range(m)]  # low[i][j] = L_ij, i > j
+    dia = []
+    for j in range(m):
+        ld = [low[j][k] * dia[k] for k in range(j)]  # row j of L·D
+        for i in range(j, m):
+            entry = gram[i, j]
+            for k in range(j):
+                entry = entry - ld[k] * low[i][k]
+            if i > j:
+                low[i][j] = entry / dia[j]
+            elif entry.min() > 0.0:  # NaN fails too
+                dia.append(entry)
+            else:
+                return None
+    dia = np.array(dia)
+    if not (dia.min(axis=0) > _RANK_PIVOT**2 * dia.max(axis=0)).all():
+        return None
+    scaled = dia / gram.diagonal().T  # squared, as D·G·D's
+    if not (scaled.max(axis=0) <= _BATCH_COND_LIMIT * scaled.min(axis=0)).all():
+        return None
+    z = [1.0]
+    for i in range(1, m):
+        z.append(-low[i][0])
+        for k in range(1, i):
+            z[i] = z[i] - low[i][k] * z[k]
+    c = [None] * m
+    for i in reversed(range(m)):
+        c[i] = z[i] / dia[i]
+        for k in range(i + 1, m):
+            c[i] = c[i] - low[k][i] * c[k]
+    return c
+
+
 def _closed_form_batch(grid, markers, wf, degree):
     """Two-sided unbounded kernels of many markers in one closed-form pass.
 
     On a full tensor stencil W is a product of 1D profiles, so each entry
     of the Gram matrix A W Aᵀ is a product of per-axis sums Σφ, Σφr and
     Σφr² (r the physical offset from the marker, as ``PolynomialBasis``
-    takes it). The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p. Sites at or
-    below ``linalg._ZERO_WEIGHT`` are eliminated as ``solve_generating_qp``
-    eliminates them: their terms are taken out of the Gram, and Ψ = 0
-    there. The tensor spans each axis's run of cells inside the support
-    (6 for ψ6, not the window's 8); a shorter run's extra cells, as at a
-    marker on a cell center, are dropped from the result.
+    takes it). The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p, which
+    ``_solve_grams`` gives for every marker at once. The tensor spans each
+    axis's run of cells inside the support (6 for ψ6, not the window's 8);
+    a shorter run's extra cells, as at a marker on a cell center, carry
+    weight 0 and are dropped from the result. When every run has full
+    length the profile is evaluated on the whole (d, run, n) offset array.
+
+    Sites at or below ``linalg._ZERO_WEIGHT`` are eliminated as
+    ``solve_generating_qp`` eliminates them. They are found once, as flat
+    positions in the (run, ..., run, n) tensor (the marker is the position
+    modulo n), and that short list counts each marker's sites, takes their
+    terms out of the Gram by one ``np.bincount`` per lower-triangle entry,
+    and sets Ψ = 0 there.
 
     Returns the flat indices, weights and per-marker counts in the C
     order of ``support_stencil``, or None if any marker is within the
     support of an edge, has fewer than m supported sites, or has a Gram
-    matrix whose Cholesky pivots fail ``linalg._factor``'s dependence rule
-    (the R of its QR is that Cholesky factor) or whose scaled
-    condition number exceeds ``_BATCH_COND_LIMIT``. Weights agree with
+    that ``_solve_grams`` refuses. Weights agree with
     ``KernelStrategy.kernel_for`` to rounding, not bitwise.
     """
     try:
@@ -342,18 +397,27 @@ def _closed_form_batch(grid, markers, wf, degree):
     idx = idx + np.arange(run)[:, None]
     r = o + (idx + 0.5) * h - x
     ok = (idx < counts) & (np.abs(r) < reach)
-    phi = np.zeros(r.shape)
-    phi[ok] = wf.eval1d(r[ok] / wf.mesh_width)
-    # The runs, broadcast to the (run, ..., run, n) tensor.
-    along, inside, flat, weight = [], True, 0, 1.0
+    full = ok.all()
+    if full:
+        phi = wf.eval1d(r / wf.mesh_width)
+    else:
+        phi = np.zeros(r.shape)
+        phi[ok] = wf.eval1d(r[ok] / wf.mesh_width)
+    # The runs, broadcast to the (run, ..., run, n) tensor. The flat cell
+    # indices are marker-major: each run's first cell plus one pattern.
+    along, inside, weight, first, pattern = [], True, 1.0, 0, 0
     for ax in range(d):
         shape = (1,) * ax + (run,) + (1,) * (d - ax - 1) + (n,)
         along.append(r[ax].reshape(shape))
-        inside = inside & ok[ax].reshape(shape)
-        flat = flat * grid.counts[ax] + idx[ax].reshape(shape)
+        if not full:
+            inside = inside & ok[ax].reshape(shape)
         weight = weight * phi[ax].reshape(shape)
-    kept = weight > _ZERO_WEIGHT
-    if np.any(np.count_nonzero(kept.reshape(-1, n), axis=0) < m):
+        first = first * grid.counts[ax] + idx[ax, 0]
+        pattern = np.add.outer(pattern * grid.counts[ax], np.arange(run))
+    flat = first[:, None] + pattern.reshape(-1)  # (n, run**d)
+    cut = np.flatnonzero(weight <= _ZERO_WEIGHT)
+    owner = cut % n
+    if np.bincount(owner, minlength=n).max() > run**d - m:
         return None
 
     # Entry (a, b) of the Gram is the product over axes of the per-axis
@@ -362,41 +426,25 @@ def _closed_form_batch(grid, markers, wf, degree):
                        axis=1)  # (d, 3, n)
     powers = np.eye(m, d, -1, dtype=np.intp)  # row 0 is 1, row a is r_(a-1)
     gram = moments[np.arange(d), powers[:, None] + powers[None]].prod(2)
-    gone = np.flatnonzero(~kept & (weight != 0.0))
-    if gone.size:
-        *cell, k = np.unravel_index(gone, weight.shape)
-        a = np.ones((m, gone.size))
-        for ax in range(m - 1):
-            a[ax + 1] = r[ax, cell[ax], k]
-        np.subtract.at(gram, (..., k), weight.flat[gone] * a[:, None] * a)
+    if cut.size:
+        *cell, _ = np.unravel_index(cut, weight.shape)
+        basis = [1.0] + [r[ax, cell[ax], owner] for ax in range(m - 1)]
+        for a in range(m):
+            wa = weight.flat[cut] * basis[a]
+            for b in range(a + 1):
+                gram[a, b] -= np.bincount(owner, wa * basis[b], minlength=n)
 
-    try:
-        chol = np.linalg.cholesky(gram.transpose(2, 0, 1))
-    except np.linalg.LinAlgError:
+    c = _solve_grams(gram)
+    if c is None:
         return None
-    chol = np.ascontiguousarray(chol.transpose(1, 2, 0))  # (m, m, n)
-    pivots = chol[np.arange(m), np.arange(m)]  # positive
-    if not np.all(pivots.min(axis=0) > _RANK_PIVOT * pivots.max(axis=0)):
-        return None
-    # D·chol is the Cholesky factor of D·G·D. The squared ratio of its
-    # extreme pivots is a lower bound on that matrix's condition number.
-    scaled = pivots / np.sqrt(gram[np.arange(m), np.arange(m)])
-    if not np.all(scaled.max(axis=0) ** 2
-                  <= _BATCH_COND_LIMIT * scaled.min(axis=0) ** 2):
-        return None
-    # c = G⁻¹e₀ by forward (L y = e₀), then back (Lᵀc = y) substitution.
-    c = np.eye(m, 1).repeat(n, axis=1)
-    for i in range(m):
-        c[i] = (c[i] - (chol[i, :i] * c[:i]).sum(0)) / pivots[i]
-    for i in reversed(range(m)):
-        c[i] = (c[i] - (chol[i + 1:, i] * c[i + 1:]).sum(0)) / pivots[i]
     psi = weight  # Ψ = W·(c₀ + c·r), in W's place
     psi *= sum((c[ax + 1] * along[ax] for ax in range(m - 1)), c[0])
-    psi[~kept] = 0.0
+    psi.flat[cut] = 0.0
     # Marker-major rows, each in the C order of its stencil.
-    flat, psi, inside = (v.reshape(-1, n).T for v in (flat, psi, inside))
-    if np.all(inside):  # every run has full length: no site to drop
-        return flat.reshape(-1), psi.reshape(-1), np.full(n, inside.shape[1])
+    psi = psi.reshape(-1, n).T
+    if full:  # no site to drop
+        return flat.reshape(-1), psi.reshape(-1), np.full(n, run**d)
+    inside = inside.reshape(-1, n).T
     return flat[inside], psi[inside], np.count_nonzero(inside, axis=1)
 
 

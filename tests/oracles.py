@@ -13,8 +13,9 @@ from ibkernel.errors import (
     MaxIterationsExceeded,
     StencilOutsideDomain,
 )
-from ibkernel.ibops import Stencil
+from ibkernel.ibops import _BATCH_COND_LIMIT, Stencil
 from ibkernel.kernels import SolveMode, as_point, as_sites
+from ibkernel.linalg import _RANK_PIVOT
 from ibkernel.qpsolve import (
     _PENALTY,
     QPProblem,
@@ -314,6 +315,37 @@ def closed_form_psi(system):
     """
     w, a = system.Wdiag, system.A
     return w * (a.T @ np.linalg.solve((a * w) @ a.T, system.p))
+
+
+def lapack_gram_solve(gram):
+    """c = G⁻¹e₀ of each Gram in an (m, m, n) stack, markers last, by LAPACK.
+
+    The route the closed-form pass took before its unrolled factor:
+    ``np.linalg.cholesky`` on the transposed (n, m, m) stack, here one
+    marker at a time so that each gets its own verdict, then forward and
+    back substitution on the factor. A marker is refused if the factor
+    fails (a pivot not positive, or NaN), if its smallest pivot is at or
+    below ``_RANK_PIVOT`` times its largest, or if its pivots scaled by
+    diag(G)^-½ have a squared extreme ratio above ``_BATCH_COND_LIMIT``.
+    Returns (c, accepted): c is (m, n) with NaN columns where refused.
+    """
+    m, n = gram.shape[1:]
+    c, accepted = np.full((m, n), np.nan), np.zeros(n, dtype=bool)
+    for k, g in enumerate(gram.transpose(2, 0, 1)):
+        try:
+            chol = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            continue
+        pivots = np.diag(chol)
+        if not pivots.min() > _RANK_PIVOT * pivots.max():
+            continue
+        scaled = pivots / np.sqrt(np.diag(g))
+        if not scaled.max() ** 2 <= _BATCH_COND_LIMIT * scaled.min() ** 2:
+            continue
+        y = scipy.linalg.solve_triangular(chol, np.eye(m)[0], lower=True)
+        c[:, k] = scipy.linalg.solve_triangular(chol.T, y, lower=False)
+        accepted[k] = True
+    return c, accepted
 
 
 def kernel_kkt_residuals(psi, w, a, alpha, beta, box_tol=1e-12):

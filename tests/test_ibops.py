@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from oracles import (
     flat_index,
     full_scan_stencil,
+    lapack_gram_solve,
     per_marker_interpolate,
     per_marker_spread,
     tensor_weight,
@@ -23,7 +24,9 @@ from ibkernel.ibops import (
     GridField,
     KernelStrategy,
     MarkerSet,
+    _BATCH_COND_LIMIT,
     _closed_form_batch,
+    _solve_grams,
     interpolate,
     make_grid,
     sample_field,
@@ -37,7 +40,7 @@ from ibkernel.kernels import (
     eval_psi4,
     eval_psi6,
 )
-from ibkernel.linalg import _ZERO_WEIGHT
+from ibkernel.linalg import _RANK_PIVOT, _ZERO_WEIGHT
 from ibkernel.onesided import KernelBounds, SignedDistance
 
 
@@ -551,6 +554,123 @@ def test_unequal_stencil_lengths_match_per_marker_reference(dim, builds):
     assert len(builds) == len(markers)
     assert got_values.tobytes() == want_values.tobytes()
     assert got_field.tobytes() == want_field.tobytes()
+
+
+def _scale_case(dim, profile, spacing):
+    """A few hundred random markers, every fourth moved onto its nearest
+    cell center on some axes, where its runs are short. The anisotropic
+    grid's spacings differ from the profile's width."""
+    h = 0.05
+    wf = _PROFILES[profile](h)
+    steps = h * np.array([1.25, 0.8, 1.1] if spacing == "anisotropic" else
+                         [1.0, 1.0, 1.0])[:dim]
+    grid = make_grid([(0.3, 2.3), (-1.7, 0.3), (2.1, 4.1)][:dim], steps)
+    o, right = np.array(grid.origin), np.array(grid.right_edge)
+    margin = (wf.radius_in_cells + 1) * steps
+    rng = np.random.default_rng([dim, len(profile), len(spacing)])
+    markers = rng.uniform(o + margin, right - margin, (300, dim))
+    centers = o + (np.floor((markers - o) / steps) + 0.5) * steps
+    onto = (np.arange(300) % 4 == 0)[:, None] & (rng.random((300, dim)) < 0.7)
+    return grid, wf, np.where(onto, centers, markers)
+
+
+@pytest.mark.parametrize("spacing", ["equal", "anisotropic"])
+@pytest.mark.parametrize("profile", ["psi6", "psi4", "custom-scaled"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_batch_matches_kernel_for_at_scale(
+    dim, profile, spacing, builds
+):
+    # Enough markers per call that a slip in which marker a cut site is
+    # booked to shows. The anisotropic spacings keep every marker's scaled
+    # Gram well within _BATCH_COND_LIMIT, so the pass takes those too.
+    grid, wf, markers = _scale_case(dim, profile, spacing)
+    strategy = KernelStrategy(wf)
+    indices, psi, counts = strategy._batch("interpolate", grid, markers)
+    assert builds == []
+    assert np.min(counts) < np.max(counts)
+    ends = np.cumsum(counts)
+    for x, end, count in zip(markers, ends, counts):
+        stencil = support_stencil(grid, x, wf.radius_in_cells)
+        assert count == len(stencil)
+        assert indices[end - count:end].tobytes() == stencil.indices.tobytes()
+        _, want = strategy.kernel_for(grid, x)
+        got = psi[end - count:end]
+        assert np.max(np.abs(got - want.psi)) <= 1e-12 * np.max(np.abs(want.psi))
+        w = 1.0
+        for ax in range(dim):
+            w = w * wf.eval1d((stencil.sites[:, ax] - x[ax]) / wf.mesh_width)
+        assert np.all(got[w <= _ZERO_WEIGHT] == 0.0)
+
+
+def _gram_stacks(m, count=16):
+    """Seeded (m, m, count) Gram stacks by family, each with the verdict
+    it is built to get. The families with a ratio sit a decade to either
+    side of ``_RANK_PIVOT`` or ``_BATCH_COND_LIMIT``."""
+    rng = np.random.default_rng(m)
+
+    def product(low):  # L·Lᵀ of (count, m, m) lower factors, markers last
+        return (low @ low.transpose(0, 2, 1)).transpose(1, 2, 0).copy()
+
+    def factors(pivots, spread):
+        # Row j of L holds pivot j on its diagonal and ±spread·pivot j to
+        # its left, so the factor's pivots are these, to rounding.
+        u = np.tril(rng.uniform(-spread, spread, (count, m, m)), -1)
+        return pivots[:, :, None] * (u + np.eye(m))
+
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, (count, m))
+    spd = product(factors(scales, 0.5))
+    q = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    eig = rng.uniform(0.5, 2.0, (count, m)) * np.where(np.arange(m) == m - 1, -1, 1)
+    nan = spd.copy()
+    i, j, k = rng.integers(0, m, count), rng.integers(0, m, count), np.arange(count)
+    nan[i, j, k] = nan[j, i, k] = np.nan
+    stacks = {
+        "spd": (spd, True),
+        "indefinite": (
+            ((q * eig[:, None]) @ q.transpose(0, 2, 1)).transpose(1, 2, 0).copy(),
+            False),
+        "nan": (nan, False),
+        "zero": (np.zeros((m, m, count)), False),
+    }
+    if m == 1:
+        return stacks
+    for ratio, verdict in ((10 * _RANK_PIVOT, True), (_RANK_PIVOT / 10, False)):
+        pivots = np.ones((count, m))
+        pivots[k, rng.integers(0, m, count)] = ratio
+        stacks[f"pivot ratio {ratio:g}"] = (product(factors(pivots, 0.3)), verdict)
+    for limit, verdict in ((_BATCH_COND_LIMIT / 10, True),
+                           (_BATCH_COND_LIMIT * 10, False)):
+        # One row of L is e_j plus a left part of norm √(limit − 1): its
+        # pivot scaled by G_jj^-½ is limit^-½, and every other row's is 1.
+        low = np.tile(np.eye(m), (count, 1, 1))
+        row = rng.integers(1, m, count)
+        left = rng.standard_normal((count, m)) * (np.arange(m) < row[:, None])
+        left *= np.sqrt(limit - 1.0) / np.linalg.norm(left, axis=1, keepdims=True)
+        low[k, row] += left
+        stacks[f"scaled ratio {limit:g}"] = (product(scales[:, :, None] * low), verdict)
+    return stacks
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_unrolled_gram_factor_matches_the_lapack_reference(m):
+    stacks = _gram_stacks(m)
+    for family, (gram, verdict) in stacks.items():
+        want, accepted = lapack_gram_solve(gram)
+        assert np.all(accepted == verdict), family
+        for k in range(gram.shape[2]):
+            got = _solve_grams(gram[..., k:k + 1])
+            assert (got is not None) == accepted[k], (family, k)
+            if got is not None:
+                err = np.max(np.abs(np.ravel(got) - want[:, k]))
+                assert err <= 1e-13 * np.max(np.abs(want[:, k])), (family, k)
+        # A stack is solved only if every marker in it is accepted.
+        mixed = np.concatenate([stacks["spd"][0], gram], axis=2)
+        want = np.concatenate([lapack_gram_solve(stacks["spd"][0])[0], want], axis=1)
+        got = _solve_grams(mixed)
+        assert (got is not None) == verdict, family
+        if got is not None:
+            assert np.all(np.abs(np.array(got) - want)
+                          <= 1e-13 * np.max(np.abs(want), axis=0)), family
 
 
 def test_closed_form_batch_peak_memory_in_3d():

@@ -20,6 +20,12 @@ group's digest hashes the digests of its parts in order, and after the
 three group lines the tool prints each part's own: ``circle/1`` to
 ``circle/4`` by case, and ``sphere/unbounded``, ``sphere/[-0.07,0.5]`` and
 ``sphere/[0,0.75]`` by strategy. They show which kernels kept their bits.
+
+Right after the ``transfer`` line, ``transfer moves`` gives the largest
+|batched − one-marker| of the interpolate and of the spread outputs, each
+relative to the largest one-marker output: how far the batch sits from
+one ``interpolate`` and one ``spread`` call per marker, so that a change
+that moves the transfer digest can say by how much.
 """
 
 import hashlib
@@ -94,7 +100,8 @@ def sphere_group():
     return _combine(parts), outcomes, parts
 
 
-def transfer_group():
+def _transfer_case():
+    """Grid, field, markers, spread values and strategy of the transfer group."""
     h, per_circle = 2.0 / 512, 640
     grid = ibops.make_grid(((-1.0, 1.0), (-1.0, 1.0)), h)
     rng = np.random.default_rng(0)
@@ -106,11 +113,31 @@ def transfer_group():
     ])
     field = ibops.GridField(grid.centers() @ np.array([10.0, 5.0]), grid)
     strategy = ibops.KernelStrategy(WeightFunction.six_point_spline(h))
+    return grid, field, markers, rng.uniform(-2.0, 2.0, len(markers)), strategy
+
+
+def transfer_group():
+    grid, field, markers, spread_values, strategy = _transfer_case()
     values = ibops.interpolate(field, markers, strategy)
-    spread = ibops.spread(rng.uniform(-2.0, 2.0, len(markers)), markers, grid, strategy)
+    spread = ibops.spread(spread_values, markers, grid, strategy)
     sha = hashlib.sha256(values.tobytes())
     sha.update(spread.values.tobytes())
     return sha, Counter(markers=len(markers)), {}
+
+
+def transfer_moves():
+    """The ``transfer moves`` line: batched against one-marker outputs."""
+    grid, field, markers, spread_values, strategy = _transfer_case()
+    batched = (ibops.interpolate(field, markers, strategy),
+               ibops.spread(spread_values, markers, grid, strategy).values)
+    single = (
+        np.array([ibops.interpolate(field, x, strategy)[0] for x in markers[:, None]]),
+        sum(ibops.spread(v, x, grid, strategy).values
+            for v, x in zip(spread_values[:, None], markers[:, None])),
+    )
+    interp, spread = (np.max(np.abs(b - s)) / np.max(np.abs(s))
+                      for b, s in zip(batched, single))
+    return f"transfer moves  interpolate {interp:.1e}  spread {spread:.1e}"
 
 
 def main():
@@ -120,6 +147,7 @@ def main():
         sha, outcomes, parts = group()
         print(f"{name:8s} {sha.hexdigest()}  {dict(sorted(outcomes.items()))}")
         all_parts.update(parts)
+    print(transfer_moves())
     for name, part in all_parts.items():
         print(f"{name:18s} {part.hexdigest()}")
     return 0
