@@ -28,6 +28,7 @@ from .kernels import (
     KernelWeights,
     Peskin4Weights,
     PolynomialBasis,
+    SiteAxes,
     SolveMode,
     WeightFunction,
     WeightKind,

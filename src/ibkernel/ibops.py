@@ -10,13 +10,24 @@ from per-axis moments over each marker's in-support run of cells; every
 other kernel is built marker by marker.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDomain, StencilOutsideDomain
-from .kernels import BasisDegree, as_point, as_sites, build_basis
+from .kernels import (
+    BasisDegree,
+    SiteAxes,
+    WeightKind,
+    _site_positions,
+    _valid_profile_values,
+    as_point,
+    as_sites,
+    build_basis,
+)
 from .linalg import _RANK_PIVOT, _ZERO_WEIGHT
 from .onesided import generate_one_sided_kernel
 
@@ -158,10 +169,17 @@ def _marker_array(markers, dimension):
 
 @dataclass
 class Stencil:
-    """Support sites for one evaluation point, with their flat cell indices."""
+    """Support sites for one evaluation point, with their flat cell indices.
+
+    ``axes`` holds each axis's run of cell centres inside the support, as
+    ``kernels.SiteAxes``; ``sites`` is their product in C order, and the
+    flat indices follow the same order. Built by hand, a stencil may
+    leave ``axes`` None.
+    """
 
     sites: np.ndarray
     indices: np.ndarray
+    axes: SiteAxes = None
 
     def __len__(self):
         return self.sites.shape[0]
@@ -172,7 +190,9 @@ def support_stencil(grid, eval_point, radius_in_cells):
 
     Selects every center with |center − eval| < radius_in_cells·spacing on
     each axis. The evaluation point must sit at least that far from every
-    recorded domain edge so the support never truncates.
+    recorded domain edge so the support never truncates. Each axis's
+    selection is one run of cells; the stencil keeps the runs' centres as
+    its ``axes``, which ``kernels.assemble_system`` takes as they are.
 
     Raises
     ------
@@ -180,36 +200,41 @@ def support_stencil(grid, eval_point, radius_in_cells):
     """
     d = grid.dimension
     eval_point = as_point(eval_point, d)
-    right = grid.right_edge
     # Only this many cells per axis can lie within reach of the point.
     window = math.ceil(2 * radius_in_cells) + 2
-    per_axis = []
-    for ax in range(d):
-        o, h, x = grid.origin[ax], grid.spacing[ax], float(eval_point[ax])
+    centres, sizes, first = [], [], 0
+    for ax, x in enumerate(eval_point.tolist()):
+        o, h, count = grid.origin[ax], grid.spacing[ax], grid.counts[ax]
         reach = radius_in_cells * h
         fuzz = 1e-12 * h
-        if x - reach < o - fuzz or x + reach > right[ax] + fuzz:
+        if x - reach < o - fuzz or x + reach > o + h * count + fuzz:
             raise StencilOutsideDomain(
                 f"evaluation point {eval_point.tolist()} within "
                 f"{radius_in_cells} cells of a domain edge on axis {ax}"
             )
-        first = max(math.floor((x - o) / h - 0.5 - radius_in_cells), 0)
-        idx, centers = [], []
-        for i in range(first, min(first + window, grid.counts[ax])):
-            c = o + (i + 0.5) * h  # the arithmetic of axis_centers
-            if abs(c - x) < reach:
-                idx.append(i)
-                centers.append(c)
-        per_axis.append((np.array(idx, dtype=np.intp), np.array(centers)))
+        start = max(math.floor((x - o) / h - 0.5 - radius_in_cells), 0)
+        # The centres of axis_centers, in its arithmetic.
+        run = [i for i in range(start, min(start + window, count))
+               if abs(o + (i + 0.5) * h - x) < reach]
+        centres += [o + (i + 0.5) * h for i in run]
+        sizes.append(len(run))
+        first = first * count + (run[0] if run else 0)
+    coords, sizes = np.array(centres, dtype=float), tuple(sizes)
+    axes = SiteAxes(coords[end - size:end]
+                    for size, end in zip(sizes, itertools.accumulate(sizes)))
+    return Stencil(sites=coords[_site_positions(sizes)[0]],
+                   indices=first + _block_offsets(sizes, grid.counts), axes=axes)
 
-    # C order over the axis indices, as np.ravel_multi_index would give.
-    sites = np.empty(tuple(len(idx) for idx, _ in per_axis) + (d,))
-    flat = 0
-    for ax, (idx, centers) in enumerate(per_axis):
-        shape = (1,) * ax + (-1,) + (1,) * (d - ax - 1)
-        sites[..., ax] = centers.reshape(shape)
-        flat = flat * grid.counts[ax] + idx.reshape(shape)
-    return Stencil(sites=sites.reshape(-1, d), indices=flat.reshape(-1))
+
+@functools.lru_cache(maxsize=64)
+def _block_offsets(shape, counts):
+    """Flat offsets of a block of cells from its first cell, in C order.
+
+    The result is shared between calls, so it is read-only.
+    """
+    flat = np.ravel_multi_index(np.indices(shape).reshape(len(shape), -1), counts)
+    flat.flags.writeable = False
+    return flat
 
 
 @dataclass(frozen=True)
@@ -237,7 +262,7 @@ class KernelStrategy:
         )
         basis = build_basis(grid.dimension, self.degree)
         weights = generate_one_sided_kernel(
-            stencil.sites,
+            stencil.axes,
             marker,
             self.weight_function,
             basis,
@@ -369,7 +394,9 @@ def _closed_form_batch(grid, markers, wf, degree):
 
     Returns the flat indices, weights and per-marker counts in the C
     order of ``support_stencil``, or None if any marker is within the
-    support of an edge, has fewer than m supported sites, or has a Gram
+    support of an edge, a custom profile gives a negative, NaN or
+    infinite value (the per-marker loop then raises assemble_system's
+    ValueError), a marker has fewer than m supported sites, or has a Gram
     that ``_solve_grams`` refuses. Weights agree with
     ``KernelStrategy.kernel_for`` to rounding, not bitwise.
     """
@@ -403,6 +430,8 @@ def _closed_form_batch(grid, markers, wf, degree):
     else:
         phi = np.zeros(r.shape)
         phi[ok] = wf.eval1d(r[ok] / wf.mesh_width)
+    if wf.kind is WeightKind.CUSTOM_1D and not _valid_profile_values(phi):
+        return None
     # The runs, broadcast to the (run, ..., run, n) tensor. The flat cell
     # indices are marker-major: each run's first cell plus one pattern.
     along, inside, weight, first, pattern = [], True, 1.0, 0, 0

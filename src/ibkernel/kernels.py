@@ -6,13 +6,19 @@ compactly supported 1D profile in tensor-product form, and the basis
 values p at the evaluation point. The generating function (the vector of
 kernel weights) is the minimizer of ½ΨᵀW⁻¹Ψ subject to AΨ = p, whose
 closed form is Ψ = W Aᵀ(A W Aᵀ)⁻¹p. qpsolve.solve_generating_qp solves
-that problem and its bounded variant; this module only assembles it. The
-four-point kernel's per-axis weights, which are exactly determined up to
-one quadratic root, come in closed form from ``solve_peskin4``.
+that problem and its bounded variant; this module only assembles it,
+from scattered (N, d) sites or from a Cartesian stencil's per-axis
+coordinates (``SiteAxes``), whose profile values are computed once per
+coordinate. The four-point kernel's per-axis weights, which are exactly
+determined up to one quadratic root, come in closed form from
+``solve_peskin4``.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +36,7 @@ __all__ = [
     "Peskin4Weights",
     "solve_peskin4",
     "build_basis",
+    "SiteAxes",
     "assemble_system",
 ]
 
@@ -54,6 +61,9 @@ def eval_psi6(r):
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     a = np.abs(np.atleast_1d(r))
+    if a.size <= _FEW_OFFSETS:
+        out = _psi6_few(a.ravel())
+        return float(out[0]) if scalar else out.reshape(r.shape)
     out = np.zeros_like(a)
 
     # Each branch is evaluated in a local variable so the quintic
@@ -73,6 +83,33 @@ def eval_psi6(r):
     out[m] = t**5 / 120.0
 
     return float(out[0]) if scalar else out.reshape(r.shape)
+
+
+# Up to this many offsets (a 3D stencil's 18 per-axis ones), ``eval_psi6``
+# runs its branches per element in Python floats: at that size numpy's
+# cost per call, not per element, dominates. The powers still come from
+# numpy over the whole array, so every value keeps its bits: on an
+# AVX-512 x86-64 CPU numpy's vector ``power`` and the C library's ``pow``
+# disagree in the last bit on about 5% of inputs, and ``t**2`` is numpy's
+# exact square t·t.
+_FEW_OFFSETS = 32
+
+
+def _psi6_few(a):
+    """``eval_psi6`` on a few non-negative offsets ``a``, value by value."""
+    out = []
+    for v, v4, w5 in zip(a.tolist(), (a**4).tolist(), ((3.0 - a) ** 5).tolist()):
+        if v < 1.0:
+            out.append(0.55 - 0.5 * (v * v) + v4 * (0.25 - v / 12.0))
+        elif v < 2.0:
+            t = v - 1.0
+            out.append(13.0 / 60.0 + t * (-5.0 / 12.0 + t * (
+                1.0 / 6.0 + t * (1.0 / 6.0 + t * (-1.0 / 6.0 + t / 24.0)))))
+        elif v < 3.0:
+            out.append(w5 / 120.0)
+        else:  # NaN too, as no branch of the masked form takes it
+            out.append(0.0)
+    return np.array(out)
 
 
 def eval_psi4(r):
@@ -293,7 +330,7 @@ def as_point(point, dimension=None):
         raise ValueError(
             f"point has dimension {point.shape[0]}, expected {dimension}"
         )
-    if not np.isfinite(point).all():
+    if not all(map(math.isfinite, point.tolist())):
         raise ValueError("point has non-finite coordinates")
     return point
 
@@ -357,31 +394,111 @@ class KernelWeights:
         return self.psi[self.support]
 
 
+class SiteAxes(tuple):
+    """Sites as a tensor: d 1-D coordinate arrays, one per axis.
+
+    The sites are their product in C order (the last axis varies fastest),
+    as ``ibops.support_stencil`` lays out a stencil. ``assemble_system``
+    requires each axis finite and strictly increasing, which makes the
+    sites pairwise distinct.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=64)
+def _site_positions(sizes):
+    """Where each site of a tensor of ``sizes`` takes its coordinates.
+
+    Returns the (N, d) positions of each site's coordinates in the
+    concatenation of the axes, the sites in C order, and the axis of each
+    position of that concatenation. Both are shared between calls, so
+    they are read-only.
+    """
+    starts = np.cumsum((0,) + sizes[:-1], dtype=np.intp)
+    flat = np.indices(sizes, dtype=np.intp).reshape(len(sizes), -1)
+    positions = (flat + starts[:, None]).T.copy()  # C order, as the sites
+    axis = np.repeat(np.arange(len(sizes)), sizes)
+    positions.flags.writeable = axis.flags.writeable = False
+    return positions, axis
+
+
+def _profile(wf, r):
+    """``wf``'s values at the dimensionless offsets ``r``.
+
+    A custom profile's values must come out finite and >= 0. ψ6 and ψ4
+    give no other value at any offset, NaN and ±inf included, so theirs
+    are not scanned.
+
+    Raises
+    ------
+    ValueError
+        A custom profile gave a negative, NaN or infinite value.
+    """
+    values = np.asarray(wf.eval1d(r), dtype=float)
+    if wf.kind is WeightKind.CUSTOM_1D and not _valid_profile_values(values):
+        bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))[0]
+        name = getattr(wf.profile, "__name__", repr(wf.profile))
+        raise ValueError(
+            f"weight profile {wf.kind.value} {name} gave "
+            f"{float(values.flat[bad])} at offset {np.ravel(r)[bad]:g}; "
+            f"profile values must be finite and >= 0"
+        )
+    return values
+
+
+def _valid_profile_values(values):
+    """True if every value is finite and >= 0 (NaN fails)."""
+    return values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf
+
+
 def assemble_system(sites, eval_point, wf, basis):
     """Build the kernel system (A, Wdiag, p) for one evaluation point.
 
     Checks only its input; ``qpsolve.solve_generating_qp`` decides
     whether the system has enough support and independent moment rows.
+    Both forms of ``sites`` give the same system, to the bit.
 
     Parameters
     ----------
-    sites : (N, d) array_like
-        Finite, pairwise distinct data sites.
+    sites : (N, d) array_like or SiteAxes
+        Finite, pairwise distinct data sites. As ``SiteAxes`` the profile
+        is evaluated once per axis coordinate (18 values for a 216-site 3D
+        stencil, not 648) and each site gathers its offsets and profile
+        values from those; the axes must be finite and strictly
+        increasing, which proves the sites distinct. The (N, d) form, for
+        scattered sites, checks for duplicates by sorting.
     eval_point : (d,) array_like
     wf : WeightFunction
+        Its values must come out finite and non-negative.
     basis : PolynomialBasis
+
+    Raises
+    ------
+    ValueError
+        Non-finite, duplicate or (as axes) unsorted sites, a non-finite
+        point, a dimension mismatch, or a bad profile value.
     """
-    sites = as_sites(sites, basis.dimension)
-    eval_point = as_point(eval_point, basis.dimension)
-    ordered = sites[np.lexsort(sites.T)]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-        raise ValueError("sites must be pairwise distinct")
+    d = basis.dimension
+    if isinstance(sites, SiteAxes):
+        coords, (positions, axis) = _check_axes(sites, d)
+        eval_point = as_point(eval_point, d)
+        along = coords - eval_point[axis]
+        offsets = along[positions]
+        per_axis = _profile(wf, along / wf.mesh_width)[positions]
+        sites = coords[positions]
+    else:
+        sites = as_sites(sites, d)
+        eval_point = as_point(eval_point, d)
+        ordered = sites[np.lexsort(sites.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            raise ValueError("sites must be pairwise distinct")
+        offsets = sites - eval_point
+        per_axis = _profile(wf, offsets / wf.mesh_width)
 
     # Tensor-product weights: the product over axes of the 1D profile.
-    offsets = sites - eval_point
-    per_axis = np.asarray(wf.eval1d(offsets / wf.mesh_width), dtype=float)
     wdiag = per_axis[:, 0]
-    for ax in range(1, basis.dimension):
+    for ax in range(1, d):
         wdiag = wdiag * per_axis[:, ax]
     return KernelSystem(
         A=basis._rows_at(offsets),
@@ -390,3 +507,25 @@ def assemble_system(sites, eval_point, wf, basis):
         eval=eval_point,
         sites=sites,
     )
+
+
+def _check_axes(axes, dimension):
+    """The concatenated coordinates of ``axes`` and ``_site_positions``;
+    raises ValueError unless there are ``dimension`` axes, each 1-D,
+    finite and strictly increasing."""
+    if len(axes) != dimension:
+        raise ValueError(f"{len(axes)} site axes, expected {dimension}")
+    sizes = tuple(len(a) for a in axes)
+    coords = np.concatenate(axes, dtype=float)
+    if coords.ndim != 1:
+        raise ValueError("site axes must be 1-D")
+    values = coords.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("site axes contain non-finite coordinates")
+    start = 0
+    for size in sizes:
+        run = values[start:start + size]
+        if not all(map(operator.lt, run, run[1:])):
+            raise ValueError("site axes must be strictly increasing")
+        start += size
+    return coords, _site_positions(sizes)

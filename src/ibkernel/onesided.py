@@ -50,7 +50,10 @@ class SignedDistance:
         return _Circle(evaluator, tuple(center.tolist()), radius)
 
     def evaluate(self, sites):
-        sites = as_sites(sites)
+        return self._distances(as_sites(sites))
+
+    def _distances(self, sites):
+        """``evaluate`` on sites already checked: a finite (N, d) float array."""
         return np.array([float(self.evaluator(s)) for s in sites])
 
 
@@ -61,8 +64,12 @@ class _Circle(SignedDistance):
     center: tuple
     radius: float
 
-    def evaluate(self, sites):
-        rel = as_sites(sites, len(self.center)) - self.center
+    def _distances(self, sites):
+        if sites.shape[1] != len(self.center):
+            raise ValueError(
+                f"sites have dimension {sites.shape[1]}, expected {len(self.center)}"
+            )
+        rel = sites - self.center
         return np.sqrt((rel * rel).sum(axis=1)) - self.radius
 
 
@@ -91,9 +98,14 @@ class KernelBounds:
             raise ValueError("alpha must not exceed beta")
 
 
-def classify_side(sd, sites):
-    """Classify each site by the sign of the distance; ties go to Minus."""
-    return SideMask(sd.evaluate(sites) > 0.0)
+def classify_side(sd, sites, checked=False):
+    """Classify each site by the sign of the distance; ties go to Minus.
+
+    The sites are checked as ``sd.evaluate`` checks them, unless
+    ``checked`` says that they are a finite (N, d) float array built from
+    checked data, as a ``KernelSystem``'s sites are.
+    """
+    return SideMask((sd._distances(sites) if checked else sd.evaluate(sites)) > 0.0)
 
 
 def restrict_weights(system, mask):
@@ -114,6 +126,9 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
                               bounds=None):
     """Full pipeline: assemble, restrict to one side, minimize.
 
+    ``sites`` takes either form ``assemble_system`` takes: (N, d) sites or
+    ``SiteAxes``. Their input is checked there, once; the side
+    classification and the solve take the assembled system as checked.
     With ``sd`` omitted the support is two-sided; with ``bounds`` omitted
     the solve is equality-only. Minus-side entries of the result are
     exactly zero; the solve mode records whether the equalities were met
@@ -121,5 +136,7 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     """
     system = assemble_system(sites, eval_point, wf, basis)
     if sd is not None:
-        system = restrict_weights(system, classify_side(sd, system.sites))
-    return solve_generating_qp(system, bounds=bounds, source=KernelSource.PROBLEM_D)
+        mask = classify_side(sd, system.sites, checked=True)
+        system = restrict_weights(system, mask)
+    return solve_generating_qp(system, bounds=bounds,
+                               source=KernelSource.PROBLEM_D, checked=True)

@@ -414,7 +414,7 @@ def solve_soft_qp(problem):
         np.concatenate([problem.hessian, np.full(m, _PENALTY)]),
         np.hstack([problem.eq_matrix, -np.eye(m)]), problem.eq_rhs,
         lower=np.concatenate([lo, -unbounded]),
-        upper=np.concatenate([hi, unbounded]),
+        upper=np.concatenate([hi, unbounded]), checked=True,
     ), rank_rule=False)
     x = sol.x[:n]
     return replace(sol, x=x, bound_multipliers=sol.bound_multipliers[:n],
@@ -472,7 +472,8 @@ def check_kkt(problem, solution):
     return KKTReport(stationarity, primal, dual, complementarity)
 
 
-def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
+def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B,
+                        checked=False):
     """Kernel weights by constrained minimization of ½ ΨᵀW⁻¹Ψ.
 
     Sites whose weight is at or below ``linalg._ZERO_WEIGHT`` make W⁻¹
@@ -486,8 +487,12 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
     MaxIterationsExceeded goes soft only where phase-1 finds the box
     empty, and is raised otherwise.
 
-    ``bounds`` may be anything with ``alpha``/``beta`` attributes or an
-    (alpha, beta) pair.
+    ``bounds`` may be anything with scalar ``alpha``/``beta`` attributes
+    or an (alpha, beta) pair. A hand-built system's A, W and p are
+    checked by the ``QPProblem`` built from them. ``checked=True`` says
+    that ``kernels.assemble_system`` built the system (and at most
+    ``onesided.restrict_weights`` zeroed weights), so its arrays are
+    finite and consistent and only the bounds are checked here.
     """
     w = system.Wdiag
     keep = w > _ZERO_WEIGHT
@@ -502,7 +507,7 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
     a_keep = system.A if everywhere else system.A[:, keep]
 
     if bounds is None:
-        problem = QPProblem(hessian, a_keep, system.p)
+        problem = QPProblem(hessian, a_keep, system.p, checked=checked)
         sol = solve_eq_qp(problem)
     else:
         alpha, beta = (
@@ -513,7 +518,10 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B):
                 "eliminated zero-weight sites violate bounds excluding 0",
                 violation=max(alpha - 0.0, 0.0 - beta),
             )
-        problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta)
+        if checked and not (alpha <= beta):  # NaN fails too
+            raise ValueError(f"bounds ({alpha}, {beta}) are NaN or crossed")
+        problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta,
+                            checked=checked)
         try:
             sol = solve_box_qp(problem)
         except (Infeasible, RankDeficientConstraints,

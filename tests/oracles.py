@@ -14,14 +14,23 @@ from ibkernel.errors import (
     StencilOutsideDomain,
 )
 from ibkernel.ibops import _BATCH_COND_LIMIT, Stencil
-from ibkernel.kernels import SolveMode, as_point, as_sites
+from ibkernel.kernels import (
+    KernelSource,
+    SolveMode,
+    as_point,
+    as_sites,
+    assemble_system,
+    build_basis,
+)
 from ibkernel.linalg import _RANK_PIVOT
+from ibkernel.onesided import classify_side, restrict_weights
 from ibkernel.qpsolve import (
     _PENALTY,
     QPProblem,
     QPSolution,
     _check_rank,
     phase1_feasible,
+    solve_generating_qp,
 )
 
 
@@ -402,6 +411,26 @@ def full_scan_stencil(grid, eval_point, radius_in_cells):
         axis=1,
     )
     return Stencil(sites=sites, indices=flat.astype(int))
+
+
+def site_chain_kernel(strategy, grid, marker):
+    """One marker's stencil and kernel from (N, d) sites, every layer checking.
+
+    ``full_scan_stencil``'s sites go through the (N, d) form of
+    ``assemble_system``, ``classify_side`` and ``restrict_weights`` on the
+    strategy's side, and ``solve_generating_qp`` with its own checks: the
+    route ``KernelStrategy.kernel_for`` took before it assembled from the
+    stencil's per-axis runs.
+    """
+    wf = strategy.weight_function
+    stencil = full_scan_stencil(grid, marker, wf.radius_in_cells)
+    basis = build_basis(grid.dimension, strategy.degree)
+    system = assemble_system(stencil.sites, marker, wf, basis)
+    if strategy.signed_distance is not None:
+        mask = classify_side(strategy.signed_distance, system.sites)
+        system = restrict_weights(system, mask)
+    return stencil, solve_generating_qp(system, bounds=strategy.bounds,
+                                        source=KernelSource.PROBLEM_D)
 
 
 def per_marker_interpolate(field, markers, strategy):

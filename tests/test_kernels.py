@@ -6,6 +6,7 @@ from oracles import tensor_weight
 
 from ibkernel.errors import InsufficientSupport
 from ibkernel.kernels import (
+    _FEW_OFFSETS,
     BasisDegree,
     KernelSource,
     WeightFunction,
@@ -59,6 +60,23 @@ class TestPsi6:
     def test_zero_at_outer_boundary(self):
         assert _branch3(6.0) == pytest.approx(0.0, abs=1e-15)
         assert eval_psi6(2.999999) == pytest.approx(0.0, abs=1e-12)
+
+    def test_few_offsets_keep_the_bits_of_the_masked_branches(self):
+        # Inputs of at most _FEW_OFFSETS values run per element; a long
+        # array runs the masked branches. Every value must agree bitwise.
+        rng = np.random.default_rng(7)
+        edges = np.arange(-3.0, 4.0)
+        r = np.concatenate([
+            rng.uniform(-3.5, 3.5, 100_000), edges,
+            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            [-0.0, np.nan, np.inf, -np.inf, 1e-300],
+        ])
+        masked = eval_psi6(r)
+        for size in (1, 5, 18, _FEW_OFFSETS):
+            few = np.concatenate([eval_psi6(r[i:i + size])
+                                  for i in range(0, r.size, size)])
+            assert few.tobytes() == masked.tobytes(), size
+        assert eval_psi6(r[:6].reshape(2, 3)).tobytes() == masked[:6].tobytes()
 
     def test_even_symmetry(self):
         npr.seed(2)
