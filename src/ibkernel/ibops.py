@@ -4,14 +4,15 @@ The interpolation and spreading operators are exact adjoints of one
 another by construction: both apply the same kernel weights for a given
 marker, produced by whatever generation strategy the caller bundles. An
 interpolate and a spread at the same markers share one build of those
-weights (see ``KernelStrategy``). The two-sided unbounded kernels of a
-call with several markers are built together in one closed-form pass,
-from per-axis moments over each marker's in-support run of cells; every
-other kernel is built marker by marker.
+weights (see ``KernelStrategy``). Every stencil is a window of ⌈2R⌉
+cells per axis (R the support radius in cells), so a call's kernels form
+one (markers, ⌈2R⌉^d) array. The two-sided unbounded kernels of a call
+with several markers are built together in one closed-form pass, from
+per-axis moments over each window; every other kernel is built marker by
+marker.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,7 +172,7 @@ def _marker_array(markers, dimension):
 class Stencil:
     """Support sites for one evaluation point, with their flat cell indices.
 
-    ``axes`` holds each axis's run of cell centres inside the support, as
+    ``axes`` holds each axis's window of cell centres, as
     ``kernels.SiteAxes``; ``sites`` is their product in C order, and the
     flat indices follow the same order. Built by hand, a stencil may
     leave ``axes`` None.
@@ -186,13 +187,16 @@ class Stencil:
 
 
 def support_stencil(grid, eval_point, radius_in_cells):
-    """Cell centers with per-axis offset strictly inside the support radius.
+    """The window of k = ⌈2R⌉ cells per axis, R = ``radius_in_cells``.
 
-    Selects every center with |center − eval| < radius_in_cells·spacing on
-    each axis. The evaluation point must sit at least that far from every
-    recorded domain edge so the support never truncates. Each axis's
-    selection is one run of cells; the stencil keeps the runs' centres as
-    its ``axes``, which ``kernels.assemble_system`` takes as they are.
+    On each axis the window starts at the first centre with |center −
+    eval| < R·spacing, ⌊(eval − origin)/spacing − ½ − R⌋ + 1, or at
+    count − k where it would pass the last cell. It holds every centre in
+    reach (at most k); its other cells lie at or beyond the reach, where
+    the profile is 0 unless the grid is finer than the profile's mesh
+    width. The point must sit at least R·spacing from every recorded
+    domain edge. The stencil keeps the windows' centres as its ``axes``,
+    which ``kernels.assemble_system`` takes as they are.
 
     Raises
     ------
@@ -200,30 +204,25 @@ def support_stencil(grid, eval_point, radius_in_cells):
     """
     d = grid.dimension
     eval_point = as_point(eval_point, d)
-    # Only this many cells per axis can lie within reach of the point.
-    window = math.ceil(2 * radius_in_cells) + 2
-    centres, sizes, first = [], [], 0
+    k = math.ceil(2 * radius_in_cells)
+    centres, first = [], 0
     for ax, x in enumerate(eval_point.tolist()):
         o, h, count = grid.origin[ax], grid.spacing[ax], grid.counts[ax]
         reach = radius_in_cells * h
         fuzz = 1e-12 * h
-        if x - reach < o - fuzz or x + reach > o + h * count + fuzz:
+        if x - reach < o - fuzz or x + reach > o + h * count + fuzz or count < k:
             raise StencilOutsideDomain(
                 f"evaluation point {eval_point.tolist()} within "
                 f"{radius_in_cells} cells of a domain edge on axis {ax}"
             )
-        start = max(math.floor((x - o) / h - 0.5 - radius_in_cells), 0)
+        start = min(math.floor((x - o) / h - 0.5 - radius_in_cells) + 1, count - k)
         # The centres of axis_centers, in its arithmetic.
-        run = [i for i in range(start, min(start + window, count))
-               if abs(o + (i + 0.5) * h - x) < reach]
-        centres += [o + (i + 0.5) * h for i in run]
-        sizes.append(len(run))
-        first = first * count + (run[0] if run else 0)
-    coords, sizes = np.array(centres, dtype=float), tuple(sizes)
-    axes = SiteAxes(coords[end - size:end]
-                    for size, end in zip(sizes, itertools.accumulate(sizes)))
-    return Stencil(sites=coords[_site_positions(sizes)[0]],
-                   indices=first + _block_offsets(sizes, grid.counts), axes=axes)
+        centres += [o + (i + 0.5) * h for i in range(start, start + k)]
+        first = first * count + start
+    coords = np.array(centres, dtype=float)
+    return Stencil(sites=coords[_site_positions((k,) * d)[0]],
+                   indices=first + _block_offsets((k,) * d, grid.counts),
+                   axes=SiteAxes(coords.reshape(d, k)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -272,41 +271,37 @@ class KernelStrategy:
         return stencil, weights
 
     def _batch(self, operator, grid, markers):
-        """Flat stencil indices and weights of ``markers``, and their counts.
+        """Stencil indices and weights of ``markers``, as (n, k^d) arrays.
 
-        Takes the batch the other operator left in ``_pending`` for an
-        equal grid and the same marker shape and bytes; otherwise drops
-        it, builds one and leaves that. A build that raises leaves none.
-        A one-marker batch is that marker's own stencil indices and
-        weights, with counts None.
+        Row i holds marker i's stencil (k = ⌈2R⌉ cells per axis) in the C
+        order of ``support_stencil``; both arrays are C-contiguous. Takes
+        the batch the other operator left in ``_pending`` for an equal
+        grid and the same marker shape and bytes; otherwise drops it,
+        builds one and leaves that. A build that raises leaves none.
 
-        Several two-sided unbounded markers are built on their in-support
-        runs of cells by ``_closed_form_batch``, whose weights differ from
-        ``kernel_for``'s by rounding (1e-12 of the largest at most, in the
-        tests). Any other batch, and one that pass refuses, is built by
-        ``kernel_for`` marker by marker, raising what a failing marker raises.
+        Several two-sided unbounded markers are built by
+        ``_closed_form_batch``, whose weights differ from ``kernel_for``'s
+        by rounding (1e-12 of the largest at most, in the tests). Any other
+        batch, and one that pass refuses, is built by ``kernel_for`` marker
+        by marker, raising what a failing marker raises.
         """
         key = (grid, markers.shape, markers.tobytes())
         pending = self.__dict__.pop("_pending", None)
         if pending and pending[0] != operator and pending[1] == key:
             return pending[2]
         batch = None
-        if len(markers) == 1:
-            stencil, weights = self.kernel_for(grid, markers[0])
-            batch = (stencil.indices, weights.psi, None)
-        elif (len(markers) > 1 and self.signed_distance is None
-              and self.bounds is None):
+        if len(markers) > 1 and self.signed_distance is None and self.bounds is None:
             batch = _closed_form_batch(
                 grid, markers, self.weight_function, self.degree
             )
         if batch is None:
-            indices, psi = [np.empty(0, np.intp)], [np.empty(0)]
-            for marker in markers:
+            k = math.ceil(2 * self.weight_function.radius_in_cells)
+            shape = (len(markers), k**grid.dimension)
+            indices, psi = np.empty(shape, np.intp), np.empty(shape)
+            for row, marker in enumerate(markers):
                 stencil, weights = self.kernel_for(grid, marker)
-                indices.append(stencil.indices)
-                psi.append(weights.psi)
-            counts = np.array([len(p) for p in psi[1:]], dtype=np.intp)
-            batch = (np.concatenate(indices), np.concatenate(psi), counts)
+                indices[row], psi[row] = stencil.indices, weights.psi
+            batch = indices, psi
         self.__dict__["_pending"] = (operator, key, batch)
         return batch
 
@@ -375,26 +370,24 @@ def _solve_grams(gram):
 def _closed_form_batch(grid, markers, wf, degree):
     """Two-sided unbounded kernels of many markers in one closed-form pass.
 
-    On a full tensor stencil W is a product of 1D profiles, so each entry
-    of the Gram matrix A W Aᵀ is a product of per-axis sums Σφ, Σφr and
-    Σφr² (r the physical offset from the marker, as ``PolynomialBasis``
-    takes it). The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p, which
-    ``_solve_grams`` gives for every marker at once. The tensor spans each
-    axis's run of cells inside the support (6 for ψ6, not the window's 8);
-    a shorter run's extra cells, as at a marker on a cell center, carry
-    weight 0 and are dropped from the result. When every run has full
-    length the profile is evaluated on the whole (d, run, n) offset array.
+    On a tensor stencil W is a product of 1D profiles, so each entry of
+    the Gram matrix A W Aᵀ is a product of per-axis sums Σφ, Σφr and Σφr²
+    (r the physical offset from the marker, as ``PolynomialBasis`` takes
+    it) over each axis's window of k = ⌈2R⌉ cells, ``support_stencil``'s.
+    The kernel is Ψ = W·(c₀ + c·r) with c = G⁻¹p, which ``_solve_grams``
+    gives for every marker at once. The profile is evaluated once on the
+    (d, k, n) array of offsets.
 
     Sites at or below ``linalg._ZERO_WEIGHT`` are eliminated as
     ``solve_generating_qp`` eliminates them. They are found once, as flat
-    positions in the (run, ..., run, n) tensor (the marker is the position
+    positions in the (k, ..., k, n) tensor (the marker is the position
     modulo n), and that short list counts each marker's sites, takes their
     terms out of the Gram by one ``np.bincount`` per lower-triangle entry,
     and sets Ψ = 0 there.
 
-    Returns the flat indices, weights and per-marker counts in the C
-    order of ``support_stencil``, or None if any marker is within the
-    support of an edge, a custom profile gives a negative, NaN or
+    Returns the (n, k^d) flat indices and weights of ``KernelStrategy._batch``,
+    or None if any marker is within the support of an edge (or an axis
+    has fewer than k cells), a custom profile gives a negative, NaN or
     infinite value (the per-marker loop then raises assemble_system's
     ValueError), a marker has fewer than m supported sites, or has a Gram
     that ``_solve_grams`` refuses. Weights agree with
@@ -406,47 +399,32 @@ def _closed_form_batch(grid, markers, wf, degree):
         return None
     n, d = markers.shape
     radius = wf.radius_in_cells
-    window = math.ceil(2 * radius) + 2
-    # support_stencil's candidate cells, (d, window, n): markers go on the
-    # last axis of every array, where numpy's inner loops run long. Each
-    # keeps the longest in-support run's width from its own run's start.
-    o, h, right, counts = (np.array(v)[:, None, None] for v in (
+    k = math.ceil(2 * radius)
+    # The windows, (d, k, n): markers go on the last axis of every array,
+    # where numpy's inner loops run long.
+    o, h, right, cells = (np.array(v)[:, None, None] for v in (
         grid.origin, grid.spacing, grid.right_edge, grid.counts))
     x, reach, fuzz = markers.T.copy()[:, None], radius * h, 1e-12 * h
-    if np.any(x - reach < o - fuzz) or np.any(x + reach > right + fuzz):
+    if (np.any(x - reach < o - fuzz) or np.any(x + reach > right + fuzz)
+            or np.any(cells < k)):
         return None
-    first = np.maximum(np.floor((x - o) / h - 0.5 - radius), 0)
-    idx = first.astype(np.intp) + np.arange(window)[:, None]
+    start = np.minimum(np.floor((x - o) / h - 0.5 - radius) + 1, cells - k)
+    idx = start.astype(np.intp) + np.arange(k)[:, None]
     r = o + (idx + 0.5) * h - x  # the centers of axis_centers, less x
-    ok = (idx < counts) & (np.abs(r) < reach)
-    run = ok.sum(axis=1).max()
-    idx = idx[:, :1] + np.minimum(ok.argmax(axis=1), window - run)[:, None]
-    idx = idx + np.arange(run)[:, None]
-    r = o + (idx + 0.5) * h - x
-    ok = (idx < counts) & (np.abs(r) < reach)
-    full = ok.all()
-    if full:
-        phi = wf.eval1d(r / wf.mesh_width)
-    else:
-        phi = np.zeros(r.shape)
-        phi[ok] = wf.eval1d(r[ok] / wf.mesh_width)
+    phi = wf.eval1d(r / wf.mesh_width)
     if wf.kind is WeightKind.CUSTOM_1D and not _valid_profile_values(phi):
         return None
-    # The runs, broadcast to the (run, ..., run, n) tensor. The flat cell
-    # indices are marker-major: each run's first cell plus one pattern.
-    along, inside, weight, first, pattern = [], True, 1.0, 0, 0
+    # The windows, broadcast to the (k, ..., k, n) tensor, and the flat
+    # index of each one's first cell.
+    along, weight, first = [], 1.0, 0
     for ax in range(d):
-        shape = (1,) * ax + (run,) + (1,) * (d - ax - 1) + (n,)
+        shape = (1,) * ax + (k,) + (1,) * (d - ax - 1) + (n,)
         along.append(r[ax].reshape(shape))
-        if not full:
-            inside = inside & ok[ax].reshape(shape)
         weight = weight * phi[ax].reshape(shape)
         first = first * grid.counts[ax] + idx[ax, 0]
-        pattern = np.add.outer(pattern * grid.counts[ax], np.arange(run))
-    flat = first[:, None] + pattern.reshape(-1)  # (n, run**d)
     cut = np.flatnonzero(weight <= _ZERO_WEIGHT)
     owner = cut % n
-    if np.bincount(owner, minlength=n).max() > run**d - m:
+    if np.bincount(owner, minlength=n).max() > k**d - m:
         return None
 
     # Entry (a, b) of the Gram is the product over axes of the per-axis
@@ -469,12 +447,9 @@ def _closed_form_batch(grid, markers, wf, degree):
     psi = weight  # Ψ = W·(c₀ + c·r), in W's place
     psi *= sum((c[ax + 1] * along[ax] for ax in range(m - 1)), c[0])
     psi.flat[cut] = 0.0
-    # Marker-major rows, each in the C order of its stencil.
-    psi = psi.reshape(-1, n).T
-    if full:  # no site to drop
-        return flat.reshape(-1), psi.reshape(-1), np.full(n, run**d)
-    inside = inside.reshape(-1, n).T
-    return flat[inside], psi[inside], np.count_nonzero(inside, axis=1)
+    # Marker-major rows, each in the C order of its stencil and contiguous.
+    indices = first[:, None] + _block_offsets((k,) * d, grid.counts)
+    return indices, psi.reshape(-1, n).T.copy()
 
 
 def interpolate(field, markers, strategy):
@@ -484,21 +459,10 @@ def interpolate(field, markers, strategy):
     the strategy, or builds them and leaves them for the next ``spread``.
     """
     markers = _marker_array(markers, field.grid.dimension)
-    indices, psi, counts = strategy._batch("interpolate", field.grid, markers)
-    vals = field.values[indices]
-    if counts is None:
-        return np.array([psi @ vals])
-    # Per stencil length, one stacked matmul: each row is psi[a:b] @ vals[a:b]
-    # to the bit, which a sum along rows or zero-padded rows is not.
-    out = np.empty(len(counts))
-    starts = np.cumsum(counts) - counts
-    for length in np.unique(counts):
-        rows = np.flatnonzero(counts == length)
-        at = (starts[rows, None] + np.arange(length)
-              if len(rows) < len(counts) else slice(None))
-        out[rows] = np.matmul(psi[at].reshape(-1, 1, length),
-                              vals[at].reshape(-1, length, 1))[:, 0, 0]
-    return out
+    indices, psi = strategy._batch("interpolate", field.grid, markers)
+    # One stacked matmul over contiguous rows: each row is psi[i] @ vals[i]
+    # to the bit, which a sum along rows is not.
+    return np.matmul(psi[:, None], field.values[indices][:, :, None])[:, 0, 0]
 
 
 def spread(values, markers, grid, strategy):
@@ -515,10 +479,7 @@ def spread(values, markers, grid, strategy):
         raise ValueError(
             f"{values.shape[0]} values for {markers.shape[0]} markers"
         )
-    indices, psi, counts = strategy._batch("spread", grid, markers)
-    if counts is None:
-        weighted = psi * values[0]
-    else:
-        weighted = np.repeat(values, counts) * psi
-    field = np.bincount(indices, weighted, minlength=grid.total_cells)
+    indices, psi = strategy._batch("spread", grid, markers)
+    field = np.bincount(indices.ravel(), (values[:, None] * psi).ravel(),
+                        minlength=grid.total_cells)
     return GridField(field, grid)

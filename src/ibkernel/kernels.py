@@ -199,8 +199,10 @@ class WeightFunction:
     """A 1D weight profile applied in tensor-product form.
 
     ``profile`` is only consulted for CUSTOM_1D and must be a callable of
-    the dimensionless offset returning non-negative values; its compact
-    support radius (in cells) is ``radius_in_cells``.
+    the dimensionless offset returning non-negative values. ``eval1d``
+    calls it only at offsets strictly inside ``radius_in_cells`` and
+    gives 0 everywhere else, so every profile vanishes at and beyond its
+    radius, as ψ6 (radius 3) and ψ4 (radius 2) do by their formulas.
     """
 
     kind: WeightKind
@@ -230,11 +232,17 @@ class WeightFunction:
 
     @classmethod
     def from_table(cls, mesh_width, offsets, values, radius_in_cells):
-        """Tabulated 1D profile, linearly interpolated, zero outside."""
+        """Tabulated 1D profile, linearly interpolated, zero outside.
+
+        Raises ValueError unless the offsets are finite and strictly
+        increasing, as the interpolation requires.
+        """
         offsets = np.asarray(offsets, dtype=float)
         values = np.asarray(values, dtype=float)
         if offsets.shape != values.shape or offsets.ndim != 1:
             raise ValueError("offsets and values must be equal-length 1D")
+        if not (np.isfinite(offsets).all() and (np.diff(offsets) > 0.0).all()):
+            raise ValueError("table offsets must be finite and strictly increasing")
 
         def profile(r):
             return np.interp(r, offsets, values, left=0.0, right=0.0)
@@ -247,16 +255,20 @@ class WeightFunction:
         if self.kind is WeightKind.FOUR_POINT_PESKIN:
             return eval_psi4(r)
         r = np.asarray(r, dtype=float)
+        inside = np.abs(r) < self.radius_in_cells
         if r.ndim == 0:
-            return float(self.profile(float(r)))
+            return float(self.profile(float(r))) if inside else 0.0
+        at = r[inside]
         try:
-            flat = np.asarray(self.profile(r.ravel()), dtype=float)
-            if flat.shape != r.ravel().shape:
+            values = np.asarray(self.profile(at), dtype=float)
+            if values.shape != at.shape:
                 raise ValueError
         except (TypeError, ValueError):
             # scalar-only profiles are fine, just slower
-            flat = np.array([float(self.profile(float(v))) for v in r.ravel()])
-        return flat.reshape(r.shape)
+            values = np.array([float(self.profile(v)) for v in at.tolist()])
+        out = np.zeros(r.shape)
+        out[inside] = values
+        return out
 
 
 class BasisDegree(Enum):

@@ -225,11 +225,10 @@ def solve_box_qp(problem):
     return _dual_newton(problem, rank_rule=True)
 
 
-def _dual_newton(problem, rank_rule, start=None):
-    """``solve_box_qp``'s method, started from the multipliers ``start``
-    instead of λ₀ if given. Without ``rank_rule`` (the soft fallback's
-    problem, which always holds a point) it applies no rank rule and seeks
-    no certificate."""
+def _dual_newton(problem, rank_rule):
+    """``solve_box_qp``'s method. Without ``rank_rule`` (the soft
+    fallback's problem, which always holds a point) it applies no rank
+    rule and seeks no certificate."""
     lo, hi = problem.bounds()
     c, b, h = problem.eq_matrix, problem.eq_rhs, problem.hessian
     root = _diagonal_root(h)
@@ -238,9 +237,7 @@ def _dual_newton(problem, rank_rule, start=None):
     if rank_rule:
         _check_rank(cold[1])
     slack = _SIGN_SLACK * np.abs(c).max(initial=0.0)
-    if start is None:
-        start = _solve_tri(cold[1], _solve_tri(cold[1], b, trans=1))
-    lam0 = lam = np.array(start, float)
+    lam0 = lam = _solve_tri(cold[1], _solve_tri(cold[1], b, trans=1))
 
     def pattern(v):
         """+1 where clip(v) pins a variable at its lower bound, −1 at its

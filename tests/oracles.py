@@ -380,11 +380,15 @@ def kernel_kkt_residuals(psi, w, a, alpha, beta, box_tol=1e-12):
 
 
 def full_scan_stencil(grid, eval_point, radius_in_cells):
-    """Support stencil found by testing every cell center on each axis.
+    """The cells within reach of a point, found by testing every centre.
 
-    The same selection rule and edge check as ``ibops.support_stencil``,
-    but it scans each axis's full ``axis_centers`` array and builds the
-    C-order product with ``np.meshgrid`` and ``np.ravel_multi_index``.
+    Keeps each centre with |center − eval| < radius_in_cells·spacing on
+    every axis, scanning each axis's full ``axis_centers`` array, and
+    builds the C-order product with ``np.meshgrid`` and
+    ``np.ravel_multi_index``; the edge check is ``ibops.support_stencil``'s.
+    The reference for the window that ``support_stencil`` returns, which
+    holds these cells (all but, at most, one within rounding of the reach)
+    and pads them to ⌈2·radius_in_cells⌉ per axis.
     """
     eval_point = as_point(eval_point, grid.dimension)
     right = grid.right_edge
@@ -414,13 +418,13 @@ def full_scan_stencil(grid, eval_point, radius_in_cells):
 
 
 def site_chain_kernel(strategy, grid, marker):
-    """One marker's stencil and kernel from (N, d) sites, every layer checking.
+    """One marker's kernel on the cells in reach, every layer checking.
 
     ``full_scan_stencil``'s sites go through the (N, d) form of
     ``assemble_system``, ``classify_side`` and ``restrict_weights`` on the
-    strategy's side, and ``solve_generating_qp`` with its own checks: the
-    route ``KernelStrategy.kernel_for`` took before it assembled from the
-    stencil's per-axis runs.
+    strategy's side, and ``solve_generating_qp`` with its own checks, where
+    ``KernelStrategy.kernel_for`` assembles the window from its per-axis
+    coordinates and lets the later layers take the system as checked.
     """
     wf = strategy.weight_function
     stencil = full_scan_stencil(grid, marker, wf.radius_in_cells)

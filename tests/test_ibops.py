@@ -114,12 +114,15 @@ class TestSampleField:
 
 class TestSupportStencil:
     def test_on_center_1d(self):
+        # Five cells lie within reach of a cell centre; the window's sixth
+        # lies 3 cells off, where ψ6 is 0.
         grid = make_grid([-1.0, 1.0], 0.1)
         ev = grid.axis_centers(0)[10]
         st = support_stencil(grid, [ev], 3.0)
-        assert len(st) == 5
-        offsets = np.round((st.sites[:, 0] - ev) / 0.1).astype(int)
-        assert sorted(offsets.tolist()) == [-2, -1, 0, 1, 2]
+        assert len(st) == 6
+        r = (st.sites[:, 0] - ev) / 0.1
+        assert np.round(r).astype(int).tolist() == [-2, -1, 0, 1, 2, 3]
+        assert eval_psi6(r[-1]) == 0.0
 
     def test_mid_cell_1d(self):
         grid = make_grid([-1.0, 1.0], 0.1)
@@ -128,11 +131,12 @@ class TestSupportStencil:
         assert len(st) == 6
 
     def test_2d_tensor_counts(self):
+        # A ψ6 stencil is 6 × 6 on cell centres and faces alike.
         grid = make_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.1)
         c = grid.axis_centers(0)[10]
-        assert len(support_stencil(grid, [c, c], 3.0)) == 25
-        assert len(support_stencil(grid, [c + 0.05, c + 0.05], 3.0)) == 36
-        assert len(support_stencil(grid, [c, c + 0.05], 3.0)) == 30
+        for point in ([c, c], [c + 0.05, c + 0.05], [c, c + 0.05]):
+            st = support_stencil(grid, point, 3.0)
+            assert len(st) == 36 and [len(a) for a in st.axes] == [6, 6]
 
     def test_indices_point_at_sites(self):
         grid = make_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.075)
@@ -145,7 +149,10 @@ class TestSupportStencil:
             support_stencil(grid, [-0.8], 3.0)
         # exactly at the margin is allowed
         st = support_stencil(grid, [-0.7], 3.0)
-        assert len(st) >= 5
+        assert len(st) == 6
+        # Within the edge fuzz of three cells, but the window needs four.
+        with pytest.raises(StencilOutsideDomain):
+            support_stencil(make_grid([0.0, 3.0], 1.0), [1.5], 1.5 + 2e-13)
 
     def test_against_brute_force(self):
         npr.seed(47)
@@ -170,10 +177,19 @@ _STENCIL_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("radius", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("radius", [0.6, 1.5, 1.6, 2.0, 2.5, 3.0])
 @pytest.mark.parametrize("name", sorted(_STENCIL_GRIDS))
 def test_stencil_matches_full_scan(name, radius):
+    """The window against the cells in reach, |c − x| < R·h on every axis,
+    which ``full_scan_stencil`` finds by scanning every centre. The window
+    is ⌈2R⌉ cells per axis at the grid's own centres; it holds every
+    centre in reach by more than rounding, and its other cells lie at or
+    beyond the reach. A centre within rounding of the reach on both sides
+    of a point can leave one more cell in reach than the window holds;
+    ``test_one_marker_chain`` shows that such a cell carries no weight."""
     grid = _STENCIL_GRIDS[name]
+    k = int(np.ceil(2 * radius))
+    centers = grid.centers()
     rng = npr.default_rng([int(2 * radius), grid.dimension])
     h = np.array(grid.spacing)
     # The closest a point may come to each edge, on every axis at once.
@@ -186,14 +202,20 @@ def test_stencil_matches_full_scan(name, radius):
         for ax in range(grid.dimension):
             c = grid.axis_centers(ax)
             center.append(rng.choice(c[(c >= lo[ax]) & (c + 0.5 * h[ax] <= hi[ax])]))
-        points += [np.array(center), np.array(center) + 0.5 * h]
+        center = np.array(center)
+        points += [center, center + 0.5 * h, np.nextafter(center, center + h),
+                   np.nextafter(center, center - h)]
     for point in points:
         st = support_stencil(grid, point, radius)
-        ref = full_scan_stencil(grid, point, radius)
-        assert st.indices.dtype == ref.indices.dtype
-        assert st.indices.tobytes() == ref.indices.tobytes()
-        assert st.sites.shape == ref.sites.shape
-        assert st.sites.tobytes() == ref.sites.tobytes()
+        assert st.indices.dtype == np.intp and len(st) == k**grid.dimension
+        assert [len(a) for a in st.axes] == [k] * grid.dimension
+        assert st.sites.tobytes() == centers[st.indices].tobytes()
+        inner = full_scan_stencil(grid, point, radius * (1 - 1e-12))
+        assert np.isin(inner.indices, st.indices).all()
+        reach = full_scan_stencil(grid, point, radius)
+        others = ~np.isin(st.indices, reach.indices)
+        offsets = np.abs(st.sites[others] - point) / h
+        assert (offsets.max(axis=1, initial=0.0) >= radius * (1 - 1e-12)).all()
 
     # A millionth of a cell closer to an edge than the margin is refused.
     middle = 0.5 * (lo + hi)
@@ -459,16 +481,13 @@ def test_closed_form_batch_matches_kernel_for(dim, profile, degree, builds):
     wf = _PROFILES[profile](0.05)
     grid, markers = _parity_case(dim, wf)
     strategy = KernelStrategy(wf, degree=degree)
-    indices, psi, counts = strategy._batch("interpolate", grid, markers)
+    indices, psi = strategy._batch("interpolate", grid, markers)
     assert builds == []
+    assert indices.flags.c_contiguous and psi.flags.c_contiguous
     basis = build_basis(dim, degree)
     dropped = 0
-    ends = np.cumsum(counts)
-    for x, end, count in zip(markers, ends, counts):
+    for x, got_indices, got in zip(markers, indices, psi):
         stencil = support_stencil(grid, x, wf.radius_in_cells)
-        got = psi[end - count:end]
-        got_indices = indices[end - count:end]
-        assert count == len(stencil)
         assert got_indices.dtype == stencil.indices.dtype
         assert got_indices.tobytes() == stencil.indices.tobytes()
         _, want = strategy.kernel_for(grid, x)
@@ -496,27 +515,25 @@ def test_closed_form_batch_on_a_coarser_grid_than_the_profile(builds):
     )
     want = [KernelStrategy(wf).kernel_for(grid, x)[1].psi for x in markers]
     builds.clear()
-    _, psi, counts = KernelStrategy(wf)._batch("interpolate", grid, markers)
-    for got, ref in zip(np.split(psi, np.cumsum(counts)[:-1]), want):
+    _, psi = KernelStrategy(wf)._batch("interpolate", grid, markers)
+    for got, ref in zip(psi, want):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # Each marker alone (given twice, so the call is a batch) is either
     # taken by the closed-form pass, within 1e-12, or built by kernel_for.
     taken = 0
     for x, ref in zip(markers, want):
         builds.clear()
-        _, psi, counts = KernelStrategy(wf)._batch(
-            "interpolate", grid, np.stack([x, x])
-        )
+        _, psi = KernelStrategy(wf)._batch("interpolate", grid, np.stack([x, x]))
         taken += not builds
-        assert np.max(np.abs(psi[:counts[0]] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(psi[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert 0 < taken < len(markers)
 
 
 def _short_run_case(dim, kind):
     """The paired case with two markers moved onto their nearest cell
     centers. The cells 3h from a center lie on the ψ6 support's edge, so
-    such a marker has fewer than 6 cells on an axis where the others
-    have 6: the batch's stencils have unequal lengths."""
+    such a marker has a short run of 5 cells within reach on an axis where
+    the others have 6; its window holds 6 all the same."""
     grid, strategy, markers, field, values = _paired_case(dim, kind)
     o, h = np.array(grid.origin), np.array(grid.spacing)
     centers = o + (np.floor((markers[[1, -1]] - o) / h) + 0.5) * h
@@ -527,25 +544,25 @@ def _short_run_case(dim, kind):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_closed_form_batch_with_short_runs(dim, builds):
     grid, strategy, markers, _, _ = _short_run_case(dim, "two-sided")
-    indices, psi, counts = strategy._batch("interpolate", grid, markers)
+    indices, psi = strategy._batch("interpolate", grid, markers)
     assert builds == []
-    assert np.min(counts) < 6**dim == np.max(counts)
-    ends = np.cumsum(counts)
-    for x, end, count in zip(markers, ends, counts):
+    assert indices.shape == psi.shape == (len(markers), 6**dim)
+    for x, got_indices, got in zip(markers, indices, psi):
         stencil = support_stencil(grid, x, 3.0)
-        assert count == len(stencil)
-        assert indices[end - count:end].tobytes() == stencil.indices.tobytes()
+        assert got_indices.tobytes() == stencil.indices.tobytes()
         _, want = strategy.kernel_for(grid, x)
-        got = psi[end - count:end]
         assert np.max(np.abs(got - want.psi)) <= 1e-12 * np.max(np.abs(want.psi))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_unequal_stencil_lengths_match_per_marker_reference(dim, builds):
-    # One-sided kernels are built marker by marker; interpolate reduces
-    # them with one stacked product per stencil length.
+    # One-sided kernels are built marker by marker. The runs within reach
+    # have unequal lengths, the windows do not, so interpolate reduces
+    # them all with one stacked product.
     grid, strategy, markers, field, values = _short_run_case(dim, "one-sided")
-    assert len({len(support_stencil(grid, x, 3.0)) for x in markers}) > 1
+    reach = {len(full_scan_stencil(grid, x, 3.0)) for x in markers}
+    assert len(reach) > 1
+    assert {len(support_stencil(grid, x, 3.0)) for x in markers} == {6**dim}
     want_values = per_marker_interpolate(field, markers, strategy)
     want_field = per_marker_spread(values, markers, grid, strategy)
     builds.clear()
@@ -585,16 +602,12 @@ def test_closed_form_batch_matches_kernel_for_at_scale(
     # Gram well within _BATCH_COND_LIMIT, so the pass takes those too.
     grid, wf, markers = _scale_case(dim, profile, spacing)
     strategy = KernelStrategy(wf)
-    indices, psi, counts = strategy._batch("interpolate", grid, markers)
+    indices, psi = strategy._batch("interpolate", grid, markers)
     assert builds == []
-    assert np.min(counts) < np.max(counts)
-    ends = np.cumsum(counts)
-    for x, end, count in zip(markers, ends, counts):
+    for x, got_indices, got in zip(markers, indices, psi):
         stencil = support_stencil(grid, x, wf.radius_in_cells)
-        assert count == len(stencil)
-        assert indices[end - count:end].tobytes() == stencil.indices.tobytes()
+        assert got_indices.tobytes() == stencil.indices.tobytes()
         _, want = strategy.kernel_for(grid, x)
-        got = psi[end - count:end]
         assert np.max(np.abs(got - want.psi)) <= 1e-12 * np.max(np.abs(want.psi))
         w = 1.0
         for ax in range(dim):
@@ -674,8 +687,8 @@ def test_unrolled_gram_factor_matches_the_lapack_reference(m):
 
 
 def test_closed_form_batch_peak_memory_in_3d():
-    # Each axis holds its 6 in-support cells, not the 8-cell window, so a
-    # 3D ψ6 marker's tensor has 216 entries, not 512.
+    # Each axis holds a window of 6 cells, so a 3D ψ6 marker's tensor has
+    # 216 entries.
     h = 1.0 / 32
     grid = make_grid([(0.0, 1.0)] * 3, h)
     wf = WeightFunction.six_point_spline(h)
@@ -686,8 +699,26 @@ def test_closed_form_batch_peak_memory_in_3d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert batch is not None and len(batch[1]) == 216 * len(markers)
+    assert batch is not None and batch[1].shape == (len(markers), 216)
     assert peak <= 12e3 * len(markers)
+
+
+def test_closed_form_batch_on_cell_centres_keeps_216_entries_per_marker(builds):
+    # Markers placed at o + (i + ½)·h. For some of them rounding puts the
+    # cells 3h away on both sides within reach, 7 on an axis, whose ψ6
+    # weights (about 1e-76) are cut; the window holds 6 all the same.
+    h = 0.05
+    grid = make_grid([(0.3, 2.3), (-1.7, 0.3), (2.1, 4.1)], h)
+    o = np.array(grid.origin)
+    cells = npr.default_rng(3).integers(5, 35, (200, 3))
+    markers = o + (cells + 0.5) * h
+    runs = [len(np.unique(full_scan_stencil(grid, x, 3.0).sites[:, ax]))
+            for x in markers for ax in range(3)]
+    assert max(runs) == 7
+    indices, psi = KernelStrategy(WeightFunction.six_point_spline(h))._batch(
+        "interpolate", grid, markers)
+    assert builds == []
+    assert indices.shape == psi.shape == (len(markers), 216)
 
 
 def _failing_batch(case):

@@ -150,6 +150,34 @@ class TestWeightFunction:
         assert wf.eval1d(2.0) == 0.0
         assert_allclose(wf.eval1d(np.array([-0.5, 0.25])), [0.5, 0.75])
 
+    def test_table_offsets_must_be_finite_and_increasing(self):
+        # np.interp reads unsorted offsets without an error and gives a
+        # wrong profile: shuffled ψ6 samples come out 0 everywhere.
+        offsets = np.linspace(-3.0, 3.0, 13)
+        values = eval_psi6(offsets)
+        order = np.random.default_rng(0).permutation(13)
+        for bad in ((offsets[order], values[order]),
+                    ([-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]),
+                    ([-1.0, np.nan, 1.0], [0.0, 1.0, 0.0]),
+                    ([-np.inf, 0.0, 1.0], [0.0, 1.0, 0.0])):
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                WeightFunction.from_table(0.075, *bad, radius_in_cells=3.0)
+        wf = WeightFunction.from_table(0.075, offsets, values, 3.0)
+        assert_allclose(wf.eval1d(offsets), values, rtol=0, atol=1e-16)
+
+    def test_custom_profile_is_called_only_inside_its_radius(self):
+        seen = []
+
+        def profile(r):
+            seen.append(np.array(r, dtype=float))
+            return np.ones_like(r)
+
+        wf = WeightFunction.custom1d(1.0, profile, 1.5)
+        r = np.array([[-2.0, -1.5, -1.4999], [0.0, 1.5, 7.0]])
+        assert_allclose(wf.eval1d(r), [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert wf.eval1d(1.5) == 0.0 and wf.eval1d(-0.25) == 1.0
+        assert np.abs(np.concatenate([np.ravel(v) for v in seen])).max() < 1.5
+
     def test_custom_scalar_profile(self):
         # non-vectorized profiles must still work
         wf = WeightFunction.custom1d(1.0, lambda r: max(0.0, 1.0 - abs(r)), 1.0)

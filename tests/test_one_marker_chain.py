@@ -1,19 +1,21 @@
 """The one-marker chain against the (N, d) chain, and where it checks its input.
 
-``KernelStrategy.kernel_for`` assembles from the stencil's per-axis runs
+``KernelStrategy.kernel_for`` assembles from the stencil's per-axis windows
 (``kernels.SiteAxes``) and lets the side classification and the solve take
 the assembled system as checked. ``oracles.site_chain_kernel`` runs the
-same layers on (N, d) sites with every check in place; the two must agree
-to the bit. The error tests pin the class each public entry point raised
-before the checks moved.
+same layers on (N, d) sites, the cells within reach, with every check in
+place; the two must agree to the bit where the window and the cells in
+reach coincide, and on the cells in reach otherwise. The error tests pin
+the class each public entry point raised before the checks moved.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from oracles import site_chain_kernel
+from oracles import per_marker_interpolate, per_marker_spread, site_chain_kernel
 
 from ibkernel.errors import IBKernelError, Infeasible, InsufficientSupport, NotSPD
 from ibkernel.experiments import CircleCaseConfig
@@ -36,6 +38,20 @@ from ibkernel.kernels import (
     eval_psi6,
 )
 from ibkernel.onesided import KernelBounds, SignedDistance, generate_one_sided_kernel
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count kernel builds by wrapping ``KernelStrategy.kernel_for``."""
+    calls = []
+    original = KernelStrategy.kernel_for
+
+    def counted(self, grid, marker):
+        calls.append(self)
+        return original(self, grid, marker)
+
+    monkeypatch.setattr(KernelStrategy, "kernel_for", counted)
+    return calls
 from ibkernel.qpsolve import solve_generating_qp
 
 
@@ -130,10 +146,111 @@ def test_tensor_and_site_forms_assemble_the_same_system(profile, spacing, d):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
                 assert got.flags.c_contiguous, name
             assert stencil.sites.flags.c_contiguous
-    if profile == "psi6" and spacing == "anisotropic" and d >= 2:
-        assert {5, 6, 7} <= runs  # centres within an ulp reach a 7-cell run
-    elif profile == "psi6":
-        assert {5, 6} <= runs
+    # Every axis is a window of ⌈2R⌉ cells, whatever the marker.
+    assert runs == {math.ceil(2 * wf.radius_in_cells)}
+
+
+def _vanishing(radius):
+    """A custom profile that falls smoothly to 0 at ``radius``."""
+    def profile(r):
+        return (1.0 - (np.asarray(r) / radius) ** 2) ** 2
+    return profile
+
+
+WINDOW_PROFILES = {
+    "psi6": WeightFunction.six_point_spline,
+    "psi4": WeightFunction.four_point_peskin,
+    **{f"custom-{radius}": functools.partial(
+        lambda h, radius: WeightFunction.custom1d(h, _vanishing(radius), radius),
+        radius=radius) for radius in (0.6, 1.6, 2.5)},
+}
+
+
+def _window_markers(grid, radius):
+    """Cell centres and one ulp to either side of them (the cells at the
+    reach on both sides then fall within it by rounding, for an integer
+    2R), a face, a generic point, and the edge margins. At the upper
+    margin the window of a non-integer 2R runs past the last cell and is
+    moved back."""
+    d = grid.dimension
+    o, h, right = np.array(grid.origin), np.array(grid.spacing), np.array(grid.right_edge)
+    centre = o + (np.array([9, 10, 11])[:d] + 0.5) * h
+    mixed = np.where(np.arange(d) % 2, np.nextafter(centre, np.inf), centre)
+    return [centre, np.nextafter(centre, np.inf), np.nextafter(centre, -np.inf), mixed,
+            o + 10.0 * h, o + np.array([11.37, 9.81, 10.23])[:d] * h,
+            o + radius * h, right - radius * h]
+
+
+def _window_against_reach(strategy, grid, x):
+    """Check ``kernel_for`` on the window against ``site_chain_kernel`` on the
+    cells in reach; returns the kernel's mode, or None where both raise."""
+    try:
+        stencil, kw = strategy.kernel_for(grid, x)
+    except IBKernelError as exc:
+        with pytest.raises(type(exc)):
+            site_chain_kernel(strategy, grid, x)
+        return None
+    reach, ref = site_chain_kernel(strategy, grid, x)
+    at = np.minimum(np.searchsorted(stencil.indices, reach.indices), len(stencil) - 1)
+    held = stencil.indices[at] == reach.indices
+    # A cell in reach that the window leaves out carries no weight.
+    assert not ref.support[~held].any() and not ref.psi[~held].any()
+    # The same kernel on the cells the window holds, and 0 with no support
+    # on its other cells. It is the same to the bit where both solves
+    # eliminate sites or neither does. Where only the window's does, the
+    # solver's moment matrix is in the other memory order (A[:, keep] is
+    # F-ordered), which moves the last bit.
+    got, want = kw.psi[at[held]], ref.psi[held]
+    if kw.support.all() == ref.support.all():
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(kw.support[at[held]], ref.support[held])
+    rest = np.ones(len(stencil), dtype=bool)
+    rest[at[held]] = False
+    assert not kw.psi[rest].any() and not kw.support[rest].any()
+    assert kw.mode == ref.mode
+    assert abs(kw.equality_residual - ref.equality_residual) <= 1e-15
+    return kw.mode
+
+
+@pytest.mark.parametrize("spacing", ["equal", "coarser"])
+@pytest.mark.parametrize("profile", list(WINDOW_PROFILES))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_kernel_matches_the_in_reach_chain(d, profile, spacing, builds):
+    """The window's kernels are the kernels of the cells in reach.
+
+    On a grid no finer than the profile's width, the window's cells past
+    the reach carry weight 0, which the solve eliminates, so ``kernel_for``
+    gives the kernel of the cells in reach bit for bit, bounded or not.
+    One-marker interpolate and spread are bitwise the per-marker oracles,
+    and a batch agrees with ``kernel_for`` to 1e-12.
+    """
+    wf = WINDOW_PROFILES[profile](0.05)
+    steps = 0.05 * (np.array([1.0, 1.25, 1.1]) if spacing == "coarser" else np.ones(3))
+    grid = make_grid(((0.3, 1.3), (-1.7, -0.7), (2.1, 3.1))[:d], steps[:d])
+    markers = np.array(_window_markers(grid, wf.radius_in_cells))
+    k, o, h = math.ceil(2 * wf.radius_in_cells), grid.origin[0], grid.spacing[0]
+    start = math.floor((markers[-1, 0] - o) / h - 0.5 - wf.radius_in_cells) + 1
+    assert (start > grid.counts[0] - k) == (k != 2 * wf.radius_in_cells)
+    degree = BasisDegree.CONSTANT_ONLY if wf.radius_in_cells < 1 else BasisDegree.LINEAR
+    field = sample_field(grid, lambda c: 1.0 + c.sum())
+    for bounds in (KernelBounds(-0.05, 0.8), None):
+        strategy = KernelStrategy(wf, degree, bounds=bounds)
+        modes = [_window_against_reach(strategy, grid, x) for x in markers]
+        assert set(modes) - {None}
+        built = markers[[mode is not None for mode in modes]]
+        for x in built[:, None]:
+            assert (interpolate(field, x, strategy).tobytes()
+                    == per_marker_interpolate(field, x, strategy).tobytes())
+            assert (spread([1.5], x, grid, strategy).values.tobytes()
+                    == per_marker_spread([1.5], x, grid, strategy).tobytes())
+    builds.clear()
+    _, psi = strategy._batch("interpolate", grid, built)
+    assert builds == [] and psi.shape == (len(built), k**d)
+    for x, got in zip(built, psi):
+        want = strategy.kernel_for(grid, x)[1].psi
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 _GRID = make_grid(((-1.0, 1.0), (-1.0, 1.0)), 0.075)

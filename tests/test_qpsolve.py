@@ -913,6 +913,20 @@ def _sweep_boxes(group):
             for marker in markers]
 
 
+def _started_from(start):
+    """``solve_box_qp`` started from the multipliers ``start``.
+
+    qpsolve calls ``_solve_tri`` only for λ₀ = R⁻¹R⁻ᵀb (the inner solve
+    has trans=1), so standing in for it there replaces λ₀ by ``start``.
+    """
+    def solve(problem):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qpsolve, "_solve_tri",
+                          lambda r, v, trans=0: v if trans else np.array(start, float))
+            return solve_box_qp(problem)
+    return solve
+
+
 @pytest.mark.parametrize("group", [3, 4, "sphere"])
 def test_any_start_gives_the_hot_starts_kernel(group):
     # The result is the working set on the final free set and pinned
@@ -929,8 +943,7 @@ def test_any_start_gives_the_hot_starts_kernel(group):
                   "perturbed": lam0 * (1.0 + rng.normal(size=problem.m))}
         hot_mode, hot = _mode_and_solution(solve_box_qp, problem)
         for name, start in starts.items():
-            mode, sol = _mode_and_solution(
-                lambda p: qpsolve._dual_newton(p, True, start), problem)
+            mode, sol = _mode_and_solution(_started_from(start), problem)
             assert mode == hot_mode, name
             if sol is not None:
                 assert np.array_equal(sol.x, hot.x), name
