@@ -23,7 +23,6 @@ from .errors import (
 from .linalg import solve_kkt, solve_spd
 from .kernels import (
     BasisDegree,
-    KernelSource,
     KernelSystem,
     KernelWeights,
     Peskin4Weights,
@@ -52,7 +51,6 @@ from .qpsolve import (
 )
 from .onesided import (
     KernelBounds,
-    SideMask,
     SignedDistance,
     classify_side,
     generate_one_sided_kernel,
@@ -62,7 +60,6 @@ from .ibops import (
     CartesianGrid,
     GridField,
     KernelStrategy,
-    MarkerSet,
     Stencil,
     interpolate,
     make_grid,

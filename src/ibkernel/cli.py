@@ -7,12 +7,14 @@ so outputs round-trip losslessly and are byte-stable for identical inputs.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .experiments import CircleCaseConfig, run_circle_case, validate_moments
 from .ibops import KernelStrategy, make_grid
 from .kernels import (
     BasisDegree,
-    KernelSource,
     KernelWeights,
     WeightFunction,
     build_basis,
@@ -48,6 +49,15 @@ _KERNEL_KEYS = {
 # A word argparse takes as a negative number rather than an option flag.
 # Its own rule (Python 3.10-3.12) leaves out the exponent form, -1e-3.
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
+class KernelSource(Enum):  # the problem a kernel file was asked for
+    CLOSED_FORM = "ClosedForm"
+    PROBLEM_B = "ProblemB"
+    PROBLEM_C = "ProblemC"
+    PROBLEM_D = "ProblemD"
+
+
 # The moment formulations all run the KernelStrategy pipeline; the label
 # records which problem the file was asked for. The closed form is Problem
 # B's minimizer, so "standard" and "backus-gilbert" write the same weights.
@@ -60,16 +70,6 @@ _MOMENT_SOURCES = {
 
 class ConfigError(Exception):
     pass
-
-
-class RunConfig(dict):
-    """Schema-validated run configuration, keyed exactly as in the file."""
-
-    def __init__(self, values=None):
-        super().__init__(values or {})
-        unknown = set(self) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def fmt(x):
@@ -91,12 +91,13 @@ def atomic_write(path, text):
 
 
 def load_config(path):
-    """Read a JSON config (``ibkernel.json`` if present without ``path``)."""
+    """Read a JSON config (``ibkernel.json`` if present without ``path``)
+    as a plain dict (empty without a file), refusing unknown keys."""
     if path is None:
         if os.path.exists(DEFAULT_CONFIG_NAME):
             path = DEFAULT_CONFIG_NAME
         else:
-            return RunConfig()
+            return {}
     elif not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -106,7 +107,10 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return RunConfig(raw)
+    unknown = set(raw) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return raw
 
 
 def _refuse_unread(config, reads, command):
@@ -143,6 +147,15 @@ def _bounds_from(config):
         return KernelBounds(float(b[0]), float(b[1]))
     except (TypeError, ValueError, IndexError) as err:
         raise ConfigError(f"bounds must be [alpha, beta]: {err}") from err
+
+
+def _case_from(config):
+    """The config's ``case`` (1 without one): a whole number, not a bool."""
+    case = config.get("case", 1)
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(case, bool) and float(case) == int(case):
+            return int(case)
+    raise ConfigError(f"case must be a whole number, got {case!r}")
 
 
 def _signed_distance_from(config, dimension):
@@ -193,7 +206,7 @@ def cmd_circle(args):
     if bounds is not None:
         overrides["bounds"] = bounds
     try:
-        case = args.case if args.case is not None else int(config.get("case", 1))
+        case = args.case if args.case is not None else _case_from(config)
         cfg = CircleCaseConfig.for_case(case, **overrides)
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
@@ -217,9 +230,9 @@ def cmd_circle(args):
     return 0
 
 
-def _kernel_dump(weights, degree):
+def _kernel_dump(weights, degree, formulation):
     doc = {
-        "source": weights.source.value,
+        "source": _MOMENT_SOURCES[formulation].value,
         "mode": weights.mode.value,
         "dimension": int(weights.sites.shape[1]),
         "basis_degree": degree.value,
@@ -287,9 +300,8 @@ def cmd_kernel(args):
         sd, bounds = _signed_distance_from(config, grid.dimension), _bounds_from(config)
     strategy = KernelStrategy(wf, degree, sd, bounds)
     _, weights = strategy.kernel_for(grid, eval_point)
-    weights = replace(weights, source=_MOMENT_SOURCES[formulation])
 
-    atomic_write(out_path, _kernel_dump(weights, degree))
+    atomic_write(out_path, _kernel_dump(weights, degree, formulation))
     print(
         f"{formulation} kernel at {eval_point.tolist()}: "
         f"{len(weights.psi)} sites, eq_residual={weights.equality_residual:.3e}"
@@ -307,14 +319,13 @@ def _validate_moment_file(doc, tolerance):
     degree = BasisDegree(doc.get("basis_degree") or "Linear")
     basis = build_basis(sites.shape[1], degree)
     try:
-        source = KernelSource(doc.get("source", "ClosedForm"))
+        KernelSource(doc.get("source", "ClosedForm"))
     except ValueError as err:
         raise ConfigError(f"unknown source in file: {err}") from err
     weights = KernelWeights(
         psi=psi,
         sites=sites,
         eval=eval_point,
-        source=source,
         equality_residual=float(doc.get("eq_residual", 0.0)),
     )
     residuals = validate_moments(weights, basis)

@@ -35,7 +35,6 @@ from .onesided import generate_one_sided_kernel
 __all__ = [
     "CartesianGrid",
     "GridField",
-    "MarkerSet",
     "Stencil",
     "KernelStrategy",
     "make_grid",
@@ -143,29 +142,6 @@ def sample_field(grid, fn):
     if not np.all(np.isfinite(values)):
         raise ValueError("field map produced non-finite values")
     return GridField(values, grid)
-
-
-@dataclass
-class MarkerSet:
-    """Lagrangian evaluation points, (N, d), all finite."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.positions = as_sites(self.positions)
-
-    def __len__(self):
-        return self.positions.shape[0]
-
-    @property
-    def dimension(self):
-        return self.positions.shape[1]
-
-
-def _marker_array(markers, dimension):
-    if isinstance(markers, MarkerSet):
-        markers = markers.positions
-    return as_sites(markers, dimension)
 
 
 @dataclass
@@ -455,10 +431,11 @@ def _closed_form_batch(grid, markers, wf, degree):
 def interpolate(field, markers, strategy):
     """Kernel-weighted field values at each marker, in marker order.
 
+    ``markers`` are (N, d) finite positions, checked by ``as_sites``.
     Takes the kernels a preceding ``spread`` at the same markers left on
     the strategy, or builds them and leaves them for the next ``spread``.
     """
-    markers = _marker_array(markers, field.grid.dimension)
+    markers = as_sites(markers, field.grid.dimension)
     indices, psi = strategy._batch("interpolate", field.grid, markers)
     # One stacked matmul over contiguous rows: each row is psi[i] @ vals[i]
     # to the bit, which a sum along rows is not.
@@ -473,7 +450,7 @@ def spread(values, markers, grid, strategy):
     interpolate), which makes the pair adjoint. Accumulation runs in
     marker order so results are bitwise reproducible.
     """
-    markers = _marker_array(markers, grid.dimension)
+    markers = as_sites(markers, grid.dimension)
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.shape[0] != markers.shape[0]:
         raise ValueError(

@@ -28,7 +28,6 @@ __all__ = [
     "BasisDegree",
     "PolynomialBasis",
     "KernelSystem",
-    "KernelSource",
     "SolveMode",
     "KernelWeights",
     "eval_psi6",
@@ -371,13 +370,6 @@ class KernelSystem:
         return self.A.shape[0]
 
 
-class KernelSource(Enum):
-    CLOSED_FORM = "ClosedForm"
-    PROBLEM_B = "ProblemB"
-    PROBLEM_C = "ProblemC"
-    PROBLEM_D = "ProblemD"
-
-
 class SolveMode(Enum):
     EXACT = "Exact"
     SOFT_CONSTRAINT = "SoftConstraint"
@@ -395,7 +387,6 @@ class KernelWeights:
     psi: np.ndarray
     sites: np.ndarray
     eval: np.ndarray
-    source: KernelSource
     equality_residual: float
     mode: SolveMode = SolveMode.EXACT
     support: np.ndarray = None

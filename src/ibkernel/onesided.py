@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSystem, as_point, as_sites, assemble_system
-from .qpsolve import KernelSource, solve_generating_qp
+from .qpsolve import solve_generating_qp
 
 __all__ = [
     "SignedDistance",
-    "SideMask",
     "KernelBounds",
     "classify_side",
     "restrict_weights",
@@ -73,19 +72,6 @@ class _Circle(SignedDistance):
         return np.sqrt((rel * rel).sum(axis=1)) - self.radius
 
 
-@dataclass
-class SideMask:
-    """Per-site classification; ``plus`` is True where the site is outside."""
-
-    plus: np.ndarray
-
-    def __post_init__(self):
-        self.plus = np.asarray(self.plus, dtype=bool).reshape(-1)
-
-    def __len__(self):
-        return self.plus.shape[0]
-
-
 @dataclass(frozen=True)
 class KernelBounds:
     """Scalar box alpha ≤ Ψ_i ≤ beta applied to every weight."""
@@ -99,26 +85,28 @@ class KernelBounds:
 
 
 def classify_side(sd, sites, checked=False):
-    """Classify each site by the sign of the distance; ties go to Minus.
+    """(N,) bool, True where the distance is positive; ties go to Minus.
 
     The sites are checked as ``sd.evaluate`` checks them, unless
     ``checked`` says that they are a finite (N, d) float array built from
     checked data, as a ``KernelSystem``'s sites are.
     """
-    return SideMask((sd._distances(sites) if checked else sd.evaluate(sites)) > 0.0)
+    return (sd._distances(sites) if checked else sd.evaluate(sites)) > 0.0
 
 
-def restrict_weights(system, mask):
+def restrict_weights(system, plus):
     """Zero the weights of Minus sites, keeping everything else.
 
-    Too few surviving sites, or survivors whose moment rows are dependent
-    (collinear ones for a linear basis), are refused by the solve.
+    ``plus`` is any (N,) bool-like mask, True on Plus. Too few surviving
+    sites, or survivors whose moment rows are dependent (collinear ones
+    for a linear basis), are refused by the solve.
     """
-    if len(mask) != system.n_sites:
+    plus = np.asarray(plus, dtype=bool).reshape(-1)
+    if len(plus) != system.n_sites:
         raise ValueError(
-            f"mask length {len(mask)} != site count {system.n_sites}"
+            f"mask length {len(plus)} != site count {system.n_sites}"
         )
-    wdiag = np.where(mask.plus, system.Wdiag, 0.0)
+    wdiag = np.where(plus, system.Wdiag, 0.0)
     return KernelSystem(system.A, wdiag, system.p, system.eval, system.sites)
 
 
@@ -136,7 +124,6 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     """
     system = assemble_system(sites, eval_point, wf, basis)
     if sd is not None:
-        mask = classify_side(sd, system.sites, checked=True)
-        system = restrict_weights(system, mask)
-    return solve_generating_qp(system, bounds=bounds,
-                               source=KernelSource.PROBLEM_D, checked=True)
+        plus = classify_side(sd, system.sites, checked=True)
+        system = restrict_weights(system, plus)
+    return solve_generating_qp(system, bounds=bounds, checked=True)

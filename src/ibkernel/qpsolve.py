@@ -38,7 +38,7 @@ from .errors import (
     MaxIterationsExceeded,
     RankDeficientConstraints,
 )
-from .kernels import KernelSource, KernelWeights, SolveMode
+from .kernels import KernelWeights, SolveMode
 # solve_spd has no caller in the package; it is imported here only because
 # bench/tracing.py wraps it where this module would look it up.
 from .linalg import (
@@ -469,14 +469,15 @@ def check_kkt(problem, solution):
     return KKTReport(stationarity, primal, dual, complementarity)
 
 
-def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B,
-                        checked=False):
+def solve_generating_qp(system, bounds=None, checked=False):
     """Kernel weights by constrained minimization of ½ ΨᵀW⁻¹Ψ.
 
     Sites whose weight is at or below ``linalg._ZERO_WEIGHT`` make W⁻¹
     undefined; they are eliminated with Ψ := 0 before solving, which
     preserves the minimizer of the remaining coordinates; fewer of them
-    than moment rows raise InsufficientSupport. Without bounds
+    than moment rows raise InsufficientSupport. Every kernel is solved on
+    the kept columns ``system.A[:, keep]`` and reports that solve's own
+    equality residual, cut sites or none. Without bounds
     this is a single equality-QP solve. With bounds the dual Newton
     solver runs first. An Infeasible it raises with a certified violation
     above ``linalg._FEASIBILITY`` hands the kernel to the soft-constraint
@@ -485,23 +486,22 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B,
     empty, and is raised otherwise.
 
     ``bounds`` may be anything with scalar ``alpha``/``beta`` attributes
-    or an (alpha, beta) pair. A hand-built system's A, W and p are
-    checked by the ``QPProblem`` built from them. ``checked=True`` says
-    that ``kernels.assemble_system`` built the system (and at most
-    ``onesided.restrict_weights`` zeroed weights), so its arrays are
-    finite and consistent and only the bounds are checked here.
+    or an (alpha, beta) pair. A hand-built system's shapes are checked
+    here, and its A, W and p by the ``QPProblem`` built from them.
+    ``checked=True`` says that ``kernels.assemble_system`` built the
+    system (and at most ``onesided.restrict_weights`` zeroed weights), so
+    its arrays are finite and consistent and only the bounds are checked.
     """
-    w = system.Wdiag
+    w, n = system.Wdiag, system.n_sites
+    if not checked and not (np.shape(w) == (n,) == np.shape(system.A)[1:]):
+        raise ValueError(f"A {np.shape(system.A)}, W {np.shape(w)} don't fit {n} sites")
     keep = w > _ZERO_WEIGHT
     n_keep = int(np.count_nonzero(keep))
     if n_keep < system.n_basis:
         raise InsufficientSupport(
             f"only {n_keep} sites carry weight above {_ZERO_WEIGHT:g}"
         )
-    # With every site kept, Ψ and its residual are the solve's x and residual.
-    everywhere = n_keep == keep.size
-    hessian = 1.0 / (w if everywhere else w[keep])
-    a_keep = system.A if everywhere else system.A[:, keep]
+    hessian, a_keep = 1.0 / w[keep], system.A[:, keep]
 
     if bounds is None:
         problem = QPProblem(hessian, a_keep, system.p, checked=checked)
@@ -510,7 +510,7 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B,
         alpha, beta = (
             (bounds.alpha, bounds.beta) if hasattr(bounds, "alpha") else bounds
         )
-        if not everywhere and not (alpha <= 0.0 <= beta):
+        if n_keep < keep.size and not (alpha <= 0.0 <= beta):
             raise Infeasible(
                 "eliminated zero-weight sites violate bounds excluding 0",
                 violation=max(alpha - 0.0, 0.0 - beta),
@@ -530,17 +530,13 @@ def solve_generating_qp(system, bounds=None, source=KernelSource.PROBLEM_B,
                 raise
             sol = solve_soft_qp(problem)
 
-    psi, residual = sol.x, sol.eq_residual
-    if not everywhere:
-        psi = np.zeros(system.n_sites)
-        psi[keep] = sol.x
-        residual = float(np.abs(system.A @ psi - system.p).max())
+    psi = np.zeros(n)
+    psi[keep] = sol.x
     return KernelWeights(
         psi=psi,
         sites=system.sites,
         eval=system.eval,
-        source=source,
-        equality_residual=residual,
+        equality_residual=sol.eq_residual,
         mode=sol.mode,
         support=keep,
     )

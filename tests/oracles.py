@@ -15,7 +15,6 @@ from ibkernel.errors import (
 )
 from ibkernel.ibops import _BATCH_COND_LIMIT, Stencil
 from ibkernel.kernels import (
-    KernelSource,
     SolveMode,
     as_point,
     as_sites,
@@ -431,10 +430,9 @@ def site_chain_kernel(strategy, grid, marker):
     basis = build_basis(grid.dimension, strategy.degree)
     system = assemble_system(stencil.sites, marker, wf, basis)
     if strategy.signed_distance is not None:
-        mask = classify_side(strategy.signed_distance, system.sites)
-        system = restrict_weights(system, mask)
-    return stencil, solve_generating_qp(system, bounds=strategy.bounds,
-                                        source=KernelSource.PROBLEM_D)
+        plus = classify_side(strategy.signed_distance, system.sites)
+        system = restrict_weights(system, plus)
+    return stencil, solve_generating_qp(system, bounds=strategy.bounds)
 
 
 def per_marker_interpolate(field, markers, strategy):
@@ -490,13 +488,3 @@ def compare_kernels(a, b):
 def flat_index(grid, axis_indices):
     """Flat C-order index of a cell of ``grid`` from its per-axis indices."""
     return int(np.ravel_multi_index(tuple(axis_indices), grid.counts))
-
-
-def n_plus(mask):
-    """Number of Plus sites of a ``SideMask``."""
-    return int(np.count_nonzero(mask.plus))
-
-
-def n_minus(mask):
-    """Number of Minus sites of a ``SideMask``."""
-    return len(mask) - n_plus(mask)

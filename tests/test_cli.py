@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ibkernel.cli import ConfigError, RunConfig, main
+from ibkernel.cli import ConfigError, load_config, main
 from ibkernel.experiments import CircleCaseConfig, run_circle_case, validate_moments
-from ibkernel.kernels import BasisDegree, KernelSource, KernelWeights, build_basis
+from ibkernel.kernels import BasisDegree, KernelWeights, build_basis
 
 
 def read_csv(path):
@@ -129,6 +129,9 @@ CASE_2 = ["circle", "--case", "2"]
 @pytest.mark.parametrize("argv, cfg", [
     (["circle"], {"tolerances": {"zero_weight": "x"}}),
     (["circle"], {"case": "x"}),
+    (["circle"], {"case": 3.7}),
+    (["circle"], {"case": True}),
+    (["circle"], {"case": INF}),
     (["circle"], {"penalty": 1e8}),
     (["circle"], {"tolerances": {"residual": 1e-10}}),
     (["circle"], {"tolerances": {"complementarity": 1e-10}}),
@@ -157,7 +160,8 @@ CASE_2 = ["circle", "--case", "2"]
     (ONE_SIDED, {"center": [0]}),
     (["circle"], {"weight_kernel": "psi4"}),
     (["circle"], {"basis_degree": "ConstantOnly"}),
-], ids=["tolerance", "case", "penalty", "residual", "complementarity",
+], ids=["tolerance", "case", "fractional_case", "bool_case", "inf_case",
+     "penalty", "residual", "complementarity",
      "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
      "inf_angle", "scalar_angle", "nested_angles", "nan_center",
      "nan_mesh_width", "negative_mesh_width", "inverted_extents",
@@ -172,7 +176,7 @@ def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     # The message names the key at fault.
-    if list(cfg) in (["mesh_width"], ["weight_kernel"], ["basis_degree"]):
+    if list(cfg) in (["mesh_width"], ["weight_kernel"], ["basis_degree"], ["case"]):
         assert err.startswith(f"error: {list(cfg)[0]}")
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
@@ -343,7 +347,6 @@ class TestKernel:
         weights = KernelWeights(
             psi=psi, sites=sites,
             eval=np.array([float(v) for v in doc["eval"]]),
-            source=KernelSource(doc["source"]),
             equality_residual=float(doc["eq_residual"]),
         )
         basis = build_basis(2, BasisDegree.CONSTANT_ONLY)
@@ -422,6 +425,14 @@ class TestValidate:
         assert main(["validate", path]) == 2
         assert "malformed weights file" in capsys.readouterr().err
 
+    def test_unknown_source_is_input_error(self, in_tmp, capsys):
+        path = self._write_kernel()
+        doc = json.loads((in_tmp / path).read_text())
+        doc["source"] = "ProblemZ"
+        (in_tmp / path).write_text(json.dumps(doc))
+        assert main(["validate", path]) == 2
+        assert "unknown source in file" in capsys.readouterr().err
+
     def test_malformed_json(self, in_tmp):
         (in_tmp / "junk.json").write_text("{not json")
         assert main(["validate", "junk.json"]) == 2
@@ -449,7 +460,6 @@ class TestValidate:
             psi=np.array([float(v) for v in doc["psi"]]),
             sites=sites,
             eval=np.array([float(v) for v in doc["eval"]]),
-            source=KernelSource(doc["source"]),
             equality_residual=float(doc["eq_residual"]),
         )
         basis = build_basis(2, BasisDegree.LINEAR)
@@ -466,27 +476,31 @@ class TestValidate:
 
 
 class TestRunConfig:
-    def test_known_keys(self):
-        cfg = RunConfig({"case": 3, "mesh_width": 0.1})
-        assert cfg.get("case") == 3
-        assert "mesh_width" in cfg
-        assert cfg.get("radius", 0.5) == 0.5
+    """The run configuration ``load_config`` reads: a plain dict."""
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig({"mesh": 0.1})
+    def test_known_keys(self, in_tmp):
+        (in_tmp / "cfg.json").write_text(json.dumps({"case": 3, "mesh_width": 0.1}))
+        cfg = load_config("cfg.json")
+        assert cfg == {"case": 3, "mesh_width": 0.1} and type(cfg) is dict
 
-    def test_tolerance_keys_checked(self):
+    def test_unknown_key_rejected(self, in_tmp):
+        (in_tmp / "cfg.json").write_text(json.dumps({"mesh": 0.1}))
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['mesh'\]"):
+            load_config("cfg.json")
+
+    def test_tolerance_keys_checked(self, in_tmp):
         # The solver thresholds are constants: a tolerances key of any
         # shape, the former defaults included, is unknown.
         for tols in ({"spd": 1e-14}, [1e-14], {"zero_weight": 1e-14}, {}):
+            (in_tmp / "cfg.json").write_text(json.dumps({"tolerances": tols}))
             with pytest.raises(ConfigError, match="tolerances"):
-                RunConfig({"tolerances": tols})
+                load_config("cfg.json")
 
-    def test_empty(self):
-        cfg = RunConfig()
-        assert cfg.get("case") is None
-        assert "case" not in cfg
+    def test_empty(self, in_tmp):
+        # Without a path and without ibkernel.json in the working directory.
+        assert load_config(None) == {}
+        (in_tmp / "cfg.json").write_text("{}")
+        assert load_config("cfg.json") == {}
 
 
 def test_csv_values_round_trip(in_tmp):

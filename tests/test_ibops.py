@@ -23,7 +23,6 @@ from ibkernel.errors import (
 from ibkernel.ibops import (
     GridField,
     KernelStrategy,
-    MarkerSet,
     _BATCH_COND_LIMIT,
     _closed_form_batch,
     _solve_grams,
@@ -230,14 +229,30 @@ def test_stencil_matches_full_scan(name, radius):
 
 
 class TestMarkerSet:
+    """A set of markers is an (N, d) array_like of finite positions,
+    which interpolate and spread check as ``kernels.as_sites`` does."""
+
     def test_basic(self):
-        ms = MarkerSet([[0.1, 0.2], [0.3, 0.4]])
-        assert len(ms) == 2
-        assert ms.dimension == 2
+        grid, strategy = _standard_setup()
+        field = sample_field(grid, lambda c: 1.0 + c[0])
+        markers = [[0.1, 0.2], [0.3, 0.4]]
+        vals = interpolate(field, markers, strategy)
+        assert vals.shape == (2,)
+        as_array = interpolate(field, np.array(markers), strategy)
+        assert vals.tobytes() == as_array.tobytes()
+        out = spread([1.0, 2.0], markers, grid, strategy)
+        assert out.values.shape == (grid.total_cells,)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            MarkerSet([[0.0, np.nan]])
+        # Non-finite coordinates, and a wrong dimension or rank.
+        grid, strategy = _standard_setup()
+        field = sample_field(grid, lambda c: 1.0)
+        for markers in ([[0.0, np.nan]], [[0.1, 0.2], [np.inf, 0.0]],
+                        [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]):
+            with pytest.raises(ValueError):
+                interpolate(field, markers, strategy)
+            with pytest.raises(ValueError):
+                spread(np.ones(len(markers)), markers, grid, strategy)
 
 
 def _standard_setup():
@@ -250,7 +265,7 @@ class TestInterpolate:
     def test_constant_field(self):
         grid, strategy = _standard_setup()
         field = sample_field(grid, lambda c: 4.5)
-        markers = MarkerSet([[0.4, -0.3], [0.0, 0.0], [-0.55, 0.61]])
+        markers = [[0.4, -0.3], [0.0, 0.0], [-0.55, 0.61]]
         vals = interpolate(field, markers, strategy)
         assert_allclose(vals, 4.5, atol=1e-12)
 

@@ -8,7 +8,6 @@ from ibkernel.errors import InsufficientSupport
 from ibkernel.kernels import (
     _FEW_OFFSETS,
     BasisDegree,
-    KernelSource,
     WeightFunction,
     WeightKind,
     assemble_system,
@@ -279,7 +278,6 @@ class TestClosedForm:
         )
         kw = solve_generating_qp(system)
         assert_allclose(kw.psi, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
-        assert kw.source is KernelSource.PROBLEM_B
         assert kw.equality_residual <= 1e-10
 
     def test_moment_satisfying_weights_pass_through(self):

@@ -4,13 +4,12 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
-from oracles import kernel_kkt_residuals, n_minus, n_plus
+from oracles import kernel_kkt_residuals
 
 from ibkernel.errors import InsufficientSupport, RankDeficientConstraints
 from ibkernel.experiments import CircleCaseConfig
 from ibkernel.kernels import (
     BasisDegree,
-    KernelSource,
     SolveMode,
     WeightFunction,
     assemble_system,
@@ -21,7 +20,6 @@ from ibkernel.ibops import KernelStrategy, make_grid, support_stencil
 from ibkernel.qpsolve import QPProblem, phase1_feasible, solve_generating_qp
 from ibkernel.onesided import (
     KernelBounds,
-    SideMask,
     SignedDistance,
     classify_side,
     generate_one_sided_kernel,
@@ -58,9 +56,9 @@ class TestSignedDistance:
     def test_custom_evaluator(self):
         # half-plane x > 0.25
         sd = SignedDistance(lambda p: p[0] - 0.25)
-        mask = classify_side(sd, [[0.0, 5.0], [0.3, -5.0]])
-        assert not mask.plus[0]
-        assert mask.plus[1]
+        plus = classify_side(sd, [[0.0, 5.0], [0.3, -5.0]])
+        assert not plus[0]
+        assert plus[1]
 
 
 def _bench_one_sided_stencils():
@@ -89,7 +87,7 @@ def _bench_one_sided_stencils():
 
 def _per_point_mask(sd, sites):
     """The side mask from one ``evaluator`` call per site."""
-    return classify_side(SignedDistance(sd.evaluator), sites).plus
+    return classify_side(SignedDistance(sd.evaluator), sites)
 
 
 def test_vectorised_circle_gives_the_per_point_masks():
@@ -99,7 +97,7 @@ def test_vectorised_circle_gives_the_per_point_masks():
     n = 0
     for sites in _bench_one_sided_stencils():
         sd = circle if sites.shape[1] == 2 else sphere
-        mask = classify_side(sd, sites).plus
+        mask = classify_side(sd, sites)
         assert mask.tobytes() == _per_point_mask(sd, sites).tobytes()
         per_point = SignedDistance(sd.evaluator).evaluate(sites)
         assert sd.evaluate(sites).tobytes() == per_point.tobytes()
@@ -112,23 +110,24 @@ def test_sites_on_the_circle_go_minus_in_both_paths(radius):
     for d in (2, 3):
         sd = SignedDistance.circle([0.0] * d, radius)
         on = np.vstack([radius * np.eye(d), -radius * np.eye(d)])
-        assert not classify_side(sd, on).plus.any()
+        assert not classify_side(sd, on).any()
         assert not _per_point_mask(sd, on).any()
 
 
 class TestClassify:
     def test_ties_to_minus(self):
         sd = SignedDistance.circle([0.0, 0.0], 0.5)
-        mask = classify_side(sd, [[0.6, 0.0], [0.3, 0.0], [0.5, 0.0]])
-        assert mask.plus.tolist() == [True, False, False]
-        assert n_plus(mask) == 1
-        assert n_minus(mask) == 2
-        assert len(mask) == 3
+        plus = classify_side(sd, [[0.6, 0.0], [0.3, 0.0], [0.5, 0.0]])
+        assert plus.dtype == bool and plus.shape == (3,)
+        assert plus.tolist() == [True, False, False]
 
     def test_mask_coercion(self):
-        mask = SideMask([1, 0, 1])
-        assert mask.plus.dtype == bool
-        assert n_plus(mask) == 2
+        # Any bool-like mask restricts, as the bool mask it coerces to.
+        system, _ = _square_system()
+        plus = np.arange(system.n_sites) % 2
+        restricted = restrict_weights(system, plus.tolist())
+        assert restricted.Wdiag.tobytes() == np.where(
+            plus == 1, system.Wdiag, 0.0).tobytes()
 
 
 class TestKernelBounds:
@@ -169,9 +168,9 @@ class TestRestrict:
         # keep the single row of sites through the evaluation point: the
         # y-moment row is then identically zero and the system loses rank,
         # which the solve refuses with or without a box
-        mask = SideMask(np.abs(sites[:, 1] - 0.05) < 1e-12)
-        assert n_plus(mask) >= system.n_basis
-        restricted = restrict_weights(system, mask)
+        plus = np.abs(sites[:, 1] - 0.05) < 1e-12
+        assert np.count_nonzero(plus) >= system.n_basis
+        restricted = restrict_weights(system, plus)
         for bounds in (None, (0.0, 0.75), (-0.07, 0.5)):
             with pytest.raises(RankDeficientConstraints):
                 solve_generating_qp(restricted, bounds=bounds)
@@ -179,15 +178,15 @@ class TestRestrict:
     def test_mask_length_checked(self):
         system, _ = _square_system()
         with pytest.raises(ValueError):
-            restrict_weights(system, SideMask(np.ones(3, dtype=bool)))
+            restrict_weights(system, np.ones(3, dtype=bool))
 
     def test_minus_weights_zeroed(self):
         system, sites = _square_system()
         sd = SignedDistance(lambda p: p[0])
-        mask = classify_side(sd, sites)
-        restricted = restrict_weights(system, mask)
-        assert np.all(restricted.Wdiag[~mask.plus] == 0.0)
-        assert_allclose(restricted.Wdiag[mask.plus], system.Wdiag[mask.plus])
+        plus = classify_side(sd, sites)
+        restricted = restrict_weights(system, plus)
+        assert np.all(restricted.Wdiag[~plus] == 0.0)
+        assert_allclose(restricted.Wdiag[plus], system.Wdiag[plus])
 
 
 class TestGenerate:
@@ -205,7 +204,6 @@ class TestGenerate:
         kw = generate_one_sided_kernel(self.sites, ev, self.wf, self.basis)
         system = assemble_system(self.sites, ev, self.wf, self.basis)
         assert_allclose(kw.psi, system.Wdiag, atol=1e-13)
-        assert kw.source is KernelSource.PROBLEM_D
         assert kw.mode is SolveMode.EXACT
 
     def test_one_sided_zeros_minus_side(self):
@@ -214,9 +212,9 @@ class TestGenerate:
         kw = generate_one_sided_kernel(
             self.sites, ev, self.wf, self.basis, sd=sd
         )
-        mask = classify_side(sd, self.sites)
-        assert np.all(kw.psi[~mask.plus] == 0.0)
-        assert np.all(~kw.support[~mask.plus])
+        plus = classify_side(sd, self.sites)
+        assert np.all(kw.psi[~plus] == 0.0)
+        assert np.all(~kw.support[~plus])
         system = assemble_system(self.sites, ev, self.wf, self.basis)
         assert np.max(np.abs(system.A @ kw.psi - system.p)) <= 1e-10
 
@@ -279,7 +277,7 @@ class TestGenerate:
                 sites, ev, self.wf, self.basis, sd=sd
             )
             assert np.max(np.abs(system.A @ kw.psi - system.p)) <= 1e-9
-            assert np.all(kw.psi[~mask.plus] == 0.0)
+            assert np.all(kw.psi[~mask] == 0.0)
 
 
 def test_sphere_boxes():
@@ -312,7 +310,7 @@ def test_sphere_boxes():
             assert phase1_feasible(problem).feasible
             assert np.max(np.abs(system.A @ psi - system.p)) <= 1e-10
             assert np.all(psi >= alpha) and np.all(psi <= beta)
-            assert np.all(psi[~mask.plus] == 0.0)
+            assert np.all(psi[~mask] == 0.0)
             residuals = kernel_kkt_residuals(
                 psi[keep], system.Wdiag[keep], system.A[:, keep], alpha, beta
             )
@@ -379,7 +377,7 @@ def test_scaled_weight_profile_in_the_case4_box(scale):
             assert np.max(np.abs(kw.psi - want.psi)) <= 1e-8 * np.max(np.abs(want.psi))
         else:
             assert np.all(kw.psi >= 0.0) and np.all(kw.psi <= 0.75)
-            assert np.all(kw.psi[~classify_side(sd, stencil.sites).plus] == 0.0)
+            assert np.all(kw.psi[~classify_side(sd, stencil.sites)] == 0.0)
     assert modes == {"Exact": 92, "RankDeficientConstraints": 4, "SoftConstraint": 48}
 
 

@@ -31,7 +31,6 @@ from ibkernel.errors import (
 )
 from ibkernel.kernels import (
     BasisDegree,
-    KernelSource,
     KernelSystem,
     Peskin4Weights,
     SolveMode,
@@ -127,7 +126,6 @@ class TestEqQP:
             direct = closed_form_psi(system)
             via_qp = solve_generating_qp(system)
             assert np.max(np.abs(direct - via_qp.psi)) <= 1e-12
-            assert via_qp.source is KernelSource.PROBLEM_B
 
 
 class TestBoxQP:
