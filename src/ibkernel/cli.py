@@ -159,15 +159,13 @@ def _case_from(config):
 
 
 def _signed_distance_from(config, dimension):
+    center = config.get("center", (0.0, 0.0))
     try:
-        sd = SignedDistance.circle(
-            config.get("center", (0.0, 0.0)), float(config.get("radius", 0.5))
-        )
+        if np.shape(center) != (dimension,):
+            raise ConfigError(f"center needs {dimension} coordinates for this domain")
+        return SignedDistance.circle(center, float(config.get("radius", 0.5)))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"center/radius: {err}") from err
-    if len(sd.center) != dimension:
-        raise ConfigError(f"center needs {dimension} coordinates for this domain")
-    return sd
 
 
 def _circle_table_csv(table):

@@ -69,8 +69,10 @@ class CircleCaseConfig:
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
             setattr(self, name, value)
-        if self.case not in (1, 2, 3, 4):
-            raise ValueError(f"case must be 1..4, got {self.case}")
+        case = self.case  # not a bool or a float, even one equal to 1..4
+        if (isinstance(case, bool) or not isinstance(case, (int, np.integer))
+                or not 1 <= case <= 4):
+            raise ValueError(f"case must be an integer 1..4, got {case!r}")
         if self.bounds is not None and not isinstance(self.bounds, KernelBounds):
             alpha, beta = self.bounds
             self.bounds = KernelBounds(float(alpha), float(beta))

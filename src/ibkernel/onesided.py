@@ -2,6 +2,9 @@
 
 A signed-distance function splits the support sites into a Plus region
 (positive distance) and a Minus region (non-positive, ties included).
+It is an array map: an (N, d) float array of sites in, N finite signed
+distances out, called once per stencil. A per-point function ``f``
+becomes one as ``lambda s: np.array([f(p) for p in s])``.
 Restricting the weight matrix to the Plus side and re-solving the
 constrained minimization yields kernels whose support never crosses the
 interface; optional scalar bounds on the weights tame the resulting
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSystem, as_point, as_sites, assemble_system
+from .kernels import KernelSystem, as_sites, assemble_system
 from .qpsolve import solve_generating_qp
 
 __all__ = [
@@ -29,9 +32,12 @@ __all__ = [
 class SignedDistance:
     """Signed distance to an interface: positive outside, negative inside.
 
-    ``evaluator`` maps a d-vector to a signed real. For circles use the
-    ``circle`` constructor, whose evaluator is the exact distance
-    |x - center| - radius, computed for all sites at once by ``evaluate``.
+    ``evaluator`` maps an (N, d) float array of sites to N finite signed
+    distances, one call per stencil; a site at distance 0 is on Minus. A
+    per-point function ``f`` becomes such a map as
+    ``lambda s: np.array([f(p) for p in s])``. ``evaluate`` checks the
+    sites before the call and the distances after it. For circles and
+    spheres use ``circle``, whose map is the exact |x - center| - radius.
     """
 
     evaluator: object
@@ -42,34 +48,26 @@ class SignedDistance:
         if not (np.isfinite(center).all() and 0.0 < radius < np.inf):
             raise ValueError("center must be finite, radius positive and finite")
 
-        def evaluator(point):  # evaluate's arithmetic, so the bits agree
-            rel = as_point(point, center.size) - center
-            return float(np.sqrt((rel * rel).sum())) - radius
+        def evaluator(sites):
+            if sites.shape[1] != center.size:
+                raise ValueError(
+                    f"sites have dimension {sites.shape[1]}, expected {center.size}"
+                )
+            rel = sites - center
+            return np.sqrt((rel * rel).sum(axis=1)) - radius
 
-        return _Circle(evaluator, tuple(center.tolist()), radius)
+        return cls(evaluator)
 
     def evaluate(self, sites):
-        return self._distances(as_sites(sites))
-
-    def _distances(self, sites):
-        """``evaluate`` on sites already checked: a finite (N, d) float array."""
-        return np.array([float(self.evaluator(s)) for s in sites])
-
-
-@dataclass(frozen=True)
-class _Circle(SignedDistance):
-    """|x - center| - radius over all sites at once."""
-
-    center: tuple
-    radius: float
-
-    def _distances(self, sites):
-        if sites.shape[1] != len(self.center):
+        sites = as_sites(sites)
+        distances = np.asarray(self.evaluator(sites), dtype=float)
+        if distances.shape != (len(sites),):
             raise ValueError(
-                f"sites have dimension {sites.shape[1]}, expected {len(self.center)}"
+                f"signed distances have shape {distances.shape}, expected ({len(sites)},)"
             )
-        rel = sites - self.center
-        return np.sqrt((rel * rel).sum(axis=1)) - self.radius
+        if not np.isfinite(distances).all():
+            raise ValueError("signed distances contain non-finite values")
+        return distances
 
 
 @dataclass(frozen=True)
@@ -84,14 +82,9 @@ class KernelBounds:
             raise ValueError("alpha must not exceed beta")
 
 
-def classify_side(sd, sites, checked=False):
-    """(N,) bool, True where the distance is positive; ties go to Minus.
-
-    The sites are checked as ``sd.evaluate`` checks them, unless
-    ``checked`` says that they are a finite (N, d) float array built from
-    checked data, as a ``KernelSystem``'s sites are.
-    """
-    return (sd._distances(sites) if checked else sd.evaluate(sites)) > 0.0
+def classify_side(sd, sites):
+    """(N,) bool, True where the distance is positive; ties go to Minus."""
+    return sd.evaluate(sites) > 0.0
 
 
 def restrict_weights(system, plus):
@@ -115,8 +108,8 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     """Full pipeline: assemble, restrict to one side, minimize.
 
     ``sites`` takes either form ``assemble_system`` takes: (N, d) sites or
-    ``SiteAxes``. Their input is checked there, once; the side
-    classification and the solve take the assembled system as checked.
+    ``SiteAxes``. Their input is checked there, and the solve takes the
+    assembled system as checked.
     With ``sd`` omitted the support is two-sided; with ``bounds`` omitted
     the solve is equality-only. Minus-side entries of the result are
     exactly zero; the solve mode records whether the equalities were met
@@ -124,6 +117,6 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     """
     system = assemble_system(sites, eval_point, wf, basis)
     if sd is not None:
-        plus = classify_side(sd, system.sites, checked=True)
+        plus = classify_side(sd, system.sites)
         system = restrict_weights(system, plus)
     return solve_generating_qp(system, bounds=bounds, checked=True)

@@ -488,3 +488,23 @@ def compare_kernels(a, b):
 def flat_index(grid, axis_indices):
     """Flat C-order index of a cell of ``grid`` from its per-axis indices."""
     return int(np.ravel_multi_index(tuple(axis_indices), grid.counts))
+
+
+def per_site_map(f):
+    """A per-site signed distance ``f`` as an array map: one call per site."""
+    return lambda sites: np.array([float(f(p)) for p in sites])
+
+
+def circle_distance(center, radius):
+    """|point - center| - radius at one point, in the circle map's arithmetic.
+
+    The per-site reference for ``SignedDistance.circle``, whose map does
+    the same operations on all sites at once, so the bits agree.
+    """
+    center = np.asarray(center, dtype=float).reshape(-1)
+
+    def f(point):
+        rel = as_point(point, center.size) - center
+        return float(np.sqrt((rel * rel).sum())) - radius
+
+    return f

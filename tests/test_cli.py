@@ -181,6 +181,16 @@ def test_malformed_config_value_is_config_error(in_tmp, capsys, argv, cfg):
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("center", [[0, 0, 0], [0], [[0, 0]]], ids=["3d", "1d", "nested"])
+def test_one_sided_center_of_another_shape_is_config_error(in_tmp, capsys, center):
+    # The center's shape is checked against the domain before the circle
+    # is built, so the message names the center, not the sites; a nested
+    # center is refused, as the circle command refuses it.
+    (in_tmp / "cfg.json").write_text(json.dumps({"center": center}))
+    assert main([*ONE_SIDED, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == "error: center needs 2 coordinates for this domain\n"
+
+
 KERNEL = ["kernel", "--eval", "0.31", "-0.17"]
 
 

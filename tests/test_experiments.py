@@ -50,6 +50,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             CircleCaseConfig(radius=0.0)
 
+    def test_case_must_be_an_integer(self):
+        # A bool or a float equal to a case number is refused, not read
+        # as that case; the CLI turns a whole-number JSON value into an int.
+        for case in (True, False, 3.0, 2.5, np.float64(1.0), "2"):
+            with pytest.raises(ValueError, match="case must be an integer"):
+                CircleCaseConfig.for_case(case)
+        assert CircleCaseConfig.for_case(np.int64(3)).case == 3
+
     def test_json_shaped_input_converted(self):
         cfg = CircleCaseConfig(
             marker_angles_deg=[10, 20], center=[0, 0], radius=1,

@@ -1,12 +1,13 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
-from oracles import kernel_kkt_residuals
+from oracles import circle_distance, kernel_kkt_residuals, per_site_map
 
-from ibkernel.errors import InsufficientSupport, RankDeficientConstraints
+from ibkernel.errors import IBKernelError, InsufficientSupport, RankDeficientConstraints
 from ibkernel.experiments import CircleCaseConfig
 from ibkernel.kernels import (
     BasisDegree,
@@ -30,9 +31,8 @@ from ibkernel.onesided import (
 class TestSignedDistance:
     def test_circle_values(self):
         sd = SignedDistance.circle([0.0, 0.0], 0.5)
-        assert sd.evaluator([0.6, 0.0]) == pytest.approx(0.1, abs=1e-15)
-        assert sd.evaluator([0.3, 0.0]) == pytest.approx(-0.2, abs=1e-15)
-        assert sd.evaluator([0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
+        vals = sd.evaluate([[0.6, 0.0], [0.3, 0.0], [0.5, 0.0]])
+        assert_allclose(vals, [0.1, -0.2, 0.0], rtol=0.0, atol=1e-15)
 
     def test_evaluate_batch(self):
         sd = SignedDistance.circle([1.0, 1.0], 1.0)
@@ -45,20 +45,45 @@ class TestSignedDistance:
 
     def test_center_dimension_must_match_sites(self):
         # A one-entry center is not broadcast over both axes, by either
-        # the all-sites ``evaluate`` or the per-point evaluator.
+        # ``evaluate`` or the map it calls.
         for center in ([0.0], [0.0, 0.0, 0.0]):
             sd = SignedDistance.circle(center, 0.5)
             with pytest.raises(ValueError):
                 sd.evaluate([[0.6, 0.0]])
             with pytest.raises(ValueError):
-                sd.evaluator([0.6, 0.0])
+                sd.evaluator(np.array([[0.6, 0.0]]))
 
     def test_custom_evaluator(self):
-        # half-plane x > 0.25
-        sd = SignedDistance(lambda p: p[0] - 0.25)
-        plus = classify_side(sd, [[0.0, 5.0], [0.3, -5.0]])
-        assert not plus[0]
-        assert plus[1]
+        # half-plane x > 0.25, as an array map and as a per-point function
+        for evaluator in (lambda s: s[:, 0] - 0.25,
+                          lambda s: np.array([p[0] - 0.25 for p in s])):
+            plus = classify_side(SignedDistance(evaluator), [[0.0, 5.0], [0.3, -5.0]])
+            assert plus.tolist() == [False, True]
+
+    def test_map_is_called_once_on_the_checked_sites(self):
+        calls = []
+
+        def evaluator(sites):
+            calls.append(sites)
+            return sites[:, 0]
+
+        SignedDistance(evaluator).evaluate([[1, 2], [3, 4], [5, 6]])
+        assert len(calls) == 1
+        assert calls[0].dtype == float and calls[0].shape == (3, 2)
+
+    @pytest.mark.parametrize("output", [
+        lambda s: 0.5,
+        lambda s: s[:, :1],
+        lambda s: s[1:, 0],
+        lambda s: np.where(s[:, 0] > 0.0, np.nan, 1.0),
+        lambda s: np.full(len(s), np.inf),
+    ], ids=["scalar", "column", "one_short", "nan", "inf"])
+    def test_malformed_map_output_is_refused(self, output):
+        sites = [[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]]
+        with pytest.raises(ValueError):
+            SignedDistance(output).evaluate(sites)
+        with pytest.raises(ValueError):
+            classify_side(SignedDistance(output), sites)
 
 
 def _bench_one_sided_stencils():
@@ -85,22 +110,20 @@ def _bench_one_sided_stencils():
             yield support_stencil(grid, x, 3.0).sites
 
 
-def _per_point_mask(sd, sites):
-    """The side mask from one ``evaluator`` call per site."""
-    return classify_side(SignedDistance(sd.evaluator), sites)
+def _per_point(center, radius):
+    """The circle's signed distance from one oracle call per site."""
+    return SignedDistance(per_site_map(circle_distance(center, radius)))
 
 
 def test_vectorised_circle_gives_the_per_point_masks():
-    circle, sphere = (
-        SignedDistance.circle([0.0] * d, 0.5) for d in (2, 3)
-    )
+    circles = {d: (SignedDistance.circle([0.0] * d, 0.5), _per_point([0.0] * d, 0.5))
+               for d in (2, 3)}
     n = 0
     for sites in _bench_one_sided_stencils():
-        sd = circle if sites.shape[1] == 2 else sphere
+        sd, per_point = circles[sites.shape[1]]
         mask = classify_side(sd, sites)
-        assert mask.tobytes() == _per_point_mask(sd, sites).tobytes()
-        per_point = SignedDistance(sd.evaluator).evaluate(sites)
-        assert sd.evaluate(sites).tobytes() == per_point.tobytes()
+        assert mask.tobytes() == classify_side(per_point, sites).tobytes()
+        assert sd.evaluate(sites).tobytes() == per_point.evaluate(sites).tobytes()
         n += 1
     assert n == 720 + 3 * 150
 
@@ -111,7 +134,57 @@ def test_sites_on_the_circle_go_minus_in_both_paths(radius):
         sd = SignedDistance.circle([0.0] * d, radius)
         on = np.vstack([radius * np.eye(d), -radius * np.eye(d)])
         assert not classify_side(sd, on).any()
-        assert not _per_point_mask(sd, on).any()
+        assert not classify_side(_per_point([0.0] * d, radius), on).any()
+
+
+def _ellipse(x, y):
+    """(x/0.5)² + (y/0.35)² − 1: a level function, not a distance."""
+    u, v = x / 0.5, y / 0.35
+    return u * u + v * v - 1.0
+
+
+def _half_plane(x, y):
+    """Positive above the line through the origin at 30°."""
+    return 0.8660254037844386 * y - 0.5 * x
+
+
+def _kernel_outcome(strategy, grid, marker):
+    """A kernel's bits (indices, ψ, mode, residual), or the class it raised."""
+    try:
+        stencil, kw = strategy.kernel_for(grid, marker)
+    except IBKernelError as exc:
+        return type(exc).__name__
+    return (stencil.indices.tobytes(), kw.psi.tobytes(), kw.mode,
+            np.float64(kw.equality_residual).tobytes())
+
+
+@pytest.mark.parametrize("level", [_ellipse, _half_plane], ids=["ellipse", "half_plane"])
+def test_array_map_gives_the_per_site_masks_and_kernels(level):
+    # An interface other than the circle: its array map and a per-site
+    # oracle wrapped as one give the same masks and kernels, bit for bit,
+    # at the paper's 720 half-degree markers under the case 2-4 settings.
+    array_map = SignedDistance(lambda s: level(s[:, 0], s[:, 1]))
+    per_site = SignedDistance(per_site_map(lambda p: level(float(p[0]), float(p[1]))))
+    angles = tuple(0.5 * np.arange(720))
+    outcomes, split = Counter(), 0
+    for case in (2, 3, 4):
+        cfg = CircleCaseConfig.for_case(case, marker_angles_deg=angles)
+        grid = make_grid(cfg.extents, cfg.mesh_width)
+        got, want = (replace(cfg.strategy(), signed_distance=sd)
+                     for sd in (array_map, per_site))
+        for marker in cfg.marker_positions():
+            if case == 2:
+                sites = support_stencil(grid, marker, 3.0).sites
+                mask = classify_side(array_map, sites)
+                assert mask.tobytes() == classify_side(per_site, sites).tobytes()
+                split += 0 < np.count_nonzero(mask) < len(mask)
+            outcome = _kernel_outcome(got, grid, marker)
+            assert outcome == _kernel_outcome(want, grid, marker)
+            outcomes[outcome if isinstance(outcome, str) else outcome[2].value] += 1
+    # The interface cuts the stencils of many markers, so most kernels are
+    # truly one-sided.
+    assert split >= 200
+    assert outcomes["Exact"] >= 1000, outcomes
 
 
 class TestClassify:
@@ -151,14 +224,14 @@ def _square_system(eval_point=(0.05, 0.05), h=0.1, half=3):
 class TestRestrict:
     def test_all_plus_is_identity(self):
         system, sites = _square_system()
-        sd = SignedDistance(lambda p: 1.0)
+        sd = SignedDistance(lambda s: np.ones(len(s)))
         restricted = restrict_weights(system, classify_side(sd, sites))
         assert_allclose(restricted.Wdiag, system.Wdiag)
         assert_allclose(restricted.A, system.A)
 
     def test_all_minus_insufficient(self):
         system, sites = _square_system()
-        sd = SignedDistance(lambda p: -1.0)
+        sd = SignedDistance(lambda s: -np.ones(len(s)))
         restricted = restrict_weights(system, classify_side(sd, sites))
         with pytest.raises(InsufficientSupport):
             solve_generating_qp(restricted)
@@ -182,7 +255,7 @@ class TestRestrict:
 
     def test_minus_weights_zeroed(self):
         system, sites = _square_system()
-        sd = SignedDistance(lambda p: p[0])
+        sd = SignedDistance(lambda s: s[:, 0])
         plus = classify_side(sd, sites)
         restricted = restrict_weights(system, plus)
         assert np.all(restricted.Wdiag[~plus] == 0.0)
@@ -207,7 +280,7 @@ class TestGenerate:
         assert kw.mode is SolveMode.EXACT
 
     def test_one_sided_zeros_minus_side(self):
-        sd = SignedDistance(lambda p: p[0] - 0.02)
+        sd = SignedDistance(lambda s: s[:, 0] - 0.02)
         ev = [0.05, 0.05]
         kw = generate_one_sided_kernel(
             self.sites, ev, self.wf, self.basis, sd=sd
@@ -254,7 +327,7 @@ class TestGenerate:
         assert cost(tight) >= cost(loose) - 1e-12
 
     def test_bounds_excluding_zero_with_elimination(self):
-        sd = SignedDistance(lambda p: p[0] - 0.02)
+        sd = SignedDistance(lambda s: s[:, 0] - 0.02)
         with pytest.raises(Exception) as err:
             generate_one_sided_kernel(
                 self.sites, [0.05, 0.05], self.wf, self.basis, sd=sd,

@@ -3,7 +3,7 @@
     python3 tools/kernel_digest.py
 
 Imports ``ibkernel`` from the ``src/`` next to this file, so a copy of the
-tool placed in another checkout digests that checkout. Three groups:
+tool placed in another checkout digests that checkout. Four groups:
 
 - ``circle``: the paper's circle cases 1-4 at 720 angles (0.5° apart),
   one ``kernel_for`` call per marker through
@@ -11,15 +11,20 @@ tool placed in another checkout digests that checkout. Three groups:
 - ``sphere``: 150 markers of a Fibonacci sphere (radius 0.5, h = 0.075,
   extents ±0.9) under the unbounded, [-0.07, 0.5] and [0, 0.75]
   one-sided strategies;
+- ``ellipse``: the paper's 720 circle markers with the case-2 and case-4
+  settings, restricted to the outside of the ellipse
+  (x/0.5)² + (y/0.35)² − 1 > 0 in place of the circle: an interface
+  given by an array map other than ``SignedDistance.circle``;
 - ``transfer``: the ``interpolate`` and ``spread`` outputs of one
   1,280-marker two-sided unbounded batch on a 512² grid.
 
 A kernel enters its digest as its stencil indices, ψ bytes, solve mode
 and equality residual, or as the class of the exception it raised. Each
 group's digest hashes the digests of its parts in order, and after the
-three group lines the tool prints each part's own: ``circle/1`` to
-``circle/4`` by case, and ``sphere/unbounded``, ``sphere/[-0.07,0.5]`` and
-``sphere/[0,0.75]`` by strategy. They show which kernels kept their bits.
+four group lines the tool prints each part's own: ``circle/1`` to
+``circle/4`` by case, ``sphere/unbounded``, ``sphere/[-0.07,0.5]`` and
+``sphere/[0,0.75]`` by strategy, and ``ellipse/2`` and ``ellipse/4`` by
+case. They show which kernels kept their bits.
 
 Right after the ``transfer`` line, ``transfer moves`` gives the largest
 |batched − one-marker| of the interpolate and of the spread outputs, each
@@ -31,6 +36,7 @@ that moves the transfer digest can say by how much.
 import hashlib
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +106,23 @@ def sphere_group():
     return _combine(parts), outcomes, parts
 
 
+def ellipse_group():
+    parts, outcomes = {}, Counter()
+    angles = tuple(np.arange(720) * 0.5)
+
+    def level(sites):
+        u, v = sites[:, 0] / 0.5, sites[:, 1] / 0.35
+        return u * u + v * v - 1.0
+
+    for case in (2, 4):
+        cfg = CircleCaseConfig.for_case(case, marker_angles_deg=angles)
+        grid = ibops.make_grid(cfg.extents, cfg.mesh_width)
+        strategy = replace(cfg.strategy(), signed_distance=SignedDistance(level))
+        parts[f"ellipse/{case}"] = _digest_kernels(
+            strategy, grid, cfg.marker_positions(), outcomes)
+    return _combine(parts), outcomes, parts
+
+
 def _transfer_case():
     """Grid, field, markers, spread values and strategy of the transfer group."""
     h, per_circle = 2.0 / 512, 640
@@ -143,7 +166,7 @@ def transfer_moves():
 def main():
     all_parts = {}
     for name, group in (("circle", circle_group), ("sphere", sphere_group),
-                        ("transfer", transfer_group)):
+                        ("ellipse", ellipse_group), ("transfer", transfer_group)):
         sha, outcomes, parts = group()
         print(f"{name:8s} {sha.hexdigest()}  {dict(sorted(outcomes.items()))}")
         all_parts.update(parts)
