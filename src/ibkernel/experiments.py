@@ -177,8 +177,6 @@ def run_circle_case(config):
         denom = abs(exact)
         rel = abs(value - exact) / denom if denom > 0.0 else float("inf")
         live = weights.supported_psi()
-        if live.size == 0:
-            live = weights.psi
         table.rows.append(
             MarkerResult(
                 marker_deg=float(deg),

@@ -22,9 +22,7 @@ from .errors import DegenerateDomain, StencilOutsideDomain
 from .kernels import (
     BasisDegree,
     SiteAxes,
-    WeightKind,
     _site_positions,
-    _valid_profile_values,
     as_point,
     as_sites,
     build_basis,
@@ -363,11 +361,11 @@ def _closed_form_batch(grid, markers, wf, degree):
 
     Returns the (n, k^d) flat indices and weights of ``KernelStrategy._batch``,
     or None if any marker is within the support of an edge (or an axis
-    has fewer than k cells), a custom profile gives a negative, NaN or
-    infinite value (the per-marker loop then raises assemble_system's
-    ValueError), a marker has fewer than m supported sites, or has a Gram
-    that ``_solve_grams`` refuses. Weights agree with
-    ``KernelStrategy.kernel_for`` to rounding, not bitwise.
+    has fewer than k cells), ``wf.eval1d`` refuses the profile's values
+    (the per-marker loop then raises its ValueError), a marker has fewer
+    than m supported sites, or has a Gram that ``_solve_grams`` refuses.
+    Weights agree with ``KernelStrategy.kernel_for`` to rounding, not
+    bitwise.
     """
     try:
         m = build_basis(grid.dimension, degree).size
@@ -387,8 +385,9 @@ def _closed_form_batch(grid, markers, wf, degree):
     start = np.minimum(np.floor((x - o) / h - 0.5 - radius) + 1, cells - k)
     idx = start.astype(np.intp) + np.arange(k)[:, None]
     r = o + (idx + 0.5) * h - x  # the centers of axis_centers, less x
-    phi = wf.eval1d(r / wf.mesh_width)
-    if wf.kind is WeightKind.CUSTOM_1D and not _valid_profile_values(phi):
+    try:
+        phi = wf.eval1d(r / wf.mesh_width)
+    except ValueError:
         return None
     # The windows, broadcast to the (k, ..., k, n) tensor, and the flat
     # index of each one's first cell.

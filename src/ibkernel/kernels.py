@@ -197,11 +197,14 @@ class WeightKind(Enum):
 class WeightFunction:
     """A 1D weight profile applied in tensor-product form.
 
-    ``profile`` is only consulted for CUSTOM_1D and must be a callable of
-    the dimensionless offset returning non-negative values. ``eval1d``
-    calls it only at offsets strictly inside ``radius_in_cells`` and
-    gives 0 everywhere else, so every profile vanishes at and beyond its
-    radius, as ψ6 (radius 3) and ψ4 (radius 2) do by their formulas.
+    ``profile`` is only consulted for CUSTOM_1D. It is an array map: it
+    takes the 1-D array of dimensionless offsets strictly inside
+    ``radius_in_cells`` and returns one finite value >= 0 for each.
+    ``eval1d`` gives 0 at every other offset, so every profile vanishes
+    at and beyond its radius, as ψ6 (radius 3) and ψ4 (radius 2) do by
+    their formulas. A one-offset function f ports as
+    ``lambda r: np.array([float(f(v)) for v in r.tolist()])``. The weights
+    alone decide which sites a kernel is solved on; a box bounds only those.
     """
 
     kind: WeightKind
@@ -227,6 +230,7 @@ class WeightFunction:
 
     @classmethod
     def custom1d(cls, mesh_width, profile, radius_in_cells):
+        """``profile`` maps the 1-D array of in-radius offsets to values >= 0."""
         return cls(WeightKind.CUSTOM_1D, mesh_width, radius_in_cells, profile)
 
     @classmethod
@@ -249,22 +253,30 @@ class WeightFunction:
         return cls(WeightKind.CUSTOM_1D, mesh_width, radius_in_cells, profile)
 
     def eval1d(self, r):
+        """The profile at the dimensionless offsets ``r``, in r's shape.
+
+        The one place profile values are made and checked (ψ6 and ψ4 give
+        finite values >= 0 at any offset). Raises ValueError where a custom
+        profile gives other than one value per offset, or a negative, NaN
+        or infinite one.
+        """
         if self.kind is WeightKind.SIX_POINT_SPLINE:
             return eval_psi6(r)
         if self.kind is WeightKind.FOUR_POINT_PESKIN:
             return eval_psi4(r)
         r = np.asarray(r, dtype=float)
         inside = np.abs(r) < self.radius_in_cells
-        if r.ndim == 0:
-            return float(self.profile(float(r))) if inside else 0.0
         at = r[inside]
-        try:
-            values = np.asarray(self.profile(at), dtype=float)
-            if values.shape != at.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            # scalar-only profiles are fine, just slower
-            values = np.array([float(self.profile(v)) for v in at.tolist()])
+        values = np.asarray(self.profile(at), dtype=float)
+        name = getattr(self.profile, "__name__", repr(self.profile))
+        name = f"weight profile {self.kind.value} {name}"
+        if values.shape != at.shape:
+            raise ValueError(f"{name} gave shape {values.shape} for {at.size} offsets; "
+                             "a profile maps the 1-D array of offsets to one value each")
+        bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
+        if bad.size:
+            raise ValueError(f"{name} gave {float(values[bad[0]])} at offset "
+                             f"{at[bad[0]]:g}; profile values must be finite and >= 0")
         out = np.zeros(r.shape)
         out[inside] = values
         return out
@@ -426,35 +438,6 @@ def _site_positions(sizes):
     return positions, axis
 
 
-def _profile(wf, r):
-    """``wf``'s values at the dimensionless offsets ``r``.
-
-    A custom profile's values must come out finite and >= 0. ψ6 and ψ4
-    give no other value at any offset, NaN and ±inf included, so theirs
-    are not scanned.
-
-    Raises
-    ------
-    ValueError
-        A custom profile gave a negative, NaN or infinite value.
-    """
-    values = np.asarray(wf.eval1d(r), dtype=float)
-    if wf.kind is WeightKind.CUSTOM_1D and not _valid_profile_values(values):
-        bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))[0]
-        name = getattr(wf.profile, "__name__", repr(wf.profile))
-        raise ValueError(
-            f"weight profile {wf.kind.value} {name} gave "
-            f"{float(values.flat[bad])} at offset {np.ravel(r)[bad]:g}; "
-            f"profile values must be finite and >= 0"
-        )
-    return values
-
-
-def _valid_profile_values(values):
-    """True if every value is finite and >= 0 (NaN fails)."""
-    return values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf
-
-
 def assemble_system(sites, eval_point, wf, basis):
     """Build the kernel system (A, Wdiag, p) for one evaluation point.
 
@@ -473,7 +456,7 @@ def assemble_system(sites, eval_point, wf, basis):
         scattered sites, checks for duplicates by sorting.
     eval_point : (d,) array_like
     wf : WeightFunction
-        Its values must come out finite and non-negative.
+        Its ``eval1d`` checks the profile values.
     basis : PolynomialBasis
 
     Raises
@@ -488,7 +471,7 @@ def assemble_system(sites, eval_point, wf, basis):
         eval_point = as_point(eval_point, d)
         along = coords - eval_point[axis]
         offsets = along[positions]
-        per_axis = _profile(wf, along / wf.mesh_width)[positions]
+        per_axis = wf.eval1d(along / wf.mesh_width)[positions]
         sites = coords[positions]
     else:
         sites = as_sites(sites, d)
@@ -497,7 +480,7 @@ def assemble_system(sites, eval_point, wf, basis):
         if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("sites must be pairwise distinct")
         offsets = sites - eval_point
-        per_axis = _profile(wf, offsets / wf.mesh_width)
+        per_axis = wf.eval1d(offsets / wf.mesh_width)
 
     # Tensor-product weights: the product over axes of the 1D profile.
     wdiag = per_axis[:, 0]

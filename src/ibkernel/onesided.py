@@ -72,7 +72,8 @@ class SignedDistance:
 
 @dataclass(frozen=True)
 class KernelBounds:
-    """Scalar box alpha ≤ Ψ_i ≤ beta applied to every weight."""
+    """Scalar box alpha ≤ Ψ_i ≤ beta on the supported sites only; the
+    others (weightless or Minus side) stay 0, so the box need not hold 0."""
 
     alpha: float
     beta: float

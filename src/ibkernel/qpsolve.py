@@ -472,14 +472,14 @@ def check_kkt(problem, solution):
 def solve_generating_qp(system, bounds=None, checked=False):
     """Kernel weights by constrained minimization of ½ ΨᵀW⁻¹Ψ.
 
-    Sites whose weight is at or below ``linalg._ZERO_WEIGHT`` make W⁻¹
-    undefined; they are eliminated with Ψ := 0 before solving, which
-    preserves the minimizer of the remaining coordinates; fewer of them
-    than moment rows raise InsufficientSupport. Every kernel is solved on
-    the kept columns ``system.A[:, keep]`` and reports that solve's own
-    equality residual, cut sites or none. Without bounds
-    this is a single equality-QP solve. With bounds the dual Newton
-    solver runs first. An Infeasible it raises with a certified violation
+    W alone decides the unknowns: sites whose weight is at or below
+    ``linalg._ZERO_WEIGHT`` (weightless or Minus side) are structural
+    zeros, Ψ := 0 and False in ``support``; fewer kept sites than moment
+    rows raise InsufficientSupport. The kept columns ``system.A[:, keep]``
+    are solved, with the box on the kept sites only, and the kernel reports
+    that solve's own equality residual. Without bounds this is a single
+    equality-QP solve. With bounds the dual Newton solver runs first. An
+    Infeasible it raises with a certified violation
     above ``linalg._FEASIBILITY`` hands the kernel to the soft-constraint
     penalty. Any other Infeasible, RankDeficientConstraints or
     MaxIterationsExceeded goes soft only where phase-1 finds the box
@@ -510,11 +510,6 @@ def solve_generating_qp(system, bounds=None, checked=False):
         alpha, beta = (
             (bounds.alpha, bounds.beta) if hasattr(bounds, "alpha") else bounds
         )
-        if n_keep < keep.size and not (alpha <= 0.0 <= beta):
-            raise Infeasible(
-                "eliminated zero-weight sites violate bounds excluding 0",
-                violation=max(alpha - 0.0, 0.0 - beta),
-            )
         if checked and not (alpha <= beta):  # NaN fails too
             raise ValueError(f"bounds ({alpha}, {beta}) are NaN or crossed")
         problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta,

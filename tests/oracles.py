@@ -490,6 +490,11 @@ def flat_index(grid, axis_indices):
     return int(np.ravel_multi_index(tuple(axis_indices), grid.counts))
 
 
+def per_value_profile(f):
+    """A one-offset weight profile ``f`` as an array map: one call per offset."""
+    return lambda r: np.array([float(f(v)) for v in np.asarray(r).tolist()])
+
+
 def per_site_map(f):
     """A per-site signed distance ``f`` as an array map: one call per site."""
     return lambda sites: np.array([float(f(p)) for p in sites])

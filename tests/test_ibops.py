@@ -11,6 +11,7 @@ from oracles import (
     lapack_gram_solve,
     per_marker_interpolate,
     per_marker_spread,
+    per_value_profile,
     tensor_weight,
 )
 
@@ -462,7 +463,8 @@ _PROFILES = {
     "psi6": WeightFunction.six_point_spline,
     "psi4": WeightFunction.four_point_peskin,
     "custom-array": lambda h: WeightFunction.custom1d(h, _tiny_tail, 3.0),
-    "custom-scalar": lambda h: WeightFunction.custom1d(h, _scalar_psi4, 2.0),
+    "custom-scalar": lambda h: WeightFunction.custom1d(
+        h, per_value_profile(_scalar_psi4), 2.0),
     "custom-scaled": lambda h: WeightFunction.custom1d(h, _scaled_psi6, 3.0),
     "table": lambda h: WeightFunction.from_table(
         h, _TABLE, 1.0 - (_TABLE / 2.5) ** 2, 2.5

@@ -2,9 +2,16 @@ import numpy as np
 import numpy.random as npr
 import pytest
 from numpy.testing import assert_allclose
-from oracles import tensor_weight
+from oracles import per_value_profile, tensor_weight
 
 from ibkernel.errors import InsufficientSupport
+from ibkernel.ibops import (
+    KernelStrategy,
+    interpolate,
+    make_grid,
+    sample_field,
+    support_stencil,
+)
 from ibkernel.kernels import (
     _FEW_OFFSETS,
     BasisDegree,
@@ -178,9 +185,30 @@ class TestWeightFunction:
         assert np.abs(np.concatenate([np.ravel(v) for v in seen])).max() < 1.5
 
     def test_custom_scalar_profile(self):
-        # non-vectorized profiles must still work
-        wf = WeightFunction.custom1d(1.0, lambda r: max(0.0, 1.0 - abs(r)), 1.0)
-        assert_allclose(wf.eval1d(np.array([0.0, 0.5, 3.0])), [1.0, 0.5, 0.0])
+        # A profile is an array map. One written for one offset at a time
+        # is refused at every entry point, by the error it raises on an
+        # array or by eval1d's shape check, and per_value_profile ports it.
+        def tent(r):
+            return max(0.0, 1.0 - abs(r))
+
+        ported = WeightFunction.custom1d(1.0, per_value_profile(tent), 1.0)
+        assert_allclose(ported.eval1d(np.array([0.0, 0.5, 3.0])), [1.0, 0.5, 0.0])
+        h, marker = 0.075, np.array([0.01, 0.02])
+        grid = make_grid([(-1.0, 1.0), (-1.0, 1.0)], h)
+        field = sample_field(grid, lambda c: 1.0)
+        markers = np.array([marker, [0.3, -0.2], [-0.41, 0.17]])
+        stencil = support_stencil(grid, marker, 2.5)
+        basis = build_basis(2, BasisDegree.LINEAR)
+        for profile, message in ((lambda r: tent(r / 2.5), "truth value"),
+                                 (lambda r: 1.0, "weight profile Custom1D .* one value")):
+            wf = WeightFunction.custom1d(h, profile, 2.5)
+            strategy = KernelStrategy(wf)
+            for build in (lambda: strategy.kernel_for(grid, marker),
+                          lambda: interpolate(field, markers, strategy),
+                          lambda: assemble_system(stencil.axes, marker, wf, basis),
+                          lambda: assemble_system(stencil.sites, marker, wf, basis)):
+                with pytest.raises(ValueError, match=message):
+                    build()
 
 
 class TestTensorWeight:

@@ -327,13 +327,20 @@ class TestGenerate:
         assert cost(tight) >= cost(loose) - 1e-12
 
     def test_bounds_excluding_zero_with_elimination(self):
+        # The box bounds the 15 weighted Plus sites only; Minus and
+        # weightless sites stay 0. Ψ ≥ 0.1 on 15 sites sums to at least
+        # 1.5, not 1: the box is empty, so the kernel is soft and pinned
+        # at the lower bound.
         sd = SignedDistance(lambda s: s[:, 0] - 0.02)
-        with pytest.raises(Exception) as err:
-            generate_one_sided_kernel(
-                self.sites, [0.05, 0.05], self.wf, self.basis, sd=sd,
-                bounds=KernelBounds(0.1, 0.5),
-            )
-        assert err.typename in ("Infeasible",)
+        kw = generate_one_sided_kernel(
+            self.sites, [0.05, 0.05], self.wf, self.basis, sd=sd,
+            bounds=KernelBounds(0.1, 0.5),
+        )
+        assert kw.mode is SolveMode.SOFT_CONSTRAINT
+        plus = classify_side(sd, self.sites)
+        assert not kw.support[~plus].any() and kw.support.sum() == 15
+        assert np.all(kw.psi[~kw.support] == 0.0)
+        assert np.all(kw.supported_psi() == 0.1)
 
     def test_random_one_sided_moments(self):
         npr.seed(43)

@@ -396,8 +396,9 @@ class QPSolutionLike:
 
 
 def _line_system(wdiag, h=1.0):
+    """Sites h·(-1, 0, 1), or h·(-2, ..., 2) for five weights, around 0."""
     basis = build_basis(1, BasisDegree.LINEAR)
-    sites = h * np.arange(-1.0, 2.0)[:, None]
+    sites = h * (np.arange(len(wdiag)) - (len(wdiag) - 1) // 2.0)[:, None]
     return KernelSystem(
         A=basis.rows(sites, [0.0]),
         Wdiag=np.asarray(wdiag, dtype=float),
@@ -433,9 +434,19 @@ class TestGeneratingQP:
         assert_allclose(kw.psi, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_elimination_with_bounds_excluding_zero(self):
-        system = _line_system([0.5, 0.5, 0.0])
-        with pytest.raises(Infeasible):
-            solve_generating_qp(system, bounds=(0.1, 0.5))
+        # The box bounds the kept sites only; a cut site stays a structural
+        # zero. Cut at both ends, the kept three meet (0.1, 0.5) exactly.
+        kw = solve_generating_qp(_line_system([0.0, 0.4, 0.8, 0.4, 0.0]),
+                                 bounds=(0.1, 0.5))
+        assert kw.mode is SolveMode.EXACT
+        assert kw.support.tolist() == [False, True, True, True, False]
+        assert kw.psi[0] == kw.psi[4] == 0.0
+        assert_allclose(kw.psi, [0.0, 0.25, 0.5, 0.25, 0.0], rtol=0, atol=1e-15)
+        # Two kept sites pin Ψ = (0, 1), outside the box: the kernel is soft.
+        kw = solve_generating_qp(_line_system([0.5, 0.5, 0.0]), bounds=(0.1, 0.5))
+        assert kw.mode is SolveMode.SOFT_CONSTRAINT
+        assert kw.psi[2] == 0.0 and not kw.support[2]
+        assert np.all((kw.psi[:2] >= 0.1) & (kw.psi[:2] <= 0.5))
 
     def test_insufficient_support(self):
         system = _line_system([0.5, 0.0, 0.0])
@@ -1028,3 +1039,53 @@ def test_mode_follows_the_sign_of_the_lp_box_margin():
             tallies[group, mode] += 1
     assert tallies == {(3, "Exact"): 144, (4, "Exact"): 92, (4, "SoftConstraint"): 48,
                        (4, "RankDeficientConstraints"): 4, ("sphere", "Exact"): 300}
+
+
+def test_a_box_excluding_zero_bounds_the_supported_sites_only():
+    # A two-sided ψ6 marker on a cell centre reaches 5 of its 6 window
+    # cells per axis; the other 11 of the 36 sites carry W = 0 and stay
+    # structural zeros, so a lower bound above 0 leaves them out.
+    grid = make_grid([(-1.0, 1.0), (-1.0, 1.0)], 0.075)
+    strategy = KernelStrategy(WeightFunction.six_point_spline(0.075), BasisDegree.LINEAR,
+                              None, KernelBounds(1e-6, 1.0))
+    _, kw = strategy.kernel_for(grid, [0.0125, 0.0125])
+    assert kw.mode is SolveMode.EXACT
+    assert kw.equality_residual <= 1e-10
+    assert kw.psi.size == 36 and np.count_nonzero(kw.support) == 25
+    assert np.all(kw.psi[~kw.support] == 0.0)
+    assert kw.supported_psi().min() >= 1e-6
+
+
+# Case-2 markers at which the box (0.01, 0.75) holds a kernel (positive LP
+# margin) but the dual solver raises MaxIterationsExceeded; phase-1 finds
+# the box non-empty, so the error is not handed to the soft fallback.
+MAX_ITERATIONS_CASE2_DEG = (215.0, 235.0)
+
+
+def test_case2_box_excluding_zero_follows_the_lp_margin_on_the_support():
+    # The case-2 circle every 5 degrees in the box (0.01, 0.75), which
+    # excludes 0: Ψ is exactly 0 off the support and inside the box on it,
+    # and the mode follows the sign of the LP margin over the supported
+    # sites.
+    bounds = KernelBounds(0.01, 0.75)
+    angles = 5.0 * np.arange(72)
+    grid, sd, _, markers = _circle_markers(2, angles)
+    strategy = KernelStrategy(WeightFunction.six_point_spline(grid.spacing[0]),
+                              BasisDegree.LINEAR, sd, bounds)
+    tallies = Counter()
+    for deg, marker in zip(angles, markers):
+        margin = box_margin(_bounded_problem(grid, marker, sd, bounds.alpha, bounds.beta))
+        assert abs(margin) > 1e-9, (deg, margin)
+        try:
+            _, kw = strategy.kernel_for(grid, marker)
+        except MaxIterationsExceeded:
+            assert deg in MAX_ITERATIONS_CASE2_DEG and margin > 0.0, deg
+            continue
+        assert np.all(kw.psi[~kw.support] == 0.0), deg
+        psi = kw.supported_psi()
+        assert np.all((psi >= bounds.alpha) & (psi <= bounds.beta)), deg
+        assert (kw.mode is SolveMode.SOFT_CONSTRAINT) == (margin < 0.0), (deg, margin)
+        if kw.mode is SolveMode.EXACT:
+            assert kw.equality_residual <= 1e-10, deg
+        tallies[kw.mode] += 1
+    assert tallies[SolveMode.EXACT] >= 15 and tallies[SolveMode.SOFT_CONSTRAINT] >= 50

@@ -3,7 +3,7 @@
     python3 tools/kernel_digest.py
 
 Imports ``ibkernel`` from the ``src/`` next to this file, so a copy of the
-tool placed in another checkout digests that checkout. Four groups:
+tool placed in another checkout digests that checkout. Five groups:
 
 - ``circle``: the paper's circle cases 1-4 at 720 angles (0.5° apart),
   one ``kernel_for`` call per marker through
@@ -15,16 +15,21 @@ tool placed in another checkout digests that checkout. Four groups:
   settings, restricted to the outside of the ellipse
   (x/0.5)² + (y/0.35)² − 1 > 0 in place of the circle: an interface
   given by an array map other than ``SignedDistance.circle``;
+- ``custom``: the same 720 markers with the case-2 and case-4 settings
+  and a custom profile in place of ψ6: an array map 1e-4·ψ6 (most of a
+  stencil's weight at or below the cut) and ψ6 tabulated every 0.1 cell
+  and linearly interpolated by ``WeightFunction.from_table``;
 - ``transfer``: the ``interpolate`` and ``spread`` outputs of one
   1,280-marker two-sided unbounded batch on a 512² grid.
 
 A kernel enters its digest as its stencil indices, ψ bytes, solve mode
 and equality residual, or as the class of the exception it raised. Each
 group's digest hashes the digests of its parts in order, and after the
-four group lines the tool prints each part's own: ``circle/1`` to
+five group lines the tool prints each part's own: ``circle/1`` to
 ``circle/4`` by case, ``sphere/unbounded``, ``sphere/[-0.07,0.5]`` and
-``sphere/[0,0.75]`` by strategy, and ``ellipse/2`` and ``ellipse/4`` by
-case. They show which kernels kept their bits.
+``sphere/[0,0.75]`` by strategy, ``ellipse/2`` and ``ellipse/4`` by
+case, and ``custom/scaled/2`` to ``custom/table/4`` by profile and case.
+They show which kernels kept their bits.
 
 Right after the ``transfer`` line, ``transfer moves`` gives the largest
 |batched − one-marker| of the interpolate and of the spread outputs, each
@@ -46,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ibkernel import ibops  # noqa: E402
 from ibkernel.errors import IBKernelError  # noqa: E402
 from ibkernel.experiments import CircleCaseConfig  # noqa: E402
-from ibkernel.kernels import BasisDegree, WeightFunction  # noqa: E402
+from ibkernel.kernels import BasisDegree, WeightFunction, eval_psi6  # noqa: E402
 from ibkernel.onesided import KernelBounds, SignedDistance  # noqa: E402
 
 
@@ -123,6 +128,27 @@ def ellipse_group():
     return _combine(parts), outcomes, parts
 
 
+def custom_group():
+    parts, outcomes = {}, Counter()
+    angles = tuple(np.arange(720) * 0.5)
+    table = np.linspace(-3.0, 3.0, 61)
+
+    def scaled_psi6(r):
+        return 1e-4 * eval_psi6(r)
+
+    for label, profile in (
+        ("scaled", lambda h: WeightFunction.custom1d(h, scaled_psi6, 3.0)),
+        ("table", lambda h: WeightFunction.from_table(h, table, eval_psi6(table), 3.0)),
+    ):
+        for case in (2, 4):
+            cfg = CircleCaseConfig.for_case(case, marker_angles_deg=angles)
+            grid = ibops.make_grid(cfg.extents, cfg.mesh_width)
+            strategy = replace(cfg.strategy(), weight_function=profile(cfg.mesh_width))
+            parts[f"custom/{label}/{case}"] = _digest_kernels(
+                strategy, grid, cfg.marker_positions(), outcomes)
+    return _combine(parts), outcomes, parts
+
+
 def _transfer_case():
     """Grid, field, markers, spread values and strategy of the transfer group."""
     h, per_circle = 2.0 / 512, 640
@@ -166,7 +192,8 @@ def transfer_moves():
 def main():
     all_parts = {}
     for name, group in (("circle", circle_group), ("sphere", sphere_group),
-                        ("ellipse", ellipse_group), ("transfer", transfer_group)):
+                        ("ellipse", ellipse_group), ("custom", custom_group),
+                        ("transfer", transfer_group)):
         sha, outcomes, parts = group()
         print(f"{name:8s} {sha.hexdigest()}  {dict(sorted(outcomes.items()))}")
         all_parts.update(parts)
