@@ -39,10 +39,8 @@ from .kernels import (
 )
 from .qpsolve import (
     FeasibilityReport,
-    KKTReport,
     QPProblem,
     QPSolution,
-    check_kkt,
     phase1_feasible,
     solve_box_qp,
     solve_eq_qp,

@@ -148,14 +148,8 @@ class Peskin4Weights:
 
     OFFSETS = (-1, 0, 1, 2)
 
-    def tensor(self):
-        t = self.weights[0]
-        for k in range(1, self.dimension):
-            t = np.multiply.outer(t, self.weights[k])
-        return t
 
-
-def solve_peskin4(shift, dimension=None):
+def solve_peskin4(shift):
     """Closed-form four-point kernel weights for a fractional shift.
 
     Per axis, the four weights at offsets (-1, 0, 1, 2) are pinned down by
@@ -168,23 +162,18 @@ def solve_peskin4(shift, dimension=None):
         w1  = (1 + 2s + sqrt(1 + 4s - 4s²)) / 8       (offset 1)
         w-1 = 1/2 - w1,   w2 = 1/2 - w0
 
-    Multi-axis weights are tensor products.
+    Multi-axis weights are tensor products; the number of shifts is the
+    dimension.
     """
     s = np.asarray(shift, dtype=float).reshape(-1)
-    if dimension is None:
-        dimension = s.shape[0]
-    if s.shape[0] == 1 and dimension > 1:
-        s = np.full(dimension, s[0])
-    if s.shape[0] != dimension:
-        raise ValueError(f"{s.shape[0]} shifts given for dimension {dimension}")
-    if not np.all((s >= 0.0) & (s < 1.0)):  # also rejects NaN
-        raise ValueError("shift must lie in [0, 1) per axis")
+    if not (s.size and np.all((s >= 0.0) & (s < 1.0))):  # also rejects NaN
+        raise ValueError("need one shift in [0, 1) per axis")
 
     root = np.sqrt(1.0 + 4.0 * s - 4.0 * s * s)
     w0 = (3.0 - 2.0 * s + root) / 8.0
     w1 = (1.0 + 2.0 * s + root) / 8.0
     weights = np.stack([0.5 - w1, w0, w1, 0.5 - w0], axis=1)
-    return Peskin4Weights(shift=s, weights=weights, dimension=int(dimension))
+    return Peskin4Weights(shift=s, weights=weights, dimension=s.size)
 
 
 class WeightKind(Enum):
@@ -268,18 +257,24 @@ class WeightFunction:
         inside = np.abs(r) < self.radius_in_cells
         at = r[inside]
         values = np.asarray(self.profile(at), dtype=float)
-        name = getattr(self.profile, "__name__", repr(self.profile))
-        name = f"weight profile {self.kind.value} {name}"
         if values.shape != at.shape:
-            raise ValueError(f"{name} gave shape {values.shape} for {at.size} offsets; "
-                             "a profile maps the 1-D array of offsets to one value each")
+            raise self._refusal(
+                f"gave shape {values.shape} for {at.size} offsets; "
+                "a profile maps the 1-D array of offsets to one value each")
         bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
         if bad.size:
-            raise ValueError(f"{name} gave {float(values[bad[0]])} at offset "
-                             f"{at[bad[0]]:g}; profile values must be finite and >= 0")
+            raise self._refusal(
+                f"gave {float(values[bad[0]])} at offset {at[bad[0]]:g}; "
+                "profile values must be finite and >= 0")
         out = np.zeros(r.shape)
         out[inside] = values
         return out
+
+    def _refusal(self, what):
+        """The ValueError for a custom profile that ``what``, naming it."""
+        f = self.profile
+        name = f.__name__ if hasattr(f, "__name__") else repr(f)
+        return ValueError(f"weight profile {self.kind.value} {name} {what}")
 
 
 class BasisDegree(Enum):

@@ -219,10 +219,6 @@ class QPProblem:
         hi = self.upper if self.upper is not None else np.full(self.n, np.inf)
         return lo, hi
 
-    def objective(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.hessian * x))
-
 
 def solve_spd(matrix, rhs):
     """Solve ``matrix @ x = rhs`` for a symmetric positive definite matrix.

@@ -20,8 +20,7 @@ which holds H as the vector of its diagonal:
 
 plus phase1_feasible (a bounded least-squares feasibility probe, scipy's
 BVLS ``lsq_linear``, imported on first use so that importing this module
-does not load ``scipy.optimize``) and check_kkt (residual audit of any
-solution against any problem). The dual solver's certificate decides the
+does not load ``scipy.optimize``). The dual solver's certificate decides the
 soft fallback; phase-1 runs only where a failed solve left no
 certificate, and the tests hold it as an independent oracle that the
 solve mode agrees with.
@@ -34,7 +33,6 @@ import numpy as np
 from .errors import (
     Infeasible,
     InsufficientSupport,
-    LengthMismatch,
     MaxIterationsExceeded,
     RankDeficientConstraints,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "QPProblem",
     "QPSolution",
     "FeasibilityReport",
-    "KKTReport",
     "solve_eq_qp",
     "solve_box_qp",
     "phase1_feasible",
     "solve_soft_qp",
-    "check_kkt",
     "solve_generating_qp",
     "SolveMode",
 ]
@@ -90,17 +86,6 @@ class FeasibilityReport:
     feasible: bool
     witness: np.ndarray
     violation: float
-
-
-@dataclass
-class KKTReport:
-    stationarity: float
-    primal: float
-    dual: float
-    complementarity: float
-
-    def max_residual(self):
-        return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
 def solve_eq_qp(problem):
@@ -417,56 +402,6 @@ def solve_soft_qp(problem):
     return replace(sol, x=x, bound_multipliers=sol.bound_multipliers[:n],
                    eq_residual=_eq_residual(problem, x),
                    mode=SolveMode.SOFT_CONSTRAINT)
-
-
-def check_kkt(problem, solution):
-    """Audit a solution against a problem; returns the four KKT residuals.
-
-    stationarity  ‖Hx − Cᵀλ − μ‖∞
-    primal        max of equality and bound violations
-    dual          wrong-signed bound multipliers on the active set
-    complementarity  |μ| × distance-to-bound (slack capped at 1 so
-                  unbounded directions stay finite)
-    """
-    x = np.asarray(solution.x, dtype=float).reshape(-1)
-    if x.shape[0] != problem.n:
-        raise LengthMismatch(f"x has length {x.shape[0]}, expected {problem.n}")
-    lam = np.asarray(solution.multipliers, dtype=float).reshape(-1)
-    if lam.shape[0] != problem.m:
-        raise LengthMismatch(
-            f"multipliers have length {lam.shape[0]}, expected {problem.m}"
-        )
-    mu = np.asarray(solution.bound_multipliers, dtype=float).reshape(-1)
-    if mu.shape[0] != problem.n:
-        raise LengthMismatch(
-            f"bound multipliers have length {mu.shape[0]}, expected {problem.n}"
-        )
-    lo, hi = problem.bounds()
-
-    grad = problem.hessian * x - problem.eq_matrix.T @ lam - mu
-    stationarity = float(np.max(np.abs(grad))) if problem.n else 0.0
-
-    primal = _eq_residual(problem, x)
-    primal = max(primal, float(np.max(lo - x, initial=0.0)))
-    primal = max(primal, float(np.max(x - hi, initial=0.0)))
-
-    dual = 0.0
-    for i in solution.active_set:
-        lo_gap = x[i] - lo[i] if np.isfinite(lo[i]) else np.inf
-        hi_gap = hi[i] - x[i] if np.isfinite(hi[i]) else np.inf
-        if lo_gap <= hi_gap:
-            dual = max(dual, -mu[i])
-        else:
-            dual = max(dual, mu[i])
-    dual = max(dual, 0.0)
-
-    slack_lo = np.minimum(np.where(np.isfinite(lo), x - lo, 1.0), 1.0)
-    slack_hi = np.minimum(np.where(np.isfinite(hi), hi - x, 1.0), 1.0)
-    comp = np.maximum(np.maximum(mu, 0.0) * slack_lo,
-                      np.maximum(-mu, 0.0) * slack_hi)
-    complementarity = float(np.max(comp, initial=0.0))
-
-    return KKTReport(stationarity, primal, dual, complementarity)
 
 
 def solve_generating_qp(system, bounds=None, checked=False):

@@ -1,6 +1,7 @@
 """Independent reference computations shared by the test modules."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random as npr
@@ -28,9 +29,86 @@ from ibkernel.qpsolve import (
     QPProblem,
     QPSolution,
     _check_rank,
+    _eq_residual,
     phase1_feasible,
     solve_generating_qp,
 )
+
+
+def objective(problem, x):
+    """½ xᵀHx of a ``QPProblem``, whose H is the vector of its diagonal."""
+    x = np.asarray(x, dtype=float)
+    return float(0.5 * x @ (problem.hessian * x))
+
+
+@dataclass
+class KKTReport:
+    stationarity: float
+    primal: float
+    dual: float
+    complementarity: float
+
+    def max_residual(self):
+        return max(self.stationarity, self.primal, self.dual, self.complementarity)
+
+
+def check_kkt(problem, solution):
+    """Audit a solution against a problem; returns the four KKT residuals.
+
+    stationarity  ‖Hx − Cᵀλ − μ‖∞
+    primal        max of equality and bound violations
+    dual          wrong-signed bound multipliers on the active set
+    complementarity  |μ| × distance-to-bound (slack capped at 1 so
+                  unbounded directions stay finite)
+    """
+    x = np.asarray(solution.x, dtype=float).reshape(-1)
+    if x.shape[0] != problem.n:
+        raise LengthMismatch(f"x has length {x.shape[0]}, expected {problem.n}")
+    lam = np.asarray(solution.multipliers, dtype=float).reshape(-1)
+    if lam.shape[0] != problem.m:
+        raise LengthMismatch(
+            f"multipliers have length {lam.shape[0]}, expected {problem.m}"
+        )
+    mu = np.asarray(solution.bound_multipliers, dtype=float).reshape(-1)
+    if mu.shape[0] != problem.n:
+        raise LengthMismatch(
+            f"bound multipliers have length {mu.shape[0]}, expected {problem.n}"
+        )
+    lo, hi = problem.bounds()
+
+    grad = problem.hessian * x - problem.eq_matrix.T @ lam - mu
+    stationarity = float(np.max(np.abs(grad))) if problem.n else 0.0
+
+    primal = _eq_residual(problem, x)
+    primal = max(primal, float(np.max(lo - x, initial=0.0)))
+    primal = max(primal, float(np.max(x - hi, initial=0.0)))
+
+    dual = 0.0
+    for i in solution.active_set:
+        lo_gap = x[i] - lo[i] if np.isfinite(lo[i]) else np.inf
+        hi_gap = hi[i] - x[i] if np.isfinite(hi[i]) else np.inf
+        if lo_gap <= hi_gap:
+            dual = max(dual, -mu[i])
+        else:
+            dual = max(dual, mu[i])
+    dual = max(dual, 0.0)
+
+    slack_lo = np.minimum(np.where(np.isfinite(lo), x - lo, 1.0), 1.0)
+    slack_hi = np.minimum(np.where(np.isfinite(hi), hi - x, 1.0), 1.0)
+    comp = np.maximum(np.maximum(mu, 0.0) * slack_lo,
+                      np.maximum(-mu, 0.0) * slack_hi)
+    complementarity = float(np.max(comp, initial=0.0))
+
+    return KKTReport(stationarity, primal, dual, complementarity)
+
+
+def peskin4_tensor(pw):
+    """The d-dimensional four-point weights of a ``Peskin4Weights``: the
+    outer product of its per-axis rows, shape (4,) * d."""
+    t = pw.weights[0]
+    for row in pw.weights[1:]:
+        t = np.multiply.outer(t, row)
+    return t
 
 
 def brute_force_box_qp(problem):
@@ -83,7 +161,7 @@ def brute_force_box_qp(problem):
             continue
         if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
             continue
-        obj = problem.objective(x)
+        obj = objective(problem, x)
         if obj < best_obj - 1e-13:
             best_obj, best_x = obj, x.copy()
     return best_x, best_obj

@@ -140,6 +140,7 @@ CASE_2 = ["circle", "--case", "2"]
     (["kernel", "--eval", "0.31", "-0.17"], {"extents": [["a", 1], [-1, 1]]}),
     (ONE_SIDED, {"radius": "x"}),
     (["kernel", "--formulation", "peskin4"], {"shift": ["a"]}),
+    (["kernel", "--formulation", "peskin4"], {"shift": []}),
     (["circle"], {"field_coefficients": [NAN, 1]}),
     (["circle"], {"marker_angles_deg": [INF]}),
     (["circle"], {"marker_angles_deg": 40}),
@@ -162,7 +163,8 @@ CASE_2 = ["circle", "--case", "2"]
     (["circle"], {"basis_degree": "ConstantOnly"}),
 ], ids=["tolerance", "case", "fractional_case", "bool_case", "inf_case",
      "penalty", "residual", "complementarity",
-     "spd_pivot", "mesh_width", "extents", "radius", "shift", "nan_field",
+     "spd_pivot", "mesh_width", "extents", "radius", "shift", "no_shift",
+     "nan_field",
      "inf_angle", "scalar_angle", "nested_angles", "nan_center",
      "nan_mesh_width", "negative_mesh_width", "inverted_extents",
      "kernel_inverted_extents", "one_sided_nan_center", "inf_mesh_width",
@@ -219,6 +221,23 @@ def test_config_key_the_command_does_not_read_is_config_error(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert err.rstrip().endswith(f"does not read config keys {unread}")
+    assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (KERNEL, "[0.1, 0.2]", "config root must be a JSON object"),
+    (KERNEL, '{"mesh_width": ', "cannot read config cfg.json"),
+    (KERNEL, '{"weight_kernel": "psi8"}',
+     "unknown weight_kernel: 'psi8' (use psi6 or psi4)"),
+    (KERNEL, '{"basis_degree": "Cubic"}', "unknown basis_degree: 'Cubic'"),
+    (ONE_SIDED, '{"bounds": [0]}', "bounds must be [alpha, beta]"),
+], ids=["array_root", "malformed", "psi8", "cubic", "one_bound"])
+def test_unusable_config_is_config_error_with_its_message(
+        in_tmp, capsys, argv, text, message):
+    (in_tmp / "cfg.json").write_text(text)
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
     assert [p.name for p in in_tmp.iterdir()] == ["cfg.json"]
 
 
@@ -453,6 +472,27 @@ class TestValidate:
 
     def test_missing_file(self, in_tmp):
         assert main(["validate", "nowhere.json"]) == 2
+
+    def test_array_root_is_input_error(self, in_tmp, capsys):
+        (in_tmp / "list.json").write_text(json.dumps([{"psi": ["0.5"]}]))
+        assert main(["validate", "list.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: weights file root must be a JSON object\n"
+
+    def test_one_dimensional_sites(self, in_tmp, capsys):
+        # A 1-D kernel's sites may be written as a flat list of coordinates.
+        (in_tmp / "cfg.json").write_text(json.dumps({"extents": [[-1, 1]]}))
+        assert main(["kernel", "--eval", "0.31", "--config", "cfg.json",
+                     "--out", "k.json"]) == 0
+        doc = json.loads((in_tmp / "k.json").read_text())
+        doc["sites"] = [s for (s,) in doc["sites"]]
+        (in_tmp / "k.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "k.json"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        names = [line.split(":")[0] for line in out]
+        assert names == ["moment zeroth", "moment first[0]"]
+        assert all(line.endswith("[ok]") for line in out)
 
     def test_peskin_file_postulates(self, in_tmp, capsys):
         assert main(["kernel", "--formulation", "peskin4",

@@ -899,3 +899,16 @@ def test_strategy_is_frozen_and_its_batch_private():
     with pytest.raises(dataclasses.FrozenInstanceError):
         strategy.bounds = KernelBounds(0.0, 1.0)
     assert "_pending" not in vars(dataclasses.replace(strategy))
+
+
+def test_one_dimensional_markers_may_be_flat():
+    # On a 1-D grid a flat marker array is the (N, 1) one, and the kernels
+    # reproduce a linear field.
+    grid = make_grid([(-1.0, 1.0)], 0.05)
+    field = sample_field(grid, lambda c: 3.0 * c[0] - 0.5)
+    markers = np.linspace(-0.6, 0.6, 7) + 0.0123
+    wf = WeightFunction.six_point_spline(0.05)
+    flat = interpolate(field, markers, KernelStrategy(wf))
+    column = interpolate(field, markers[:, None], KernelStrategy(wf))
+    assert flat.tobytes() == column.tobytes()
+    assert_allclose(flat, 3.0 * markers - 0.5, rtol=0, atol=1e-13)

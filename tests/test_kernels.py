@@ -15,6 +15,7 @@ from ibkernel.ibops import (
 from ibkernel.kernels import (
     _FEW_OFFSETS,
     BasisDegree,
+    KernelWeights,
     WeightFunction,
     WeightKind,
     assemble_system,
@@ -171,6 +172,12 @@ class TestWeightFunction:
         wf = WeightFunction.from_table(0.075, offsets, values, 3.0)
         assert_allclose(wf.eval1d(offsets), values, rtol=0, atol=1e-16)
 
+    def test_table_shapes_must_match(self):
+        for offsets, values in (([-1.0, 0.0, 1.0], [0.0, 1.0]),
+                                ([[-1.0, 0.0, 1.0]], [[0.0, 1.0, 0.0]])):
+            with pytest.raises(ValueError, match="equal-length 1D"):
+                WeightFunction.from_table(0.075, offsets, values, 3.0)
+
     def test_custom_profile_is_called_only_inside_its_radius(self):
         seen = []
 
@@ -209,6 +216,32 @@ class TestWeightFunction:
                           lambda: assemble_system(stencil.sites, marker, wf, basis)):
                 with pytest.raises(ValueError, match=message):
                     build()
+
+    def test_custom_profile_is_named_only_when_refused(self):
+        # A profile without __name__ is named by its repr, which eval1d
+        # reads only to build the message of a refusal.
+        class Tent:
+            reprs = 0
+
+            def __call__(self, r):
+                return np.where(r < 0.5, 1.0 - np.abs(r), -1.0)
+
+            def __repr__(self):
+                Tent.reprs += 1
+                return "Tent()"
+
+        wf = WeightFunction.custom1d(1.0, Tent(), 1.0)
+        assert_allclose(wf.eval1d(np.array([0.0, 0.25, 2.0])), [1.0, 0.75, 0.0])
+        assert Tent.reprs == 0
+        with pytest.raises(ValueError, match=r"profile Custom1D Tent\(\) gave -1"):
+            wf.eval1d(np.array([0.75]))
+        assert Tent.reprs == 1
+
+
+def test_supported_psi_without_support_is_psi():
+    kw = KernelWeights(psi=np.array([0.25, 0.0, 0.75]), sites=np.zeros((3, 1)),
+                       eval=np.zeros(1), equality_residual=0.0)
+    assert kw.supported_psi() is kw.psi
 
 
 class TestTensorWeight:

@@ -13,9 +13,12 @@ from oracles import (
     box_margin,
     bounded_lsq_optimality,
     brute_force_box_qp,
+    check_kkt,
     closed_form_psi,
     dense_box_qp,
     farkas_margin,
+    objective,
+    peskin4_tensor,
     random_box_problem,
 )
 
@@ -52,7 +55,6 @@ from ibkernel.onesided import (
 )
 from ibkernel.qpsolve import (
     QPProblem,
-    check_kkt,
     phase1_feasible,
     solve_box_qp,
     solve_eq_qp,
@@ -76,7 +78,7 @@ class TestQPProblem:
 
     def test_objective(self):
         p = QPProblem([2.0, 0.5], np.zeros((0, 2)), [])
-        assert p.objective([1.0, 2.0]) == pytest.approx(1 + 1)
+        assert objective(p, [1.0, 2.0]) == pytest.approx(1 + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,6 +97,8 @@ class TestQPProblem:
             QPProblem(np.ones(2), np.ones((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
             QPProblem([1.0, np.nan], np.ones((1, 2)), [1.0])
+        with pytest.raises(ValueError, match="eq_matrix must be 2-D"):
+            QPProblem(np.ones(2), np.ones((1, 1, 2)), [1.0])
 
 
 class TestEqQP:
@@ -189,7 +193,7 @@ class TestBoxQP:
             assert sol.mode is SolveMode.EXACT
             ref_x, ref_obj = brute_force_box_qp(p)
             assert ref_x is not None
-            assert p.objective(sol.x) <= ref_obj + 1e-8
+            assert objective(p, sol.x) <= ref_obj + 1e-8
             assert_allclose(sol.x, ref_x, atol=1e-7)
             assert check_kkt(p, sol).max_residual() <= 1e-8
 
@@ -238,6 +242,14 @@ class TestPhase1:
         p = QPProblem(np.ones(2), np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError):
             phase1_feasible(p)
+
+    def test_no_equality_rows(self):
+        # Nothing to meet: the witness is 0 clipped to the box.
+        p = QPProblem(np.ones(3), np.zeros((0, 3)), [],
+                      lower=[0.2, -1.0, -1.0], upper=[1.0, -0.5, 1.0])
+        report = phase1_feasible(p)
+        assert report.feasible and report.violation == 0.0
+        assert_allclose(report.witness, [0.2, -0.5, 0.0], rtol=0, atol=0)
 
     def test_all_fixed_box(self):
         c = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]])
@@ -323,18 +335,13 @@ class TestPeskin4:
     def test_tensor(self):
         pw = solve_peskin4([0.3, 0.7])
         assert pw.dimension == 2
-        t = pw.tensor()
+        t = peskin4_tensor(pw)
         assert t.shape == (4, 4)
         assert np.sum(t) == pytest.approx(1.0, abs=1e-13)
         assert np.sum(t * t) == pytest.approx((3.0 / 8.0) ** 2, abs=1e-13)
-        t3 = solve_peskin4(0.25, dimension=3).tensor()
+        t3 = peskin4_tensor(solve_peskin4([0.25, 0.25, 0.25]))
         assert t3.shape == (4, 4, 4)
         assert np.sum(t3 * t3) == pytest.approx((3.0 / 8.0) ** 3, abs=1e-13)
-
-    def test_scalar_broadcast(self):
-        pw = solve_peskin4(0.4, dimension=3)
-        assert pw.weights.shape == (3, 4)
-        assert_allclose(pw.weights[0], pw.weights[2])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -343,8 +350,8 @@ class TestPeskin4:
             solve_peskin4([1.0])
         with pytest.raises(ValueError):
             solve_peskin4([0.3, np.nan])
-        with pytest.raises(ValueError):
-            solve_peskin4([0.1, 0.2], dimension=3)
+        with pytest.raises(ValueError, match="one shift in"):
+            solve_peskin4([])
 
 
 class TestCheckKKT:
@@ -1089,3 +1096,36 @@ def test_case2_box_excluding_zero_follows_the_lp_margin_on_the_support():
             assert kw.equality_residual <= 1e-10, deg
         tallies[kw.mode] += 1
     assert tallies[SolveMode.EXACT] >= 15 and tallies[SolveMode.SOFT_CONSTRAINT] >= 50
+
+
+def test_case2_box_excluding_zero_converges_past_the_newton_cap(monkeypatch):
+    # The case-2 markers that raise MaxIterationsExceeded in the box
+    # (0.01, 0.75) do not cycle: most of their Newton steps have 2 free
+    # sites for 3 moment rows, so they take the regularized step for
+    # dependent rows, and they need 113 (149.5°, 300.5°) and 296 (215°,
+    # 235°) working sets. With the cap at 400 each comes back Exact inside
+    # the box. 38.5° and 51.5° stay rank refusals at any cap: their Gram
+    # at the optimum has condition number 1.7e14.
+    bounds = KernelBounds(0.01, 0.75)
+    slow, refused = (149.5, 215.0, 235.0, 300.5), (38.5, 51.5)
+    grid, sd, _, markers = _circle_markers(2, np.array(slow + refused))
+    strategy = KernelStrategy(WeightFunction.six_point_spline(grid.spacing[0]),
+                              BasisDegree.LINEAR, sd, bounds)
+    for marker in markers[:len(slow)]:
+        with pytest.raises(MaxIterationsExceeded):
+            strategy.kernel_for(grid, marker)
+    monkeypatch.setattr(qpsolve, "_NEWTON_STEPS", 400)
+    for deg, marker in zip(slow + refused, markers):
+        problem = _bounded_problem(grid, marker, sd, bounds.alpha, bounds.beta)
+        assert box_margin(problem) > 0.0, deg
+        if deg in refused:
+            with pytest.raises(RankDeficientConstraints):
+                strategy.kernel_for(grid, marker)
+            continue
+        _, kw = strategy.kernel_for(grid, marker)
+        assert kw.mode is SolveMode.EXACT, deg
+        assert kw.equality_residual <= 1e-10, deg
+        psi = kw.supported_psi()
+        assert np.all((psi >= bounds.alpha) & (psi <= bounds.beta)), deg
+        assert solve_box_qp(problem).iterations == {
+            149.5: 113, 215.0: 296, 235.0: 296, 300.5: 113}[deg]
