@@ -340,6 +340,10 @@ def _validate_moment_file(doc, tolerance):
 def _validate_peskin_file(doc, tolerance):
     weights = np.asarray(doc["weights"], dtype=float)
     shift = np.asarray(doc["shift"], dtype=float)
+    d = shift.size  # one shift and one row of four weights per axis
+    got = (weights.shape, shift.shape, doc.get("dimension", d))
+    if not d or got != ((d, 4), (d,), d):
+        raise ValueError(f"weights, shift, dimension {got} are not (d, 4), (d,), d ≥ 1")
     ok = True
     for axis, (w, s) in enumerate(zip(weights, shift)):
         even = abs(w[1] + w[3] - 0.5)

@@ -3,10 +3,8 @@
 Every quadratic program in this package is a kernel's, min ½ xᵀHx subject
 to Cx = b and optional bounds, with H = W⁻¹ diagonal. It is a
 ``QPProblem``, which holds H as the vector h of its diagonal, and its data
-are checked once, when it is built: shapes, finite h, C and b, at most n
-constraint rows, and bounds that are not NaN and not crossed. A problem
-the package builds from data it has checked already (``checked=True``)
-skips those checks.
+are checked every time one is built: shapes, finite h, C and b, at most
+n constraint rows, and bounds that are not NaN and not crossed.
 
 H is SPD when every entry of h is > 0 (NotSPD otherwise), with no
 relative pivot floor: a diagonal has no factorization error, and scaling
@@ -27,7 +25,7 @@ relative rank pivot, the weight at or below which a site has no support,
 and the equality violation past which a box counts as empty.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -143,12 +141,6 @@ class QPProblem:
     with at most n rows in eq_matrix, which may have none. Any violation
     raises ValueError here, so the solvers take the data as checked; they
     raise NotSPD when an entry of h is not > 0.
-
-    ``checked=True`` skips those checks for data the package built from
-    checked inputs (``qpsolve.solve_generating_qp`` on an assembled
-    system, the soft fallback's augmented problem): float arrays of the
-    right shapes, finite, with bounds neither NaN nor crossed. Scalar
-    bounds are still broadcast.
     """
 
     hessian: np.ndarray
@@ -156,16 +148,8 @@ class QPProblem:
     eq_rhs: np.ndarray
     lower: object = None
     upper: object = None
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked):
-        if checked:
-            n = self.hessian.size
-            for name in ("lower", "upper"):
-                v = getattr(self, name)
-                if v is not None and np.ndim(v) == 0:
-                    setattr(self, name, np.full(n, float(v)))
-            return
+    def __post_init__(self):
         self.hessian = np.asarray(self.hessian, dtype=float)
         if self.hessian.ndim != 1:
             raise ValueError(

@@ -109,8 +109,8 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     """Full pipeline: assemble, restrict to one side, minimize.
 
     ``sites`` takes either form ``assemble_system`` takes: (N, d) sites or
-    ``SiteAxes``. Their input is checked there, and the solve takes the
-    assembled system as checked.
+    ``SiteAxes``. Their input is checked there, and the solve checks the
+    assembled system and the bounds as it does any other.
     With ``sd`` omitted the support is two-sided; with ``bounds`` omitted
     the solve is equality-only. Minus-side entries of the result are
     exactly zero; the solve mode records whether the equalities were met
@@ -120,4 +120,4 @@ def generate_one_sided_kernel(sites, eval_point, wf, basis, sd=None,
     if sd is not None:
         plus = classify_side(sd, system.sites)
         system = restrict_weights(system, plus)
-    return solve_generating_qp(system, bounds=bounds, checked=True)
+    return solve_generating_qp(system, bounds=bounds)

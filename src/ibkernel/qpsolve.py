@@ -331,7 +331,7 @@ def _raise_if_certified(problem, lo, hi, y):
 
 
 def _bounded_lsq(matrix, rhs, lo, hi):
-    """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi, and its iteration count.
+    """argmin ‖matrix·x − rhs‖ over lo ≤ x ≤ hi.
 
     scipy's bounded-variable least squares (Stark & Parker, Comput. Stat.
     10, 1995): ``lsq_linear(method="bvls", tol=1e-14)``, imported here so
@@ -344,13 +344,13 @@ def _bounded_lsq(matrix, rhs, lo, hi):
     free = lo < hi
     x = lo.copy()
     if not free.any():
-        return x, 0
+        return x
     result = lsq_linear(
         matrix[:, free], rhs - matrix[:, ~free] @ lo[~free],
         bounds=(lo[free], hi[free]), method="bvls", tol=1e-14,
     )
     x[free] = np.clip(result.x, lo[free], hi[free])
-    return x, int(result.nit)
+    return x
 
 
 def phase1_feasible(problem):
@@ -368,7 +368,7 @@ def phase1_feasible(problem):
     if problem.m == 0:
         witness = np.clip(np.zeros(problem.n), lo, hi)
         return FeasibilityReport(True, witness, 0.0)
-    witness, _ = _bounded_lsq(problem.eq_matrix, problem.eq_rhs, lo, hi)
+    witness = _bounded_lsq(problem.eq_matrix, problem.eq_rhs, lo, hi)
     violation = _eq_residual(problem, witness)
     return FeasibilityReport(violation <= _FEASIBILITY, witness, violation)
 
@@ -396,7 +396,7 @@ def solve_soft_qp(problem):
         np.concatenate([problem.hessian, np.full(m, _PENALTY)]),
         np.hstack([problem.eq_matrix, -np.eye(m)]), problem.eq_rhs,
         lower=np.concatenate([lo, -unbounded]),
-        upper=np.concatenate([hi, unbounded]), checked=True,
+        upper=np.concatenate([hi, unbounded]),
     ), rank_rule=False)
     x = sol.x[:n]
     return replace(sol, x=x, bound_multipliers=sol.bound_multipliers[:n],
@@ -404,7 +404,7 @@ def solve_soft_qp(problem):
                    mode=SolveMode.SOFT_CONSTRAINT)
 
 
-def solve_generating_qp(system, bounds=None, checked=False):
+def solve_generating_qp(system, bounds=None):
     """Kernel weights by constrained minimization of ½ ΨᵀW⁻¹Ψ.
 
     W alone decides the unknowns: sites whose weight is at or below
@@ -421,14 +421,11 @@ def solve_generating_qp(system, bounds=None, checked=False):
     empty, and is raised otherwise.
 
     ``bounds`` may be anything with scalar ``alpha``/``beta`` attributes
-    or an (alpha, beta) pair. A hand-built system's shapes are checked
-    here, and its A, W and p by the ``QPProblem`` built from them.
-    ``checked=True`` says that ``kernels.assemble_system`` built the
-    system (and at most ``onesided.restrict_weights`` zeroed weights), so
-    its arrays are finite and consistent and only the bounds are checked.
+    or an (alpha, beta) pair. Every system's shapes are checked here, and
+    its kept A, W and p and the bounds by the ``QPProblem`` built from them.
     """
     w, n = system.Wdiag, system.n_sites
-    if not checked and not (np.shape(w) == (n,) == np.shape(system.A)[1:]):
+    if not (np.shape(w) == (n,) == np.shape(system.A)[1:]):
         raise ValueError(f"A {np.shape(system.A)}, W {np.shape(w)} don't fit {n} sites")
     keep = w > _ZERO_WEIGHT
     n_keep = int(np.count_nonzero(keep))
@@ -439,16 +436,11 @@ def solve_generating_qp(system, bounds=None, checked=False):
     hessian, a_keep = 1.0 / w[keep], system.A[:, keep]
 
     if bounds is None:
-        problem = QPProblem(hessian, a_keep, system.p, checked=checked)
+        problem = QPProblem(hessian, a_keep, system.p)
         sol = solve_eq_qp(problem)
     else:
-        alpha, beta = (
-            (bounds.alpha, bounds.beta) if hasattr(bounds, "alpha") else bounds
-        )
-        if checked and not (alpha <= beta):  # NaN fails too
-            raise ValueError(f"bounds ({alpha}, {beta}) are NaN or crossed")
-        problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta,
-                            checked=checked)
+        alpha, beta = (bounds.alpha, bounds.beta) if hasattr(bounds, "alpha") else bounds
+        problem = QPProblem(hessian, a_keep, system.p, lower=alpha, upper=beta)
         try:
             sol = solve_box_qp(problem)
         except (Infeasible, RankDeficientConstraints,

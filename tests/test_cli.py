@@ -502,6 +502,27 @@ class TestValidate:
         for name in ("even-sum", "odd-sum", "first-moment", "sum-of-squares"):
             assert name in out
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(shift=doc["shift"][:1]),
+        lambda doc: doc.update(shift=[], weights=[]),
+        lambda doc: doc.update(dimension=3),
+        lambda doc: doc.update(weights=[row[:3] for row in doc["weights"]]),
+    ], ids=["one-shift-for-two-rows", "empty", "dimension-3-on-2-rows", "rows-of-3"])
+    def test_peskin_file_shape_is_input_error(self, in_tmp, capsys, edit):
+        # A peskin4 file is checked only as a (d, 4) weights array with d
+        # shifts and its dimension d, d ≥ 1: nothing of another shape
+        # passes, prints a residual or crashes.
+        assert main(["kernel", "--formulation", "peskin4",
+                     "--shift", "0.3", "0.6", "--out", "p.json"]) == 0
+        doc = json.loads((in_tmp / "p.json").read_text())
+        edit(doc)
+        (in_tmp / "p.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "p.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed weights file: ") and err.count("\n") == 1
+
     def test_round_trip_residuals_match(self, in_tmp):
         path = self._write_kernel()
         doc = json.loads((in_tmp / path).read_text())

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -99,6 +100,15 @@ class TestQPProblem:
             QPProblem([1.0, np.nan], np.ones((1, 2)), [1.0])
         with pytest.raises(ValueError, match="eq_matrix must be 2-D"):
             QPProblem(np.ones(2), np.ones((1, 1, 2)), [1.0])
+
+    def test_every_problem_is_checked(self):
+        # No flag trusts the caller's data: each QPProblem runs the checks
+        # above when it is built, and the kernel solve takes only a system
+        # and its bounds.
+        with pytest.raises(TypeError):
+            QPProblem(np.ones(2), np.ones((1, 2)), [1.0], checked=True)
+        assert list(inspect.signature(solve_generating_qp).parameters) == [
+            "system", "bounds"]
 
 
 class TestEqQP:
@@ -787,7 +797,7 @@ def test_bounded_lsq_is_optimal_on_case4_phase1_and_soft_problems():
         problem = _case4_box(deg)
         lo, hi = problem.bounds()
         c, b = problem.eq_matrix, problem.eq_rhs
-        x, _ = qpsolve._bounded_lsq(c, b, lo, hi)
+        x = qpsolve._bounded_lsq(c, b, lo, hi)
         assert bounded_lsq_optimality(c, b, lo, hi, x) <= 1e-12, deg
         if np.max(np.abs(c @ x - b)) <= _FEASIBILITY:
             continue
@@ -795,7 +805,7 @@ def test_bounded_lsq_is_optimal_on_case4_phase1_and_soft_problems():
         root = np.sqrt(qpsolve._PENALTY)
         matrix = np.vstack([np.diag(np.sqrt(problem.hessian)), root * c])
         rhs = np.concatenate([np.zeros(problem.n), root * b])
-        x, _ = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
+        x = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
         assert bounded_lsq_optimality(matrix, rhs, lo, hi, x) <= 1e-12, deg
     assert soft >= 10
 
@@ -809,7 +819,7 @@ def test_bounded_lsq_is_optimal_on_random_boxes():
         lo, hi = -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
         fixed = rng.random(n) < 0.2
         hi[fixed] = lo[fixed]
-        x, _ = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
+        x = qpsolve._bounded_lsq(matrix, rhs, lo, hi)
         assert bounded_lsq_optimality(matrix, rhs, lo, hi, x) <= 1e-12
         assert np.array_equal(x[fixed], lo[fixed])
 
@@ -1129,3 +1139,26 @@ def test_case2_box_excluding_zero_converges_past_the_newton_cap(monkeypatch):
         assert np.all((psi >= bounds.alpha) & (psi <= bounds.beta)), deg
         assert solve_box_qp(problem).iterations == {
             149.5: 113, 215.0: 296, 235.0: 296, 300.5: 113}[deg]
+
+
+@pytest.mark.parametrize("box, angles", [((0.01, 0.75), (151.5, 298.5)),
+                                         ((0.0, 0.3), (125.0, 151.5, 298.5, 325.0))])
+def test_case2_empty_box_goes_soft_through_phase1(box, angles):
+    # The real "uncertified failure, phase-1 finds the box empty" path: at
+    # these case-2 markers the dual solver reaches its Newton cap without
+    # a certificate, so phase-1 decides the box, finds it empty and the
+    # kernel goes soft. The LP margins read -4.9e-3, -2.5e-3 and -3.9e-4,
+    # and phase-1's violations 1.2e-2, 3.6e-3 and 6.6e-4.
+    grid, sd, _, markers = _circle_markers(2, np.array(angles))
+    strategy = KernelStrategy(WeightFunction.six_point_spline(grid.spacing[0]),
+                              BasisDegree.LINEAR, sd, KernelBounds(*box))
+    for deg, marker in zip(angles, markers):
+        problem = _bounded_problem(grid, marker, sd, *box)
+        with pytest.raises(MaxIterationsExceeded):
+            solve_box_qp(problem)
+        assert not phase1_feasible(problem).feasible, deg
+        assert box_margin(problem) < 0.0, deg
+        _, kw = strategy.kernel_for(grid, marker)
+        assert kw.mode is SolveMode.SOFT_CONSTRAINT, deg
+        psi = kw.supported_psi()
+        assert np.all((psi >= box[0]) & (psi <= box[1])), deg
