@@ -364,13 +364,10 @@ def _closed_form_batch(grid, markers, wf, degree):
     has fewer than k cells), ``wf.eval1d`` refuses the profile's values
     (the per-marker loop then raises its ValueError), a marker has fewer
     than m supported sites, or has a Gram that ``_solve_grams`` refuses.
-    Weights agree with ``KernelStrategy.kernel_for`` to rounding, not
-    bitwise.
+    A degree ``build_basis`` refuses raises its ValueError, as ``kernel_for``
+    does on the first marker once every stencil fits. Weights agree with
+    ``KernelStrategy.kernel_for`` to rounding, not bitwise.
     """
-    try:
-        m = build_basis(grid.dimension, degree).size
-    except ValueError:
-        return None
     n, d = markers.shape
     radius = wf.radius_in_cells
     k = math.ceil(2 * radius)
@@ -382,6 +379,7 @@ def _closed_form_batch(grid, markers, wf, degree):
     if (np.any(x - reach < o - fuzz) or np.any(x + reach > right + fuzz)
             or np.any(cells < k)):
         return None
+    m = build_basis(grid.dimension, degree).size
     start = np.minimum(np.floor((x - o) / h - 0.5 - radius) + 1, cells - k)
     idx = start.astype(np.intp) + np.arange(k)[:, None]
     r = o + (idx + 0.5) * h - x  # the centers of axis_centers, less x

@@ -12,10 +12,14 @@ W leaves the kernel unchanged. Every kernel QP, bounded or not, takes
 the economic QR of the rows √wᵢcᵢᵀ of L⁻¹Cᵀ (L = diag(√h)) on a set of
 sites, whose R is the Cholesky factor of the m×m constraint Gram matrix
 without its condition number squared. ``_factor`` computes it and holds
-the one dependence rule; ``_range_space`` gives x and λ with one
-refinement step, for ``solve_kkt`` on every variable and for qpsolve's
-bounded solver on each working set's free ones. Dense LAPACK suits these
-small systems (a few dozen unknowns, at most four rows).
+the pivot rule, the first of the two rank rules: a working set is
+dependent where a pivot of R is at or below ``_RANK_PIVOT`` times the
+largest. The second, qpsolve's condition rule (``_check_rank``), refuses
+a bounded optimum whose Gram has a condition number above
+``_GRAM_COND_LIMIT``. ``_range_space`` gives x and λ with one refinement
+step, for ``solve_kkt`` on every variable and for qpsolve's bounded solver
+on each working set's free ones. Dense LAPACK suits these small systems
+(a few dozen unknowns, at most four rows).
 ``solve_spd`` is a checked Cholesky solve of a dense SPD matrix with a
 relative pivot floor of 1e-14; no kernel path calls it, and it stays
 while bench/tracing.py looks it up.
@@ -91,14 +95,6 @@ def _solve_tri(a, v, trans=0):
     if info:
         raise RankDeficientConstraints("triangular factor is singular")
     return x
-
-
-def _singular_values(a):
-    """Singular values, largest first: np.linalg.svd's dgesdd, unwrapped."""
-    _, sv, _, info = scipy.linalg.lapack.dgesdd(a, compute_uv=0)
-    if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return sv
 
 
 def _diagonal_root(hessian):
@@ -253,9 +249,9 @@ def solve_spd(matrix, rhs):
 
 def _factor(rows):
     """Economic Q and R of the (n, m) rows √wᵢcᵢᵀ on a set of sites, or
-    None where they are dependent, the one rule for every kernel QP: fewer
-    sites than rows, or an R pivot at or below ``_RANK_PIVOT`` times the
-    largest."""
+    None where they are dependent by the pivot rule, which every kernel QP
+    applies: fewer sites than rows, or an R pivot at or below
+    ``_RANK_PIVOT`` times the largest."""
     count, m = rows.shape
     if count < m:
         return None

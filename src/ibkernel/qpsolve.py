@@ -10,9 +10,9 @@ which holds H as the vector of its diagonal:
   method with an exact line search on the m-dimensional dual. Each step
   is one working set of the free variables: a range-space solve with a
   refinement step on the m×m R of the free rows of H^-½Cᵀ, whose
-  dependence rule is linalg._factor's. It starts from the multipliers of
-  the equality-constrained minimizer and detects an empty constraint set
-  itself, raising Infeasible with a Farkas certificate.
+  dependence rule is linalg._factor's pivot rule. It starts from the
+  multipliers of the equality-constrained minimizer and detects an empty
+  constraint set itself, raising Infeasible with a Farkas certificate.
 - solve_soft_qp: bounds only, equalities folded into a quadratic penalty
   with the fixed weight ρ = 1e8; used when the hard-constrained set is
   empty. The residual joins the variables, unbounded, and the same Newton
@@ -48,7 +48,6 @@ from .linalg import (
     _factor,
     _householder_qr,
     _range_space,
-    _singular_values,
     _solve_tri,
     solve_kkt,
     solve_spd,
@@ -113,14 +112,14 @@ def _eq_residual(problem, x):
     return float(np.abs(problem.eq_matrix @ x - problem.eq_rhs).max())
 
 
-# Rank rule: solve_box_qp refuses an optimum whose free variables F leave
-# the equality Gram matrix C_F H_FF⁻¹ C_Fᵀ with a condition number above
-# this. Past it the kernel puts 0.14 to 0.27 on a site whose weight
-# function is 2e-14 to 1e-11, the multipliers reach 7e11 to 3e14, and no
-# check run apart from the solver can confirm the result (a KKT check
-# weighted by W reads 9e-7 to 3e-4 there). On the case-4 circle sweep
-# every other feasible marker stays below 1.7e12 and the eight refused
-# ones lie above 2.8e13.
+# Condition rule, the second rank rule after linalg._factor's pivot rule:
+# solve_box_qp refuses an optimum whose free variables F leave the equality
+# Gram matrix C_F H_FF⁻¹ C_Fᵀ with a condition number above this. Past it
+# the kernel puts 0.14 to 0.27 on a site whose weight function is 2e-14 to
+# 1e-11, the multipliers reach 7e11 to 3e14, and no check run apart from
+# the solver can confirm the result (a KKT check weighted by W reads 9e-7
+# to 3e-4 there). On the case-4 circle sweep every other feasible marker
+# stays below 1.7e12 and the eight refused ones lie above 2.8e13.
 _GRAM_COND_LIMIT = 1e13
 
 # solve_box_qp and solve_soft_qp raise MaxIterationsExceeded after this many
@@ -137,11 +136,11 @@ _SIGN_SLACK = 1e-12
 
 
 def _check_rank(r_eq):
-    """Apply the rank rule to r_eqᵀ r_eq = C_F H_FF⁻¹ C_Fᵀ, where r_eq is
-    the R factor of the rows √wᵢcᵢᵀ over the free variables F."""
+    """Apply the condition rule to r_eqᵀ r_eq = C_F H_FF⁻¹ C_Fᵀ, where
+    r_eq is the R factor of the rows √wᵢcᵢᵀ over the free variables F."""
     if not r_eq.size:
         return
-    sv = _singular_values(r_eq)
+    sv = np.linalg.svd(r_eq, compute_uv=False)
     cond = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0.0 else np.inf
     if cond > _GRAM_COND_LIMIT:
         raise RankDeficientConstraints(
@@ -195,13 +194,12 @@ def solve_box_qp(problem):
         The Hessian is not positive definite.
     Infeasible
         A direction proves the box empty (see ``_raise_if_certified``): the
-        Newton step where g still rises at the full step, the part of the
-        gradient that dependent free rows cannot reach, or λ − λ₀ when the
-        steps run out. ``certificate`` holds it and ``violation`` the
-        bound it gives.
+        Newton step where g still rises at the full step, or the part of
+        the gradient that dependent free rows cannot reach. ``certificate``
+        holds it and ``violation`` the bound it gives.
     RankDeficientConstraints
         The equality rows on every variable, or on the free variables at
-        the optimum, fail the rank rule (see ``_GRAM_COND_LIMIT``).
+        the optimum, fail the condition rule (see ``_GRAM_COND_LIMIT``).
     MaxIterationsExceeded
         More than ``_NEWTON_STEPS`` Newton steps.
     """
@@ -222,7 +220,7 @@ def _dual_newton(problem, rank_rule):
     if rank_rule:
         _check_rank(cold[1])
     slack = _SIGN_SLACK * np.abs(c).max(initial=0.0)
-    lam0 = lam = _solve_tri(cold[1], _solve_tri(cold[1], b, trans=1))
+    lam = _solve_tri(cold[1], _solve_tri(cold[1], b, trans=1))
 
     def pattern(v):
         """+1 where clip(v) pins a variable at its lower bound, −1 at its
@@ -279,9 +277,6 @@ def _dual_newton(problem, rank_rule):
         # multipliers where there is one.
         side = pattern(v) if qr is None else np.where(wrong, 0.0, side) + below - above
     else:
-        # Iterates that never settle may have run off along a certificate.
-        if may_be_empty:
-            _raise_if_certified(problem, lo, hi, lam - lam0)
         raise MaxIterationsExceeded(f"Newton iteration cap {_NEWTON_STEPS} reached")
     if rank_rule and qr is not cold:
         _check_rank(qr[1])

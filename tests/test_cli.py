@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ibkernel.cli import ConfigError, load_config, main
+from ibkernel.cli import ConfigError, atomic_write, load_config, main
 from ibkernel.experiments import CircleCaseConfig, run_circle_case, validate_moments
 from ibkernel.kernels import BasisDegree, KernelWeights, build_basis
+
+
+@pytest.mark.parametrize("text, directory", [(None, False), ("text", True)],
+                         ids=["write", "rename"])
+def test_atomic_write_removes_its_temp_file_when_it_fails(in_tmp, text, directory):
+    """A failed write (text not a str) or rename (onto a directory)
+    re-raises and leaves no temp file behind."""
+    if directory:
+        (in_tmp / "out").mkdir()
+    with pytest.raises((TypeError, OSError)):
+        atomic_write("out", text)
+    assert [p.name for p in in_tmp.iterdir()] == (["out"] if directory else [])
 
 
 def read_csv(path):

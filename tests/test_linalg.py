@@ -44,6 +44,22 @@ def test_solve_spd_rejects_indefinite():
         solve_spd([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
 
 
+def test_solve_spd_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        solve_spd(np.ones((2, 3)), [1.0, 1.0])
+
+
+def test_solve_spd_of_an_empty_system_is_empty():
+    x = solve_spd(np.zeros((0, 0)), [])
+    assert x.shape == (0,)
+
+
+def test_solve_spd_rejects_a_non_positive_diagonal():
+    # Refused before the Cholesky factorization, which would fail too.
+    with pytest.raises(NotSPD, match="non-positive diagonal"):
+        solve_spd(-np.eye(2), [1.0, 1.0])
+
+
 def test_solve_spd_rejects_tiny_pivot():
     a = np.diag([1.0, 1e-16])
     with pytest.raises(NotSPD):

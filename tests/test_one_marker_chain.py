@@ -329,6 +329,12 @@ def test_assembly_refuses_decreasing_axes():
         assemble_system(_with_axis(0, _AXES[0][::-1]), _MARKER, _WF, _BASIS)
 
 
+def test_assembly_refuses_two_dimensional_axes():
+    columns = SiteAxes([axis[:, None] for axis in _AXES])
+    with pytest.raises(ValueError, match="site axes must be 1-D"):
+        assemble_system(columns, _MARKER, _WF, _BASIS)
+
+
 # A marker whose every site keeps its weight, and one with cut sites.
 _FACE = support_stencil(_GRID, [-0.025, -0.025], 3.0)
 _KEPT = assemble_system(_FACE.sites, [-0.025, -0.025], _WF, _BASIS)
